@@ -127,6 +127,59 @@ func BenchmarkParallelBatchProbe(b *testing.B) {
 
 // --- Ablations -------------------------------------------------------
 
+// BenchmarkJoinerResultPath measures what one scale-out Joiner does per
+// window once routing has happened: probe the window for partner ids,
+// keep the pairs it owns (lowest common target), build their merged
+// documents and hand them to OnResult. The input is recorded once:
+// partitions from one rwData window (AG, M=4), the next window routed
+// through that table by the Assigner policy, so the target lists — and
+// the replication of about 3.3 they add up to — are real. Task 0
+// receives every document routed to it; one op is one such window,
+// delivered and tumbled, in steady state (a first window has grown the
+// maps and buffers). pairs/op is the owned — delivered — pair count,
+// partners/op what the probe found before the ownership filter; their
+// ratio is the replication tax this path no longer pays in merges.
+func BenchmarkJoinerResultPath(b *testing.B) {
+	const m, window = 4, 2000
+	gen, _ := datagen.ByName("rwData", 42)
+	table := partition.AssociationGroups{}.Partition(gen.Window(window), m)
+	type routed struct {
+		doc     document.Document
+		targets []int
+	}
+	var input []routed
+	deliveries := 0
+	for _, d := range gen.Window(window) {
+		targets, _ := table.Route(d)
+		deliveries += len(targets)
+		if targets[0] == 0 {
+			input = append(input, routed{d, targets})
+		}
+	}
+	delivered := 0
+	task := core.NewJoinerTask(0, func(r join.Result) { delivered += r.Merged.Len() })
+	runWindow := func() int {
+		for _, in := range input {
+			task.Deliver(in.doc, in.targets)
+		}
+		return task.CloseWindow()
+	}
+	pairs := runWindow()
+	if pairs == 0 || delivered == 0 {
+		b.Fatalf("recorded window delivered nothing: %d pairs, %d merged attributes", pairs, delivered)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if got := runWindow(); got != pairs {
+			b.Fatalf("window owned %d pairs, the first one %d", got, pairs)
+		}
+	}
+	b.ReportMetric(float64(pairs), "pairs/op")
+	b.ReportMetric(float64(deliveries)/window, "replication")
+	benchSink += delivered
+}
+
 // BenchmarkAblationAttributeOrder compares the paper's global attribute
 // ordering (document frequency descending, distinct values ascending)
 // against an adversarial first-appearance ordering for FP-tree probes.

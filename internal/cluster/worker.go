@@ -323,6 +323,13 @@ type Worker struct {
 	stopOnce    sync.Once
 	senderWG    sync.WaitGroup
 
+	// tasksUp is closed by startTasks once every locally hosted bolt
+	// has its mailbox installed. The listener is up before that (peers
+	// learn the address from the coordinator's start frame and may
+	// send at once), so read loops hold inbound frames until then
+	// rather than find an empty slot and drop the tuple.
+	tasksUp chan struct{}
+
 	// boxes holds the mailbox slots for every bolt task (full
 	// parallelism per component, nil pointer when the task is not
 	// hosted here). Slots are atomic so a migration can install or
@@ -469,6 +476,7 @@ func newWorker(id int, b *topology.Builder, coordAddr string) (*Worker, error) {
 		emitted:   make(map[string]*atomic.Int64),
 		execCount: make(map[string]*atomic.Int64),
 		stop:      make(chan struct{}),
+		tasksUp:   make(chan struct{}),
 		frontier:  -1,
 
 		DialTimeout:       2 * time.Second,
@@ -857,19 +865,32 @@ func (w *Worker) Run() error {
 
 // startTasks launches the locally hosted bolt and spout tasks. A
 // joining worker hosts nothing until a rescale migrates tasks in.
+// Every hosted mailbox is installed before the first task runs or an
+// inbound frame is read: a task that emits the moment it starts (a
+// spout, a bolt's Recover) and a peer that started earlier both find
+// their target's slot filled.
 func (w *Worker) startTasks() {
 	parallelism := make(map[string]int, len(w.spec))
 	for _, comp := range w.spec {
 		parallelism[comp.ID] = comp.Parallelism
 	}
 	pl := w.placement.Load()
+	var run []func()
 	for _, comp := range w.spec {
 		comp := comp
 		if bf := w.builder.BoltFactory(comp.ID); bf != nil {
 			for _, task := range pl.TasksOn(comp.ID, w.id) {
-				w.startBolt(comp, task, bf(task), parallelism, nil)
+				if h := w.installBolt(comp, task, bf(task)); h != nil {
+					run = append(run, func() { w.boltLoop(comp, task, h, parallelism, nil) })
+				}
 			}
 		}
+	}
+	close(w.tasksUp)
+	for _, f := range run {
+		go f()
+	}
+	for _, comp := range w.spec {
 		if sf := w.builder.SpoutFactory(comp.ID); sf != nil {
 			for _, task := range pl.TasksOn(comp.ID, w.id) {
 				w.spoutsLeft.Add(1)
@@ -880,16 +901,14 @@ func (w *Worker) startTasks() {
 	}
 }
 
-// startBolt installs one bolt task (mailbox slot + handle) and starts
-// its loop. restore is nil on a normal start; a migration install
-// passes the streamed snapshot (possibly empty for a stateless bolt),
-// which replaces the Recover pass. Returns false when the worker is
-// already stopping.
-func (w *Worker) startBolt(comp topology.ComponentSpec, task int, bolt topology.Bolt, parallelism map[string]int, restore []byte) bool {
+// installBolt installs one bolt task's mailbox slot and handle; the
+// caller starts its loop. Returns nil when the worker is already
+// stopping.
+func (w *Worker) installBolt(comp topology.ComponentSpec, task int, bolt topology.Bolt) *taskHandle {
 	w.tasksMu.Lock()
+	defer w.tasksMu.Unlock()
 	if w.stopping {
-		w.tasksMu.Unlock()
-		return false
+		return nil
 	}
 	box := newMailbox(comp.MaxPending)
 	w.attachBoxTelemetry(comp.ID, task, box)
@@ -897,7 +916,18 @@ func (w *Worker) startBolt(comp topology.ComponentSpec, task int, bolt topology.
 	w.tasks[comp.ID][task] = h
 	w.boxes[comp.ID][task].Store(box)
 	w.boltWG.Add(1)
-	w.tasksMu.Unlock()
+	return h
+}
+
+// startBolt installs one bolt task and starts its loop. A migration
+// install passes the streamed snapshot (possibly empty for a stateless
+// bolt), which replaces the Recover pass. Returns false when the worker
+// is already stopping.
+func (w *Worker) startBolt(comp topology.ComponentSpec, task int, bolt topology.Bolt, parallelism map[string]int, restore []byte) bool {
+	h := w.installBolt(comp, task, bolt)
+	if h == nil {
+		return false
+	}
 	go w.boltLoop(comp, task, h, parallelism, restore)
 	return true
 }
@@ -1033,6 +1063,11 @@ func (w *Worker) acceptLoop() {
 
 func (w *Worker) readLoop(c wireConn) {
 	defer c.close()
+	select {
+	case <-w.tasksUp:
+	case <-w.stop:
+		return
+	}
 	for {
 		e, err := c.recv()
 		if err != nil {

@@ -152,6 +152,10 @@ type Config struct {
 	Source datagen.Generator
 	// OnResult, when set, receives every join result. It is called
 	// from Joiner task goroutines and must be safe for concurrent use.
+	// Identify a result by (Left, Right): Merged.ID numbers the merged
+	// documents one Joiner task built and repeats across tasks. When
+	// nil the run has no result consumer and the Joiners count pairs
+	// without building merged documents.
 	OnResult func(join.Result)
 	// Telemetry, when set, instruments the whole run — topology
 	// executors, join engines, partitioning — into the given registry,

@@ -20,21 +20,37 @@ import (
 //
 //   - Replication means a joinable pair can be co-located on several
 //     machines. Every delivered document carries its full target list;
-//     a joiner emits a pair only when it is the lowest-indexed joiner
-//     in the intersection of the two documents' target lists, so each
+//     a joiner owns a pair only when it is the lowest-indexed joiner in
+//     the intersection of the two documents' target lists, so each
 //     pair is produced exactly once across the cluster.
 //
 //   - The Assigners advance through the stream independently, so a fast
 //     Assigner's documents for window w+1 can arrive before a slow
 //     Assigner's punctuation for window w. Such documents are buffered
 //     and replayed right after the tumble.
+//
+// The result path is pair-first (DESIGN.md "Result path"): the window
+// is probed for partner ids, ownership is decided on those ids, and a
+// merged document is built only for a pair this task owns and only when
+// the run has a result consumer (Config.OnResult, which also carries
+// the query fan-out and the recovery stager). Results leave through
+// that callback; no stream carries them.
 type joinerBolt struct {
 	cfg  Config
 	task int
 
 	windowed *join.Windowed
 	targets  map[uint64][]int // doc id -> joiner targets, current window
-	pairs    int              // deduplicated pairs this window
+	pairs    int              // pairs this task owns, this window
+	// sink receives this task's results with their window; nil when the
+	// run has no result consumer. results backs the owned pairs'
+	// materialisation across documents.
+	sink    func(window int, res join.Result)
+	results []join.Result
+	// ownerless counts pairs whose two target lists share no joiner —
+	// impossible while every document reaches exactly its targets.
+	// Execute turns a non-zero count into a task failure.
+	ownerless int
 
 	// Micro-batching for the parallel probe pool: current-window
 	// documents are buffered up to batchCap and probed as one batch;
@@ -69,7 +85,8 @@ type joinerBolt struct {
 	cp *checkpointer
 
 	// Live instruments (nil-safe no-ops when cfg.Telemetry is off).
-	telPairs *telemetry.Counter // pairs this joiner owns and emits
+	telPairs     *telemetry.Counter // pairs this joiner owns and delivers
+	telOwnerless *telemetry.Counter // pairs no joiner could own
 }
 
 type pendingDoc struct {
@@ -97,6 +114,12 @@ func newJoinerBolt(cfg Config, task int) *joinerBolt {
 		spilledPend: make(map[int]bool),
 		pendBytes:   make(map[int]int64),
 	}
+	switch {
+	case cfg.onResultWindowed != nil:
+		b.sink = cfg.onResultWindowed
+	case cfg.OnResult != nil:
+		b.sink = func(_ int, res join.Result) { cfg.OnResult(res) }
+	}
 	fpj, _ := eng.(*join.FPJ)
 	if fpj != nil && cfg.ProbeParallelism > 1 {
 		fpj.SetProbeParallelism(cfg.ProbeParallelism)
@@ -104,8 +127,10 @@ func newJoinerBolt(cfg Config, task int) *joinerBolt {
 	if reg := cfg.Telemetry; reg != nil {
 		id := fmt.Sprint(task)
 		b.telPairs = reg.Counter(telemetry.Name("join_pairs_total", "task", id))
+		b.telOwnerless = reg.Counter(telemetry.Name("join_ownerless_pairs_total", "task", id))
 		b.windowed.SetInstruments(join.Instruments{
 			ProbeSeconds: reg.Histogram(telemetry.Name("join_probe_seconds", "task", id)),
+			Partners:     reg.Counter(telemetry.Name("join_probe_partners_total", "task", id)),
 			Results:      reg.Counter(telemetry.Name("join_results_total", "task", id)),
 			Duplicates:   reg.Counter(telemetry.Name("join_duplicates_total", "task", id)),
 			WindowDocs:   reg.Gauge(telemetry.Name("join_window_docs", "task", id)),
@@ -173,7 +198,7 @@ func (b *joinerBolt) Execute(t topology.Tuple, c topology.Collector) {
 		w := t.Values["window"].(int)
 		p := pendingDoc{doc: t.Values["doc"].(document.Document), targets: t.Values["targets"].([]int)}
 		if w == b.current {
-			b.enqueue(p, c)
+			b.enqueue(p)
 		} else {
 			b.pending[w] = append(b.pending[w], p)
 			if b.gov != nil {
@@ -185,7 +210,7 @@ func (b *joinerBolt) Execute(t topology.Tuple, c topology.Collector) {
 	case streamJoinerWindow:
 		// Any punctuation first drains the micro-batch, so window
 		// accounting never sees buffered-but-unprobed documents.
-		b.flushBatch(c)
+		b.flushBatch()
 		w := t.Values["window"].(int)
 		b.markers[w]++
 		if _, ok := topology.CheckpointID(t); ok {
@@ -193,25 +218,32 @@ func (b *joinerBolt) Execute(t topology.Tuple, c topology.Collector) {
 		}
 		b.maybeTumble(c)
 	}
+	if n := b.ownerless; n > 0 {
+		// The runtimes record a recovered Execute panic under
+		// Report.Topology.Failures; everything else this tuple caused
+		// is already done, so nothing but the ownerless pairs is lost.
+		b.ownerless = 0
+		panic(fmt.Sprintf("%d join pair(s) share no target joiner and were not produced (joiner task %d holds both documents)", n, b.task))
+	}
 }
 
 // enqueue routes a current-window document through the micro-batch, or
 // straight through the serial path when batching is off.
-func (b *joinerBolt) enqueue(p pendingDoc, c topology.Collector) {
+func (b *joinerBolt) enqueue(p pendingDoc) {
 	if b.batchCap <= 1 {
-		b.process(p, c)
+		b.process(p)
 		return
 	}
 	b.batch = append(b.batch, p)
 	if len(b.batch) >= b.batchCap {
-		b.flushBatch(c)
+		b.flushBatch()
 	}
 }
 
-// flushBatch probes the buffered documents as one batch and emits
-// their results in arrival order — the same pairs, in the same order,
-// the serial per-document path would have produced.
-func (b *joinerBolt) flushBatch(c topology.Collector) {
+// flushBatch probes the buffered documents as one batch and delivers
+// their owned pairs in arrival order — the same pairs, in the same
+// order, the serial per-document path would have produced.
+func (b *joinerBolt) flushBatch() {
 	if len(b.batch) == 0 {
 		return
 	}
@@ -221,40 +253,46 @@ func (b *joinerBolt) flushBatch(c topology.Collector) {
 		b.docsBuf = append(b.docsBuf, p.doc)
 	}
 	b.batch = b.batch[:0]
-	for _, res := range b.windowed.ProcessBatch(b.docsBuf) {
-		b.emit(res, c)
+	fresh, rows := b.windowed.PartnersBatch(b.docsBuf)
+	for i, d := range fresh {
+		b.deliver(d, rows[i])
 	}
 }
 
-func (b *joinerBolt) process(p pendingDoc, c topology.Collector) {
+func (b *joinerBolt) process(p pendingDoc) {
 	b.targets[p.doc.ID] = p.targets
-	for _, res := range b.windowed.Process(p.doc) {
-		b.emit(res, c)
-	}
+	b.deliver(p.doc, b.windowed.Partners(p.doc))
 }
 
-func (b *joinerBolt) emit(res join.Result, c topology.Collector) {
-	if !b.ownsPair(res.Left, res.Right) {
+// deliver is the result path of one document: partners holds the ids
+// the window found for d; they are filtered in place down to the pairs
+// this task owns, counted, and — only if somebody receives results —
+// materialised and handed over.
+func (b *joinerBolt) deliver(d document.Document, partners []uint64) {
+	if len(partners) == 0 {
 		return
 	}
-	b.pairs++
-	b.telPairs.Inc()
-	if b.cfg.onResultWindowed != nil {
-		b.cfg.onResultWindowed(b.current, res)
-	} else if b.cfg.OnResult != nil {
-		b.cfg.OnResult(res)
+	right := b.targets[d.ID]
+	owned := partners[:0]
+	for _, id := range partners {
+		if b.ownsPair(b.targets[id], right) {
+			owned = append(owned, id)
+		}
 	}
-	c.EmitTo(streamResults, topology.Values{
-		"left":   res.Left,
-		"right":  res.Right,
-		"merged": res.Merged,
-	})
+	b.pairs += len(owned)
+	b.telPairs.Add(int64(len(owned)))
+	if len(owned) == 0 || b.sink == nil {
+		return
+	}
+	b.results = b.windowed.Materialize(b.results[:0], d, owned)
+	for _, res := range b.results {
+		b.sink(b.current, res)
+	}
 }
 
-// ownsPair reports whether this task is the lowest-indexed joiner
-// holding both documents.
-func (b *joinerBolt) ownsPair(left, right uint64) bool {
-	lt, rt := b.targets[left], b.targets[right]
+// ownsPair reports whether this task is the lowest-indexed joiner in
+// both (ascending) target lists.
+func (b *joinerBolt) ownsPair(lt, rt []int) bool {
 	i, j := 0, 0
 	for i < len(lt) && j < len(rt) {
 		switch {
@@ -266,9 +304,12 @@ func (b *joinerBolt) ownsPair(left, right uint64) bool {
 			j++
 		}
 	}
-	// No common target should be impossible (this task holds both);
-	// claim ownership defensively so the pair is not lost.
-	return true
+	// This task holds both documents, so it is in both lists — unless
+	// a target list is wrong. Claiming the pair would duplicate it on
+	// every joiner that holds it; count it and fail the task instead.
+	b.ownerless++
+	b.telOwnerless.Inc()
+	return false
 }
 
 // maybeTumble closes the current window while all assigners have
@@ -277,7 +318,7 @@ func (b *joinerBolt) maybeTumble(c topology.Collector) {
 	for b.markers[b.current] == b.numAssigners {
 		// Replayed documents of this window may still sit in the
 		// micro-batch; fold them in before closing it.
-		b.flushBatch(c)
+		b.flushBatch()
 		w := b.current
 		ckpt := b.ckptW[w]
 		delete(b.markers, w)
@@ -291,7 +332,7 @@ func (b *joinerBolt) maybeTumble(c topology.Collector) {
 			Checkpoint: ckpt,
 		}})
 		b.pairs = 0
-		b.targets = make(map[uint64][]int)
+		clear(b.targets)
 		b.current++
 		// Snapshot at the barrier, post-tumble and pre-replay: the
 		// state is "window w incorporated, next window empty"; the
@@ -301,7 +342,7 @@ func (b *joinerBolt) maybeTumble(c topology.Collector) {
 			b.cp.save(w, b)
 		}
 		for _, p := range b.takePending(b.current) {
-			b.enqueue(p, c)
+			b.enqueue(p)
 		}
 	}
 }

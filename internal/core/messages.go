@@ -31,8 +31,9 @@ const (
 	// streamUpdate carries δ-gated partition update requests
 	// (assigner -> merger, global).
 	streamUpdate = "update"
-	// streamRepartition carries θ-triggered repartition requests
-	// (assigner -> creators and merger, all).
+	// streamRepartition carries every assigner's end-of-window verdict
+	// on whether θ calls for a repartition (assigner -> creators, all;
+	// assigner -> merger, global).
 	streamRepartition = "repartition"
 	// streamResched carries the merger's notice that a recomputation
 	// is scheduled (merger -> assigners, all), so every assigner
@@ -53,8 +54,8 @@ const (
 	// streamMergerEvents carries repartition/table-version events
 	// (merger -> collector, global).
 	streamMergerEvents = "mevents"
-	// streamResults carries join results (joiner -> optional sinks).
-	streamResults = "results"
+	// Join results travel on no stream: the joiner hands them to
+	// Config.OnResult (joiner.go, deliver).
 )
 
 // creatorWindowMsg is one creator's end-of-window report. When the

@@ -340,7 +340,11 @@ func (r *Runner) runCluster(cfg Config) (*Report, error) {
 	for {
 		acfg := cfg
 		acfg.OnResult = nil
-		acfg.onResultWindowed = stager.record
+		if cfg.OnResult != nil {
+			// Only a run somebody consumes stages results; without a
+			// consumer the joiners materialise nothing.
+			acfg.onResultWindowed = stager.record
+		}
 		acfg.recovery = &recoveryPlumb{store: r.recovery.Store, restoreWindow: restoreFrom}
 		if restoreFrom >= 0 {
 			acfg.Source = r.recovery.NewSource()

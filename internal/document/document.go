@@ -340,12 +340,17 @@ func SharedPairs(a, b Document) int {
 // When both inputs carry symbols of the same epoch, the merge runs on
 // integer attribute IDs and the output document inherits its symbols
 // from the inputs without touching the intern tables.
+//
+// The output slices are sized exactly (len == cap): merged results are
+// what a consumer retains, so they carry no slack for the collector to
+// scan. That costs one counting walk over the attributes first.
 func Merge(id uint64, a, b Document) Document {
 	i, j := 0, 0
 	ap, bp := a.pairs, b.pairs
+	n := len(ap) + len(bp) - sharedAttrs(ap, bp)
+	merged := make([]Pair, 0, n)
 	if as, bs := a.syms, b.syms; as != nil && bs != nil && a.epoch == b.epoch {
-		merged := make([]Pair, 0, len(ap)+len(bp))
-		msyms := make([]symbol.Pair, 0, len(ap)+len(bp))
+		msyms := make([]symbol.Pair, 0, n)
 		for i < len(ap) && j < len(bp) {
 			sa, sb := as[i], bs[j]
 			if sa.Attr() == sb.Attr() {
@@ -374,7 +379,6 @@ func Merge(id uint64, a, b Document) Document {
 		msyms = append(msyms, bs[j:]...)
 		return Document{ID: id, pairs: merged, syms: msyms, epoch: a.epoch}
 	}
-	merged := make([]Pair, 0, len(ap)+len(bp))
 	for i < len(ap) && j < len(bp) {
 		switch {
 		case ap[i].Attr < bp[j].Attr:
@@ -397,4 +401,23 @@ func Merge(id uint64, a, b Document) Document {
 	// The mixed-epoch path re-interns so the output is well-formed
 	// under the current epoch.
 	return newFromSortedUnique(id, merged)
+}
+
+// sharedAttrs counts the attributes two attribute-sorted pair lists
+// have in common.
+func sharedAttrs(ap, bp []Pair) int {
+	n, i, j := 0, 0, 0
+	for i < len(ap) && j < len(bp) {
+		switch c := strings.Compare(ap[i].Attr, bp[j].Attr); {
+		case c < 0:
+			i++
+		case c > 0:
+			j++
+		default:
+			n++
+			i++
+			j++
+		}
+	}
+	return n
 }

@@ -313,16 +313,6 @@ func (w *Windowed) ProbeOnly(d document.Document) []Result {
 	if len(partners) == 0 {
 		return nil
 	}
-	results := make([]Result, 0, len(partners))
-	for _, id := range partners {
-		other, ok := w.store[id]
-		if !ok {
-			continue
-		}
-		merged := document.Merge(w.nextID, other, d)
-		w.nextID++
-		results = append(results, Result{Left: id, Right: d.ID, Merged: merged})
-	}
-	w.pairsEmitted += len(results)
-	return results
+	w.found(len(partners))
+	return w.Materialize(make([]Result, 0, len(partners)), d, partners)
 }

@@ -68,6 +68,9 @@ func (e *FPJ) Restore(r io.Reader) error { return e.tree.Restore(r) }
 
 // windowedGob is the wire form of a Windowed joiner. The engine's own
 // state nests as an opaque payload so each engine controls its format.
+// Snapshots written before the store became the dedup guard also carry
+// a Seen id list (always the store's key set); gob drops the field it
+// no longer finds here, so they restore unchanged.
 type windowedGob struct {
 	Engine        string
 	NextID        uint64
@@ -75,13 +78,12 @@ type windowedGob struct {
 	DocsProcessed int
 	Duplicates    int
 	Store         []document.Document // sorted by ID for determinism
-	Seen          []uint64            // sorted
 	EngineState   []byte
 }
 
 // Snapshot implements state.Snapshotter for the windowed wrapper: the
-// current window's stored documents, the dedup guard, the counters and
-// the nested engine state.
+// current window's stored documents (which are the dedup guard), the
+// counters and the nested engine state.
 func (w *Windowed) Snapshot(out io.Writer) error {
 	g := windowedGob{
 		Engine:        w.engine.Name(),
@@ -94,10 +96,6 @@ func (w *Windowed) Snapshot(out io.Writer) error {
 		g.Store = append(g.Store, w.store[id])
 	}
 	sort.Slice(g.Store, func(i, j int) bool { return g.Store[i].ID < g.Store[j].ID })
-	for id := range w.seen {
-		g.Seen = append(g.Seen, id)
-	}
-	sort.Slice(g.Seen, func(i, j int) bool { return g.Seen[i] < g.Seen[j] })
 	var eng bytes.Buffer
 	if err := w.engine.Snapshot(&eng); err != nil {
 		return fmt.Errorf("join: snapshot %s engine: %w", g.Engine, err)
@@ -127,10 +125,6 @@ func (w *Windowed) Restore(r io.Reader) error {
 	w.storeBytes = 0
 	for _, d := range g.Store {
 		w.storeDoc(d)
-	}
-	w.seen = make(map[uint64]struct{}, len(g.Seen))
-	for _, id := range g.Seen {
-		w.seen[id] = struct{}{}
 	}
 	w.updateSizes()
 	return nil

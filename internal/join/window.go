@@ -20,16 +20,24 @@ type Result struct {
 // documents already stored in the current window (probe-then-insert),
 // so every joinable pair within one window is produced exactly once;
 // when the window tumbles the entire state is evicted (paper Sec. V-A).
+//
+// The result path has two steps. The pair-level step (Partners,
+// PartnersBatch) deduplicates, probes, stores and yields partner *ids*;
+// Materialize builds merged documents for whichever of those ids the
+// caller wants delivered. Process and ProcessBatch are the composition
+// "all partners, materialise all"; the scale-out Joiner runs the steps
+// itself and filters the ids by pair ownership in between, so a
+// replicated pair costs a probe per replica but a merged document only
+// on the task that owns it.
 type Windowed struct {
 	engine Engine
+	// store holds the current window's documents. It doubles as the
+	// duplicate-delivery guard: the partitioning replicates a document
+	// across Joiners, never twice to the same one, but the broadcast
+	// fallback can overlap a partition match, so an id already stored
+	// is ignored and the window stays exactly-once.
 	store  map[uint64]document.Document
 	nextID uint64
-
-	// Deduplicate replicated deliveries: the partitioning may send the
-	// same document to one Joiner more than once only across different
-	// Joiners, but the broadcast fallback can overlap with a partition
-	// match, so an id-based guard keeps the window exactly-once.
-	seen map[uint64]struct{}
 
 	pairsEmitted  int
 	docsProcessed int
@@ -39,6 +47,10 @@ type Windowed struct {
 	// store incrementally, so MemBytes answers in O(1) on every
 	// admission the memory governor meters.
 	storeBytes int64
+
+	// fresh and rows back PartnersBatch's return values between calls.
+	fresh []document.Document
+	rows  [][]uint64
 
 	ins Instruments
 	// fpj caches the engine's concrete type when TreeNodes is attached,
@@ -52,7 +64,10 @@ type Windowed struct {
 type Instruments struct {
 	// ProbeSeconds profiles each probe-then-insert against the engine.
 	ProbeSeconds *telemetry.Histogram
-	// Results counts join results produced by the engine.
+	// Partners counts the partner ids the engine returned — every pair
+	// the window found, whether or not anyone materialises it.
+	Partners *telemetry.Counter
+	// Results counts materialised join results (merged documents built).
 	Results *telemetry.Counter
 	// Duplicates counts suppressed duplicate deliveries.
 	Duplicates *telemetry.Counter
@@ -92,7 +107,6 @@ func NewWindowed(e Engine) *Windowed {
 	return &Windowed{
 		engine: e,
 		store:  make(map[uint64]document.Document),
-		seen:   make(map[uint64]struct{}),
 		nextID: 1,
 	}
 }
@@ -100,16 +114,15 @@ func NewWindowed(e Engine) *Windowed {
 // Engine exposes the wrapped engine.
 func (w *Windowed) Engine() Engine { return w.engine }
 
-// Process matches d against the current window and stores it. The
-// returned results materialise the merged join documents. A document id
-// already seen in this window is ignored (duplicate delivery).
-func (w *Windowed) Process(d document.Document) []Result {
-	if _, dup := w.seen[d.ID]; dup {
-		w.duplicates++
-		w.ins.Duplicates.Inc()
+// Partners is the pair-level step for one document: it probes the
+// current window for d's join partners and stores d. The returned ids
+// are engine-owned, valid (and free to reorder or filter in place)
+// until the next call on w; nothing is merged. A document id already in
+// this window is ignored (duplicate delivery) and yields no partners.
+func (w *Windowed) Partners(d document.Document) []uint64 {
+	if w.duplicate(d.ID) {
 		return nil
 	}
-	w.seen[d.ID] = struct{}{}
 	w.docsProcessed++
 	// Only an attached histogram pays for the clock reads.
 	var start time.Time
@@ -120,26 +133,60 @@ func (w *Windowed) Process(d document.Document) []Result {
 	if w.ins.ProbeSeconds != nil {
 		w.ins.ProbeSeconds.Observe(time.Since(start))
 	}
-	if len(partners) == 0 {
-		w.storeDoc(d)
-		w.updateSizes()
-		return nil
+	w.storeDoc(d)
+	w.found(len(partners))
+	w.updateSizes()
+	return partners
+}
+
+// duplicate reports — and counts — a delivery of an id this window
+// already stores.
+func (w *Windowed) duplicate(id uint64) bool {
+	if _, dup := w.store[id]; !dup {
+		return false
 	}
-	results := make([]Result, 0, len(partners))
+	w.duplicates++
+	w.ins.Duplicates.Inc()
+	return true
+}
+
+// found accounts n partner ids yielded by a probe.
+func (w *Windowed) found(n int) {
+	w.pairsEmitted += n
+	w.ins.Partners.Add(int64(n))
+}
+
+// Materialize appends to dst one Result per id in partners — the
+// merged natural-join document of that stored partner and d — and
+// returns the extended slice. partners is any subset of what the
+// pair-level step (or Engine.Probe) yielded for d; an id the window
+// does not hold is skipped. Merged.ID numbers the results this window
+// state has materialised, in order, so it is dense per Windowed and
+// says nothing across tasks.
+func (w *Windowed) Materialize(dst []Result, d document.Document, partners []uint64) []Result {
+	before := len(dst)
 	for _, id := range partners {
 		other, ok := w.store[id]
 		if !ok {
 			continue
 		}
-		merged := document.Merge(w.nextID, other, d)
+		dst = append(dst, Result{Left: id, Right: d.ID, Merged: document.Merge(w.nextID, other, d)})
 		w.nextID++
-		results = append(results, Result{Left: id, Right: d.ID, Merged: merged})
 	}
-	w.storeDoc(d)
-	w.pairsEmitted += len(results)
-	w.ins.Results.Add(int64(len(results)))
-	w.updateSizes()
-	return results
+	w.ins.Results.Add(int64(len(dst) - before))
+	return dst
+}
+
+// Process matches d against the current window and stores it. The
+// returned results materialise the merged join documents of every
+// partner. A document id already seen in this window is ignored
+// (duplicate delivery).
+func (w *Windowed) Process(d document.Document) []Result {
+	partners := w.Partners(d)
+	if len(partners) == 0 {
+		return nil
+	}
+	return w.Materialize(make([]Result, 0, len(partners)), d, partners)
 }
 
 // storeDoc adds d to the window store, keeping the byte account in
@@ -150,104 +197,95 @@ func (w *Windowed) storeDoc(d document.Document) {
 	w.storeBytes += d.MemBytes() + windowMapEntryBytes
 }
 
-const (
-	// windowMapEntryBytes approximates one store map entry's overhead
-	// (uint64 key + bucket share) beyond the Document value itself.
-	windowMapEntryBytes = 16
-	// seenEntryBytes approximates one dedup-guard map entry.
-	seenEntryBytes = 24
-)
+// windowMapEntryBytes approximates one store map entry's overhead
+// (uint64 key + bucket share) beyond the Document value itself.
+const windowMapEntryBytes = 16
+
+// PartnersBatch is the pair-level step for a micro-batch, equivalent
+// to calling Partners for each document in order: duplicate deliveries
+// are dropped, and rows[i] holds the partner ids of fresh[i], partners
+// among earlier documents of the same batch included. A BatchEngine may
+// order the ids within one row differently than the serial walk
+// (window-state partners before intra-batch partners) — the
+// per-document multisets are identical either way. Engines implementing
+// BatchEngine — FPJ with a probe worker pool — overlap the window-tree
+// probes of the batch across their workers; other engines probe
+// serially. Both slices and every row are valid, and the rows free to
+// filter in place, until the next call on w.
+func (w *Windowed) PartnersBatch(docs []document.Document) (fresh []document.Document, rows [][]uint64) {
+	// Suppress duplicate deliveries up front, like Partners would at
+	// each position; storing as we go also catches an id repeated
+	// inside the batch.
+	w.fresh = w.fresh[:0]
+	for _, d := range docs {
+		if w.duplicate(d.ID) {
+			continue
+		}
+		w.storeDoc(d)
+		w.fresh = append(w.fresh, d)
+	}
+	fresh = w.fresh
+	if len(fresh) == 0 {
+		return nil, nil
+	}
+	w.docsProcessed += len(fresh)
+	w.ins.BatchDocs.ObserveNS(int64(len(fresh)))
+
+	if be, ok := w.engine.(BatchEngine); ok {
+		if w.ins.PoolDepth != nil {
+			if fpj, isFPJ := w.engine.(*FPJ); isFPJ {
+				w.ins.PoolDepth.SetInt(fpj.ProbeParallelism())
+			}
+		}
+		rows = be.ProbeInsertBatch(fresh)
+	} else {
+		// Engine cannot batch: probe serially, copying each row out of
+		// the engine's buffer before the next probe reuses it.
+		for len(w.rows) < len(fresh) {
+			w.rows = append(w.rows, nil)
+		}
+		rows = w.rows[:len(fresh)]
+		for i, d := range fresh {
+			rows[i] = append(rows[i][:0], w.engine.ProbeInsert(d)...)
+		}
+	}
+	for _, row := range rows {
+		w.found(len(row))
+	}
+	w.updateSizes()
+	return fresh, rows
+}
 
 // ProcessBatch runs a micro-batch of documents through the window,
 // equivalent to calling Process for each document in order: duplicate
 // deliveries are suppressed, every joinable pair is produced exactly
 // once, and results are merged back in arrival order (first by
-// document position, then by the engine's partner order), so OnResult
-// ordering downstream stays deterministic. A BatchEngine may order the
-// partners within one document's results differently than the serial
-// walk (window-state partners before intra-batch partners) — the
-// per-document multisets are identical either way. Engines implementing
-// BatchEngine — FPJ with a probe worker pool — overlap the window-tree
-// probes of the batch across their workers; other engines fall back to
-// the serial loop.
+// document position, then by the engine's partner order — see
+// PartnersBatch for the latitude a BatchEngine has there), so OnResult
+// ordering downstream stays deterministic.
 func (w *Windowed) ProcessBatch(docs []document.Document) []Result {
-	if len(docs) == 0 {
+	fresh, rows := w.PartnersBatch(docs)
+	n := 0
+	for _, row := range rows {
+		n += len(row)
+	}
+	if n == 0 {
 		return nil
 	}
-	if len(docs) == 1 {
-		return w.Process(docs[0])
-	}
-	// Suppress duplicate deliveries up front, like Process would at
-	// each position.
-	fresh := docs[:0:0]
-	for _, d := range docs {
-		if _, dup := w.seen[d.ID]; dup {
-			w.duplicates++
-			w.ins.Duplicates.Inc()
-			continue
-		}
-		w.seen[d.ID] = struct{}{}
-		fresh = append(fresh, d)
-	}
-	if len(fresh) == 0 {
-		return nil
-	}
-	w.docsProcessed += len(fresh)
-	w.ins.BatchDocs.ObserveNS(int64(len(fresh)))
-
-	be, ok := w.engine.(BatchEngine)
-	if !ok {
-		// Engine cannot batch: inline the serial probe-then-insert and
-		// materialisation per document.
-		var results []Result
-		for _, d := range fresh {
-			partners := w.engine.ProbeInsert(d)
-			results = w.materialize(results, d, partners)
-		}
-		w.ins.Results.Add(int64(len(results)))
-		w.updateSizes()
-		return results
-	}
-	if w.ins.PoolDepth != nil {
-		if fpj, isFPJ := w.engine.(*FPJ); isFPJ {
-			w.ins.PoolDepth.SetInt(fpj.ProbeParallelism())
-		}
-	}
-	lists := be.ProbeInsertBatch(fresh)
-	var results []Result
+	results := make([]Result, 0, n)
 	for i, d := range fresh {
-		results = w.materialize(results, d, lists[i])
+		results = w.Materialize(results, d, rows[i])
 	}
-	w.ins.Results.Add(int64(len(results)))
-	w.updateSizes()
 	return results
 }
 
-// materialize turns one document's partner ids into merged Results and
-// stores the document, preserving the serial probe-then-insert
-// bookkeeping: partners of d inserted earlier — including earlier
-// documents of the same batch — are already in the store when d's
-// results resolve.
-func (w *Windowed) materialize(results []Result, d document.Document, partners []uint64) []Result {
-	before := len(results)
-	for _, id := range partners {
-		other, ok := w.store[id]
-		if !ok {
-			continue
-		}
-		merged := document.Merge(w.nextID, other, d)
-		w.nextID++
-		results = append(results, Result{Left: id, Right: d.ID, Merged: merged})
-	}
-	w.storeDoc(d)
-	w.pairsEmitted += len(results) - before
-	return results
-}
+// Tumble closes the window: it reports the documents and pairs the
+// window saw and evicts all state. The store keeps its buckets, so the
+// next window does not regrow them.
 func (w *Windowed) Tumble() (docs, pairs int) {
 	docs, pairs = w.docsProcessed, w.pairsEmitted
 	w.engine.Reset()
-	w.store = make(map[uint64]document.Document)
-	w.seen = make(map[uint64]struct{})
+	clear(w.store)
 	w.docsProcessed = 0
 	w.pairsEmitted = 0
 	w.duplicates = 0
@@ -256,12 +294,11 @@ func (w *Windowed) Tumble() (docs, pairs int) {
 	return docs, pairs
 }
 
-// MemBytes implements MemoryAccounter: the window document store, the
-// dedup guard and the wrapped engine's own account. O(1) — the store
-// bytes are tracked incrementally and engines account incrementally
-// too.
+// MemBytes implements MemoryAccounter: the window document store and
+// the wrapped engine's own account. O(1) — the store bytes are tracked
+// incrementally and engines account incrementally too.
 func (w *Windowed) MemBytes() int64 {
-	return w.storeBytes + int64(len(w.seen))*seenEntryBytes + EngineMemBytes(w.engine)
+	return w.storeBytes + EngineMemBytes(w.engine)
 }
 
 // Size reports the number of documents stored in the current window.

@@ -3,16 +3,19 @@
 // system is built on: topologies of spouts and bolts connected by
 // stream subscriptions with shuffle, fields, all and direct groupings
 // (paper Sec. III-B). Components are executed as one goroutine per
-// task; tuples flow through per-task unbounded mailboxes, preserving
-// per-edge FIFO order.
+// task; tuples flow through per-task mailboxes, preserving per-edge
+// FIFO order.
 //
-// Unlike Storm's bounded transfer buffers, mailboxes are unbounded:
-// the paper's topology contains a feedback edge (Assigner -> Merger for
-// partition updates, Merger -> Assigner for new partition tables), and
-// unbounded mailboxes make the cycle deadlock-free while keeping
-// delivery order per edge. Shutdown uses quiescence detection: once all
-// spouts are exhausted and no tuple is queued or executing, the
-// topology stops.
+// Mailboxes are unbounded by default and can be capped like Storm's
+// transfer buffers (Builder.MaxPending, BoltDecl.MaxPending): a
+// producer emitting into a full mailbox blocks until the consumer
+// drains. The paper's topology contains feedback edges (Assigner ->
+// Merger for partition updates, Merger -> Assigner for new partition
+// tables), and a bounded mailbox on a cycle can deadlock, so the
+// builder keeps every component reachable from its own subscribers
+// unbounded whatever the cap says. Shutdown uses quiescence detection:
+// once all spouts are exhausted and no tuple is queued or executing,
+// the topology stops.
 package topology
 
 import (
