@@ -11,7 +11,11 @@
 package repro
 
 import (
+	"bytes"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -21,6 +25,7 @@ import (
 	"repro/internal/fptree"
 	"repro/internal/join"
 	"repro/internal/partition"
+	"repro/internal/server"
 	"repro/internal/state"
 	"repro/internal/telemetry"
 )
@@ -178,6 +183,77 @@ func BenchmarkJoinerResultPath(b *testing.B) {
 	b.ReportMetric(float64(pairs), "pairs/op")
 	b.ReportMetric(float64(deliveries)/window, "replication")
 	benchSink += delivered
+}
+
+// BenchmarkServeResultPath measures what sfj-serve does per document
+// between the socket and the join: the in-process POST /documents
+// handler with the benchmark's five-query set (three queries on the
+// default window group — plain, θ = 0.5, a Severity filter — plus a
+// half-size and a double-size window group), fed single-document POSTs.
+// The input is recorded once: two rwData windows, the span of the
+// double-size group, so no window ever holds a document twice. One op
+// is one pass over the recording in steady state (a first pass has
+// grown the result rings, the pooled request scratch and the window
+// maps). delivered/encode is the live sharing ratio — results delivered
+// to queries per merged document encoded. The guard holds allocs/op
+// exactly (GOGC=off and -cpu 1, because both a GC cycle and a sync.Pool
+// miss on another P cost allocations): a document.Merge or a marshal
+// per delivery would add thousands.
+func BenchmarkServeResultPath(b *testing.B) {
+	const window = 1000
+	gen, _ := datagen.ByName("rwData", 42)
+	var lines [][]byte
+	for _, d := range append(gen.Window(window), gen.Window(window)...) {
+		line, err := d.MarshalJSON()
+		if err != nil {
+			b.Fatal(err)
+		}
+		lines = append(lines, line)
+	}
+	reg := telemetry.NewRegistry()
+	srv, err := server.New(server.WithWindow(window), server.WithTelemetry(reg))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Close()
+	h := srv.Handler()
+	for _, spec := range []string{
+		fmt.Sprintf(`{"id":"theta","window":%d,"theta":0.5}`, window),
+		fmt.Sprintf(`{"id":"filter","window":%d,"filters":{"Severity":"Error"}}`, window),
+		fmt.Sprintf(`{"id":"half","window":%d}`, window/2),
+		fmt.Sprintf(`{"id":"double","window":%d}`, 2*window),
+	} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/queries", strings.NewReader(spec)))
+		if rec.Code != http.StatusCreated {
+			b.Fatalf("register %s: %d %s", spec, rec.Code, rec.Body)
+		}
+	}
+	pass := func() (respBytes int) {
+		for _, line := range lines {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/documents", bytes.NewReader(line)))
+			if rec.Code != http.StatusOK {
+				b.Fatalf("POST /documents: %d %s", rec.Code, rec.Body)
+			}
+			respBytes += rec.Body.Len()
+		}
+		return respBytes
+	}
+	respBytes := pass()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchSink += pass()
+	}
+	b.StopTimer()
+	snap := reg.Snapshot()
+	encodes, deliveries := snap.Counter("server_result_encodes_total"), snap.Counter("server_result_deliveries_total")
+	if encodes == 0 || deliveries < encodes {
+		b.Fatalf("%d deliveries of %d encodings", deliveries, encodes)
+	}
+	b.ReportMetric(float64(deliveries)/float64(encodes), "delivered/encode")
+	b.ReportMetric(float64(respBytes)/float64(len(lines)), "respB/doc")
 }
 
 // BenchmarkAblationAttributeOrder compares the paper's global attribute

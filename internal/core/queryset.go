@@ -28,7 +28,6 @@ type QuerySet struct {
 	mu      sync.Mutex
 	multi   *join.Multi
 	nextDoc uint64
-	scratch map[string]int // per-ingest results per query, reused
 
 	tel struct {
 		groups       *telemetry.Gauge
@@ -68,7 +67,8 @@ type QuerySetConfig struct {
 	// queryset_queries_active), admission counters, per-query labelled
 	// counters (query_docs_matched_total{query=...},
 	// query_results_total{query=...}) and per-group join instruments
-	// labelled by window group (join_results_total{window=...}, ...).
+	// labelled by window group (join_results_total{window=...},
+	// join_partner_missing_total{window=...}, ...).
 	Telemetry *telemetry.Registry
 	// MemoryBudget > 0 bounds the accounted bytes of all window state:
 	// past it the degradation ladder fires — spill (with SpillStore),
@@ -101,7 +101,6 @@ func NewQuerySet(cfg QuerySetConfig) *QuerySet {
 		cfg:         cfg,
 		multi:       join.NewMulti(),
 		nextDoc:     1,
-		scratch:     make(map[string]int),
 		perQuery:    make(map[string]*queryTel),
 		groupSeries: make(map[string][]string),
 	}
@@ -121,14 +120,23 @@ func NewQuerySet(cfg QuerySetConfig) *QuerySet {
 				telemetry.Name("join_duplicates_total", "window", label),
 				telemetry.Name("join_window_docs", "window", label),
 				telemetry.Name("join_fptree_nodes", "window", label),
+				telemetry.Name("join_partner_missing_total", "window", label),
 			}
 			qs.groupSeries[label] = names
 			return join.Instruments{
-				ProbeSeconds: reg.Histogram(names[0]),
-				Results:      reg.Counter(names[1]),
-				Duplicates:   reg.Counter(names[2]),
-				WindowDocs:   reg.Gauge(names[3]),
-				TreeNodes:    reg.Gauge(names[4]),
+				ProbeSeconds:   reg.Histogram(names[0]),
+				Results:        reg.Counter(names[1]),
+				Duplicates:     reg.Counter(names[2]),
+				WindowDocs:     reg.Gauge(names[3]),
+				TreeNodes:      reg.Gauge(names[4]),
+				PartnerMissing: reg.Counter(names[5]),
+			}
+		})
+		// Runs under qs.mu, like every Multi call.
+		qs.multi.OnMatched(func(id string, results int) {
+			if qt := qs.perQuery[id]; qt != nil {
+				qt.docsMatched.Inc()
+				qt.results.Add(int64(results))
 			}
 		})
 	}
@@ -234,19 +242,31 @@ func (qs *QuerySet) refreshGaugesLocked() {
 
 // Ingest feeds one document to every query's window state: parsed
 // documents are probed once per distinct window configuration and the
-// results fan out to the matching queries through deliver, which runs
-// under the set's lock (keep it quick, never re-enter the QuerySet).
-// It returns ErrOverloaded while the memory governor is shedding.
+// accepted pairs fan out to the matching queries as materialised
+// results through deliver, which runs under the set's lock (keep it
+// quick, never re-enter the QuerySet). It returns ErrOverloaded while
+// the memory governor is shedding.
 func (qs *QuerySet) Ingest(d document.Document, deliver func(query string, r join.Result)) error {
 	qs.mu.Lock()
 	defer qs.mu.Unlock()
-	return qs.ingestLocked(d, deliver)
+	return qs.ingestLocked(d, nil, deliver)
 }
 
 // IngestJSON parses one JSON document, assigns it the next document id
 // and ingests it. It returns ErrOverloaded while the memory governor
 // is shedding.
 func (qs *QuerySet) IngestJSON(data []byte, deliver func(query string, r join.Result)) error {
+	return qs.ingestJSON(data, nil, deliver)
+}
+
+// IngestJSONPairs is IngestJSON for a pair-level consumer: every
+// accepted pair is delivered as its two input documents and nothing is
+// merged (see join.Multi.IngestPairs).
+func (qs *QuerySet) IngestJSONPairs(data []byte, deliver join.PairFunc) error {
+	return qs.ingestJSON(data, deliver, nil)
+}
+
+func (qs *QuerySet) ingestJSON(data []byte, pairs join.PairFunc, results func(string, join.Result)) error {
 	qs.mu.Lock()
 	defer qs.mu.Unlock()
 	d, err := document.Parse(qs.nextDoc, data)
@@ -254,10 +274,12 @@ func (qs *QuerySet) IngestJSON(data []byte, deliver func(query string, r join.Re
 		return fmt.Errorf("core: %w", err)
 	}
 	qs.nextDoc++
-	return qs.ingestLocked(d, deliver)
+	return qs.ingestLocked(d, pairs, results)
 }
 
-func (qs *QuerySet) ingestLocked(d document.Document, deliver func(string, join.Result)) error {
+// ingestLocked delivers to pairs when set, else to results (nil only
+// counts).
+func (qs *QuerySet) ingestLocked(d document.Document, pairs join.PairFunc, results func(string, join.Result)) error {
 	if gov := qs.multi.Governor(); gov.Level() >= join.PressureShed {
 		// Rung 4: refuse at admission. The document is not parsed into
 		// any window, so a retried send after back-off is not a
@@ -265,22 +287,13 @@ func (qs *QuerySet) ingestLocked(d document.Document, deliver func(string, join.
 		gov.ShedOne()
 		return ErrOverloaded
 	}
-	clear(qs.scratch)
-	forced := qs.multi.Ingest(d, qs.cfg.MaxWindowDocs, func(id string, r join.Result) {
-		qs.scratch[id]++
-		if deliver != nil {
-			deliver(id, r)
-		}
-	})
-	if forced > 0 {
-		qs.tel.forced.Add(int64(forced))
+	var forced int
+	if pairs != nil {
+		forced = qs.multi.IngestPairs(d, qs.cfg.MaxWindowDocs, pairs)
+	} else {
+		forced = qs.multi.Ingest(d, qs.cfg.MaxWindowDocs, results)
 	}
-	for id, n := range qs.scratch {
-		if qt := qs.perQuery[id]; qt != nil {
-			qt.docsMatched.Inc()
-			qt.results.Add(int64(n))
-		}
-	}
+	qs.tel.forced.Add(int64(forced))
 	return nil
 }
 
@@ -309,14 +322,19 @@ func (qs *QuerySet) Demux(engine string, windowDocs int, r join.Result, deliver 
 func (qs *QuerySet) Tumble(id string, deliver func(query string, r join.Result)) (docs, pairs int, err error) {
 	qs.mu.Lock()
 	defer qs.mu.Unlock()
-	docs, pairs, ok := qs.multi.Tumble(id, qs.cfg.MaxWindowDocs, func(qid string, r join.Result) {
-		if qt := qs.perQuery[qid]; qt != nil {
-			qt.results.Inc()
-		}
-		if deliver != nil {
-			deliver(qid, r)
-		}
-	})
+	docs, pairs, ok := qs.multi.Tumble(id, qs.cfg.MaxWindowDocs, deliver)
+	return tumbled(id, docs, pairs, ok)
+}
+
+// TumblePairs is Tumble for a pair-level consumer.
+func (qs *QuerySet) TumblePairs(id string, deliver join.PairFunc) (docs, pairs int, err error) {
+	qs.mu.Lock()
+	defer qs.mu.Unlock()
+	docs, pairs, ok := qs.multi.TumblePairs(id, qs.cfg.MaxWindowDocs, deliver)
+	return tumbled(id, docs, pairs, ok)
+}
+
+func tumbled(id string, docs, pairs int, ok bool) (int, int, error) {
 	if !ok {
 		return 0, 0, fmt.Errorf("core: unknown query %q", id)
 	}
@@ -329,17 +347,14 @@ func (qs *QuerySet) Tumble(id string, deliver func(query string, r join.Result))
 func (qs *QuerySet) DrainSpilled(deliver func(query string, r join.Result)) {
 	qs.mu.Lock()
 	defer qs.mu.Unlock()
-	forced := qs.multi.DrainSpilled(qs.cfg.MaxWindowDocs, func(qid string, r join.Result) {
-		if qt := qs.perQuery[qid]; qt != nil {
-			qt.results.Inc()
-		}
-		if deliver != nil {
-			deliver(qid, r)
-		}
-	})
-	if forced > 0 {
-		qs.tel.forced.Add(int64(forced))
-	}
+	qs.tel.forced.Add(int64(qs.multi.DrainSpilled(qs.cfg.MaxWindowDocs, deliver)))
+}
+
+// DrainSpilledPairs is DrainSpilled for a pair-level consumer.
+func (qs *QuerySet) DrainSpilledPairs(deliver join.PairFunc) {
+	qs.mu.Lock()
+	defer qs.mu.Unlock()
+	qs.tel.forced.Add(int64(qs.multi.DrainSpilledPairs(qs.cfg.MaxWindowDocs, deliver)))
 }
 
 // MemBytes reports the governor's accounted window-state bytes (0 when

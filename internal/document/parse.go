@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
-	"strings"
 )
 
 // Parse decodes a single JSON object into a Document with the given id.
@@ -76,28 +75,6 @@ func compactJSON(v any) string {
 		return fmt.Sprint(v)
 	}
 	return string(b)
-}
-
-// MarshalJSON renders the document back into a flat JSON object. Dotted
-// attribute paths stay flat; this is a display format, not an inverse
-// of Parse.
-func (d Document) MarshalJSON() ([]byte, error) {
-	var b strings.Builder
-	b.WriteByte('{')
-	for i, p := range d.pairs {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		key, err := json.Marshal(p.Attr)
-		if err != nil {
-			return nil, err
-		}
-		b.Write(key)
-		b.WriteByte(':')
-		b.WriteString(ValueJSON(p.Val))
-	}
-	b.WriteByte('}')
-	return []byte(b.String()), nil
 }
 
 // ParseStream decodes a stream of newline- or whitespace-separated JSON

@@ -135,35 +135,7 @@ func DecodeValueString(enc string) string {
 }
 
 // ValueJSON renders a canonical value as a valid JSON literal.
-func ValueJSON(enc string) string {
-	if enc == "" {
-		return `""`
-	}
-	switch enc[0] {
-	case 's':
-		return jsonString(enc[1:])
-	case 'n', 'i':
-		return enc[1:]
-	case 'b':
-		return enc[1:]
-	case 'z':
-		return "null"
-	case 'j':
-		return enc[1:]
-	default:
-		return jsonString(enc)
-	}
-}
-
-// jsonString encodes s as a JSON string literal. strconv.Quote is not
-// suitable here: it emits Go escapes like \x7f that JSON forbids.
-func jsonString(s string) string {
-	b, err := json.Marshal(s)
-	if err != nil {
-		return `""` // unreachable: strings always marshal
-	}
-	return string(b)
-}
+func ValueJSON(enc string) string { return string(appendValueJSON(nil, enc)) }
 
 // ConcatValues builds the synthetic value used by attribute-value
 // expansion: the concatenation of two canonical values. The combined

@@ -1,6 +1,7 @@
 package join
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -18,6 +19,17 @@ import (
 // attribute filters) are applied as a demultiplexing step over the
 // shared probe's results. A document is therefore parsed once and
 // probed once per distinct window configuration, not once per query.
+//
+// Results are shared the same way. The probe yields partner ids
+// (Windowed.Partners); every predicate is decided on the two input
+// documents — θ by document.Classify, a filter pair f by
+// left.Has(f) || right.Has(f), which equals merged.Has(f) because the
+// merged document is the conflict-free union of its inputs — and what
+// a query accepts is delivered as that pair of inputs (PairFunc).
+// Nothing is merged to evaluate a predicate; a consumer that wants
+// merged documents (Ingest, Tumble, DrainSpilled) gets each accepted
+// pair materialised once per group by Windowed.Materialize, however
+// many of the group's queries accept it.
 
 // QuerySpec declares one standing query.
 type QuerySpec struct {
@@ -40,9 +52,10 @@ type QuerySpec struct {
 	// it composes with state sharing.
 	Theta float64
 	// Filters are canonical attribute-value pairs the merged result
-	// document must contain for the query to receive it. Filters apply
-	// to results, not to ingestion: the window state stays identical
-	// across queries, which is what makes it shareable.
+	// document must contain for the query to receive it — decided on
+	// the pair's inputs, one of which must carry each filter pair.
+	// Filters apply to results, not to ingestion: the window state stays
+	// identical across queries, which is what makes it shareable.
 	Filters []document.Pair
 }
 
@@ -114,6 +127,22 @@ func (s QuerySpec) groupKey(queryID string) GroupKey {
 	return GroupKey{Engine: s.Engine, WindowDocs: s.WindowDocs}
 }
 
+// ErrDuplicateQuery is wrapped by Register when the id is already taken.
+var ErrDuplicateQuery = errors.New("join: query already registered")
+
+// PairFunc receives one joinable pair a query accepted: left is the
+// partner the window held, right the arriving document. Both are
+// immutable and may be retained.
+type PairFunc func(query string, left, right document.Document)
+
+// sink is where a group's accepted pairs go: to a pair-level consumer as
+// the two inputs, or to a result-level consumer as the materialised
+// Result. The zero sink counts and discards.
+type sink struct {
+	pairs   PairFunc
+	results func(query string, r Result)
+}
+
 // standing is one registered query.
 type standing struct {
 	id    string
@@ -141,6 +170,19 @@ type group struct {
 	inWindow int
 	windows  int
 	forced   int
+	// partnerMissing counts partner ids the probe returned that the
+	// window's store did not hold — impossible while engine and store
+	// are updated together, so never silently skipped.
+	partnerMissing int64
+
+	// Per-document demux scratch, parallel to the resolved partners:
+	// their stored documents, the lazily computed shared-pair counts
+	// (-1 = not yet), and where an accepted pair sits in results
+	// (-1 = no query accepted it yet).
+	lefts   []document.Document
+	shared  []int
+	at      []int
+	results []Result
 
 	// Spill state: while spilled, the window lives in the governor's
 	// store and incoming documents buffer in backlog; they replay
@@ -171,6 +213,10 @@ type QueryStatus struct {
 	// Windows counts completed tumbles (including forced ones).
 	WindowDocs int
 	Windows    int
+	// PartnerMissing counts probe partners the group's window store did
+	// not hold (dropped, never delivered); anything but 0 is a bug in
+	// the window state.
+	PartnerMissing int64
 }
 
 // Multi hosts many standing queries over shared window state. It is
@@ -181,6 +227,9 @@ type Multi struct {
 	// mkInstruments, when set, supplies per-group join instruments at
 	// group creation (labelled by the group key).
 	mkInstruments func(GroupKey) Instruments
+	// onMatched, when set, is told once per (document, query) how many
+	// of the document's pairs the query accepted.
+	onMatched func(query string, results int)
 
 	gov     *Governor
 	nextSeq int // spill-store keys for groups
@@ -198,6 +247,11 @@ func NewMulti() *Multi {
 // groups created after the call.
 func (m *Multi) InstrumentWith(f func(GroupKey) Instruments) { m.mkInstruments = f }
 
+// OnMatched installs a hook called once per ingested (or replayed)
+// document and query that accepted at least one of its pairs, with the
+// number accepted — the per-query counters of a telemetry layer.
+func (m *Multi) OnMatched(f func(query string, results int)) { m.onMatched = f }
+
 // SetGovernor attaches a memory governor (nil detaches): window groups
 // then spill to the governor's store under pressure, with incoming
 // documents backlogged and replayed at reload.
@@ -214,7 +268,7 @@ func (m *Multi) Register(id string, spec QuerySpec) error {
 		return fmt.Errorf("join: empty query id")
 	}
 	if _, dup := m.queries[id]; dup {
-		return fmt.Errorf("join: query %q already registered", id)
+		return fmt.Errorf("%w: %q", ErrDuplicateQuery, id)
 	}
 	if err := spec.Validate(); err != nil {
 		return err
@@ -258,26 +312,40 @@ func (m *Multi) Unregister(id string) bool {
 	return true
 }
 
-// Ingest feeds one document to every group: each group probes its
-// shared window state exactly once, then demultiplexes the results to
-// its queries through their θ/filter predicates via deliver. Spilled
+// Ingest feeds one document to every group and delivers each accepted
+// pair as a materialised Result: IngestPairs' pair-level step, then one
+// Windowed.Materialize per pair some query of the group accepted. A nil
+// deliver counts without materialising. The returned count is the
+// number of forced tumbles fired.
+func (m *Multi) Ingest(d document.Document, maxWindowDocs int, deliver func(query string, r Result)) (forced int) {
+	return m.ingest(d, maxWindowDocs, sink{results: deliver})
+}
+
+// IngestPairs feeds one document to every group: each group probes its
+// shared window state exactly once for partner ids, decides every
+// query's θ/filter predicates on the input documents, and hands each
+// accepted (query, partner, d) to deliver — nothing is merged. Spilled
 // groups buffer the document instead and replay it at reload. The
 // returned count is the number of forced tumbles fired, by the
 // max-window-docs guard or by the memory governor's rung 3 (0 when
 // both are off).
-func (m *Multi) Ingest(d document.Document, maxWindowDocs int, deliver func(query string, r Result)) (forced int) {
+func (m *Multi) IngestPairs(d document.Document, maxWindowDocs int, deliver PairFunc) (forced int) {
+	return m.ingest(d, maxWindowDocs, sink{pairs: deliver})
+}
+
+func (m *Multi) ingest(d document.Document, maxWindowDocs int, out sink) (forced int) {
 	for _, g := range m.groups {
 		if g.spilled {
 			g.backlog = append(g.backlog, d)
 			g.backlogBytes += d.MemBytes()
 			if len(g.backlog) >= groupBacklogMax {
-				forced += m.reloadGroup(g, maxWindowDocs, deliver)
+				forced += m.reloadGroup(g, maxWindowDocs, out)
 			}
 			continue
 		}
-		forced += g.ingest(d, maxWindowDocs, deliver)
+		forced += g.ingest(d, maxWindowDocs, out, m.onMatched)
 	}
-	forced += m.govern(maxWindowDocs, deliver)
+	forced += m.govern(maxWindowDocs, out)
 	return forced
 }
 
@@ -285,7 +353,7 @@ func (m *Multi) Ingest(d document.Document, maxWindowDocs int, deliver func(quer
 // resident bytes, spill the largest groups while over budget,
 // force-tumble at rung 3, and drain spilled groups back in when
 // pressure subsides.
-func (m *Multi) govern(maxWindowDocs int, deliver func(string, Result)) (forced int) {
+func (m *Multi) govern(maxWindowDocs int, out sink) (forced int) {
 	if m.gov == nil {
 		return 0
 	}
@@ -330,7 +398,7 @@ func (m *Multi) govern(maxWindowDocs int, deliver func(string, Result)) (forced 
 		// the threshold.
 		for _, g := range m.groups {
 			if g.spilled && m.gov.Accounted()+g.spilledBytes < m.gov.Budget() {
-				forced += m.reloadGroup(g, maxWindowDocs, deliver)
+				forced += m.reloadGroup(g, maxWindowDocs, out)
 				m.gov.Account(m.MemBytes())
 				break
 			}
@@ -361,7 +429,7 @@ func (m *Multi) largestResident() *group {
 // counted by the governor) degrades: the group restarts from an empty
 // window and only the backlog replays, so the stream continues without
 // the lost state instead of crashing.
-func (m *Multi) reloadGroup(g *group, maxWindowDocs int, deliver func(string, Result)) (forced int) {
+func (m *Multi) reloadGroup(g *group, maxWindowDocs int, out sink) (forced int) {
 	if err := m.gov.Reload(g.seq, spillKindGroup, g.win); err != nil {
 		// A failed restore may have left partial engine state behind;
 		// clear to a known-empty window before replaying.
@@ -372,7 +440,7 @@ func (m *Multi) reloadGroup(g *group, maxWindowDocs int, deliver func(string, Re
 	backlog := g.backlog
 	g.backlog, g.backlogBytes = nil, 0
 	for _, d := range backlog {
-		forced += g.ingest(d, maxWindowDocs, deliver)
+		forced += g.ingest(d, maxWindowDocs, out, m.onMatched)
 	}
 	return forced
 }
@@ -383,16 +451,25 @@ func (m *Multi) reloadGroup(g *group, maxWindowDocs int, deliver func(string, Re
 // backlogged document's results are lost. Returns the number of forced
 // tumbles fired during replay.
 func (m *Multi) DrainSpilled(maxWindowDocs int, deliver func(string, Result)) (forced int) {
+	return m.drainSpilled(maxWindowDocs, sink{results: deliver})
+}
+
+// DrainSpilledPairs is DrainSpilled for a pair-level consumer.
+func (m *Multi) DrainSpilledPairs(maxWindowDocs int, deliver PairFunc) (forced int) {
+	return m.drainSpilled(maxWindowDocs, sink{pairs: deliver})
+}
+
+func (m *Multi) drainSpilled(maxWindowDocs int, out sink) (forced int) {
 	for _, g := range m.groups {
 		if g.spilled {
-			forced += m.reloadGroup(g, maxWindowDocs, deliver)
+			forced += m.reloadGroup(g, maxWindowDocs, out)
 		}
 	}
 	// Re-run the ladder rather than just re-accounting: the reloads may
 	// have pushed residency back over budget, and leaving the level at
 	// shed would refuse every later ingest for state a spill could
 	// relieve right now.
-	forced += m.govern(maxWindowDocs, deliver)
+	forced += m.govern(maxWindowDocs, out)
 	return forced
 }
 
@@ -418,43 +495,11 @@ func (m *Multi) SpilledGroups() int {
 	return n
 }
 
-// ingest runs one document through one group's window.
-func (g *group) ingest(d document.Document, maxWindowDocs int, deliver func(string, Result)) (forced int) {
-	results := g.win.Process(d)
-	if len(results) > 0 {
-		// shared[i] caches the shared-pair count of results[i], filled
-		// lazily: only queries with θ > 0 pay for the Classify pass.
-		shared := make([]int, 0)
-		for _, q := range g.queries {
-			matched := 0
-			for i, r := range results {
-				if q.spec.Theta > 0 {
-					for len(shared) <= i {
-						shared = append(shared, -1)
-					}
-					left, ok := g.win.Doc(r.Left)
-					if !ok {
-						continue
-					}
-					if shared[i] < 0 {
-						_, shared[i] = document.Classify(left, d)
-					}
-					need := int(math.Ceil(q.spec.Theta * float64(min(left.Len(), d.Len()))))
-					if shared[i] < need {
-						continue
-					}
-				}
-				if !matchFilters(q.spec.Filters, r.Merged) {
-					continue
-				}
-				deliver(q.id, r)
-				matched++
-			}
-			if matched > 0 {
-				q.docsMatched++
-				q.results += int64(matched)
-			}
-		}
+// ingest runs one document through one group's window: the pair-level
+// probe, the per-query demux of its partners, then the window boundary.
+func (g *group) ingest(d document.Document, maxWindowDocs int, out sink, onMatched func(string, int)) (forced int) {
+	if partners := g.win.Partners(d); len(partners) > 0 {
+		g.demux(d, partners, out, onMatched)
 	}
 	g.inWindow++
 	switch {
@@ -471,8 +516,90 @@ func (g *group) ingest(d document.Document, maxWindowDocs int, deliver func(stri
 	return forced
 }
 
+// demux decides, for every query of the group, which of d's partners it
+// accepts, on the input documents alone, and hands the accepted pairs
+// to out. A result-level sink gets each accepted pair materialised the
+// first time a query accepts it and shared by the queries after.
+func (g *group) demux(d document.Document, partners []uint64, out sink, onMatched func(string, int)) {
+	g.lefts, g.shared, g.at = g.lefts[:0], g.shared[:0], g.at[:0]
+	held := partners[:0] // the engine's row is ours to filter in place
+	for _, id := range partners {
+		left, ok := g.win.Doc(id)
+		if !ok {
+			g.partnerMissing++
+			g.win.ins.PartnerMissing.Inc()
+			continue
+		}
+		held = append(held, id)
+		g.lefts = append(g.lefts, left)
+		g.shared = append(g.shared, -1)
+		g.at = append(g.at, -1)
+	}
+	g.results = g.results[:0]
+	accepted := 0
+	for _, q := range g.queries {
+		matched := 0
+		for i, left := range g.lefts {
+			if q.spec.Theta > 0 {
+				// Only queries with θ > 0 pay for the Classify pass, once
+				// per pair however many of them there are.
+				if g.shared[i] < 0 {
+					_, g.shared[i] = document.Classify(left, d)
+				}
+				need := int(math.Ceil(q.spec.Theta * float64(min(left.Len(), d.Len()))))
+				if g.shared[i] < need {
+					continue
+				}
+			}
+			if !matchInputs(q.spec.Filters, left, d) {
+				continue
+			}
+			matched++
+			first := g.at[i] < 0
+			if first {
+				g.at[i] = len(g.results)
+				accepted++
+			}
+			switch {
+			case out.pairs != nil:
+				out.pairs(q.id, left, d)
+			case out.results != nil:
+				if first {
+					g.results = g.win.Materialize(g.results, d, held[i:i+1])
+				}
+				out.results(q.id, g.results[g.at[i]])
+			}
+		}
+		if matched > 0 {
+			q.docsMatched++
+			q.results += int64(matched)
+			if onMatched != nil {
+				onMatched(q.id, matched)
+			}
+		}
+	}
+	if out.results == nil {
+		// Materialize counts what it builds; pairs handed on as inputs
+		// (or only counted) are this window's results all the same.
+		g.win.ins.Results.Add(int64(accepted))
+	}
+}
+
+// matchInputs reports whether the merged document of left and right
+// would carry every filter pair: the merged document is the
+// conflict-free union of its inputs, so it has a pair exactly when one
+// of them does.
+func matchInputs(filters []document.Pair, left, right document.Document) bool {
+	for _, f := range filters {
+		if !left.Has(f) && !right.Has(f) {
+			return false
+		}
+	}
+	return true
+}
+
 // matchFilters reports whether the merged result carries every filter
-// pair.
+// pair (Demux: an external result's inputs are gone).
 func matchFilters(filters []document.Pair, merged document.Document) bool {
 	for _, f := range filters {
 		if !merged.Has(f) {
@@ -497,12 +624,21 @@ func (g *group) tumble() (docs, pairs int) {
 // (deliver may be nil when the caller has no sink). It reports the
 // closed window's document and pair counts.
 func (m *Multi) Tumble(id string, maxWindowDocs int, deliver func(string, Result)) (docs, pairs int, ok bool) {
+	return m.tumble(id, maxWindowDocs, sink{results: deliver})
+}
+
+// TumblePairs is Tumble for a pair-level consumer.
+func (m *Multi) TumblePairs(id string, maxWindowDocs int, deliver PairFunc) (docs, pairs int, ok bool) {
+	return m.tumble(id, maxWindowDocs, sink{pairs: deliver})
+}
+
+func (m *Multi) tumble(id string, maxWindowDocs int, out sink) (docs, pairs int, ok bool) {
 	q, found := m.queries[id]
 	if !found {
 		return 0, 0, false
 	}
 	if q.group.spilled {
-		m.reloadGroup(q.group, maxWindowDocs, deliver)
+		m.reloadGroup(q.group, maxWindowDocs, out)
 	}
 	docs, pairs = q.group.tumble()
 	if m.gov != nil {
@@ -538,14 +674,15 @@ func (m *Multi) Status(id string) (QueryStatus, bool) {
 		return QueryStatus{}, false
 	}
 	return QueryStatus{
-		ID:          q.id,
-		Spec:        q.spec,
-		Group:       q.group.key.String(),
-		SharedWith:  len(q.group.queries) - 1,
-		DocsMatched: q.docsMatched,
-		Results:     q.results,
-		WindowDocs:  q.group.win.Size(),
-		Windows:     q.group.windows,
+		ID:             q.id,
+		Spec:           q.spec,
+		Group:          q.group.key.String(),
+		SharedWith:     len(q.group.queries) - 1,
+		DocsMatched:    q.docsMatched,
+		Results:        q.results,
+		WindowDocs:     q.group.win.Size(),
+		Windows:        q.group.windows,
+		PartnerMissing: q.group.partnerMissing,
 	}, true
 }
 

@@ -71,6 +71,10 @@ type Instruments struct {
 	Results *telemetry.Counter
 	// Duplicates counts suppressed duplicate deliveries.
 	Duplicates *telemetry.Counter
+	// PartnerMissing counts partner ids a probe returned that the window
+	// store does not hold (Multi drops them instead of delivering);
+	// anything but 0 means engine and store disagree.
+	PartnerMissing *telemetry.Counter
 	// WindowDocs tracks the number of documents stored in the current
 	// window.
 	WindowDocs *telemetry.Gauge
@@ -305,8 +309,8 @@ func (w *Windowed) MemBytes() int64 {
 func (w *Windowed) Size() int { return len(w.store) }
 
 // Doc returns the stored document with the given id, if it is in the
-// current window. The multi-query demux uses it to recover a result's
-// left-hand input for θ predicates.
+// current window. The multi-query demux uses it to turn partner ids
+// into the left-hand inputs its predicates and pair deliveries need.
 func (w *Windowed) Doc(id uint64) (document.Document, bool) {
 	d, ok := w.store[id]
 	return d, ok

@@ -48,6 +48,10 @@ type queryJSON struct {
 	BufferDepth   int             `json:"buffer_depth"`
 	BufferDropped int64           `json:"buffer_dropped"`
 	LastSeq       uint64          `json:"last_seq"`
+	// PartnerMissing counts probe partners the query's window group
+	// could not find in its store and therefore did not deliver; not 0
+	// means results are missing because window state is inconsistent.
+	PartnerMissing int64 `json:"partner_missing"`
 }
 
 // handleCreateQuery registers a standing query.
@@ -91,7 +95,7 @@ func (s *Server) handleCreateQuery(w http.ResponseWriter, r *http.Request) {
 		switch {
 		case errors.Is(err, core.ErrTooManyQueries):
 			http.Error(w, err.Error(), http.StatusTooManyRequests)
-		case isDuplicate(err):
+		case errors.Is(err, join.ErrDuplicateQuery):
 			http.Error(w, err.Error(), http.StatusConflict)
 		default:
 			http.Error(w, err.Error(), http.StatusBadRequest)
@@ -102,12 +106,6 @@ func (s *Server) handleCreateQuery(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusCreated)
 	writeJSON(w, s.queryJSON(st))
-}
-
-// isDuplicate recognises the query set's duplicate-id error without a
-// sentinel (the id is part of the message).
-func isDuplicate(err error) bool {
-	return err != nil && bytes.Contains([]byte(err.Error()), []byte("already registered"))
 }
 
 func (s *Server) handleListQueries(w http.ResponseWriter, _ *http.Request) {
@@ -198,19 +196,16 @@ func (s *Server) handleQueryResults(w http.ResponseWriter, r *http.Request) {
 		items, wake, closed := buf.after(after, max)
 		if len(items) > 0 || closed || waitSec == 0 {
 			_, dropped, _ := buf.stats()
-			if items == nil {
-				items = []bufferedResult{}
-			}
-			writeJSON(w, map[string]any{"results": items, "dropped": dropped})
+			writeResults(w, items, dropped)
 			return
 		}
 		select {
 		case <-wake:
 		case <-deadline:
-			writeJSON(w, map[string]any{"results": []bufferedResult{}, "dropped": int64(0)})
+			writeResults(w, nil, 0)
 			return
 		case <-s.done:
-			writeJSON(w, map[string]any{"results": []bufferedResult{}, "dropped": int64(0)})
+			writeResults(w, nil, 0)
 			return
 		case <-r.Context().Done():
 			return
@@ -250,17 +245,22 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Cache-Control", "no-cache")
 	w.WriteHeader(http.StatusOK)
 	flusher.Flush()
+	var frames []byte // reused across batches of events
 	for {
 		items, wake, closed := buf.after(after, 0)
-		for _, it := range items {
-			data, err := json.Marshal(it)
-			if err != nil {
-				continue // unreachable: bufferedResult always marshals
-			}
-			fmt.Fprintf(w, "id: %d\ndata: %s\n\n", it.Seq, data)
-			after = it.Seq
-		}
 		if len(items) > 0 {
+			frames = frames[:0]
+			for _, it := range items {
+				frames = append(frames, "id: "...)
+				frames = strconv.AppendUint(frames, it.Seq, 10)
+				frames = append(frames, "\ndata: "...)
+				frames = it.appendJSON(frames)
+				frames = append(frames, '\n', '\n')
+			}
+			after = items[len(items)-1].Seq
+			if _, err := w.Write(frames); err != nil {
+				return // the client is gone
+			}
 			flusher.Flush()
 		}
 		if closed {
@@ -282,16 +282,17 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 // queryJSON renders one query status plus its buffer state.
 func (s *Server) queryJSON(st join.QueryStatus) queryJSON {
 	out := queryJSON{
-		ID:          st.ID,
-		Engine:      st.Spec.Engine,
-		Window:      st.Spec.WindowDocs,
-		Theta:       st.Spec.Theta,
-		Group:       st.Group,
-		SharedWith:  st.SharedWith,
-		DocsMatched: st.DocsMatched,
-		Results:     st.Results,
-		WindowDocs:  st.WindowDocs,
-		Windows:     st.Windows,
+		ID:             st.ID,
+		Engine:         st.Spec.Engine,
+		Window:         st.Spec.WindowDocs,
+		Theta:          st.Spec.Theta,
+		Group:          st.Group,
+		SharedWith:     st.SharedWith,
+		DocsMatched:    st.DocsMatched,
+		Results:        st.Results,
+		WindowDocs:     st.WindowDocs,
+		Windows:        st.Windows,
+		PartnerMissing: st.PartnerMissing,
 	}
 	if len(st.Spec.Filters) > 0 {
 		out.Filters = filtersJSON(st.Spec.Filters)
@@ -315,11 +316,7 @@ func filtersJSON(filters []document.Pair) json.RawMessage {
 		if i > 0 {
 			b.WriteByte(',')
 		}
-		key, err := json.Marshal(f.Attr)
-		if err != nil {
-			continue // unreachable: strings always marshal
-		}
-		b.Write(key)
+		b.Write(document.AppendJSONString(nil, f.Attr, true))
 		b.WriteByte(':')
 		b.WriteString(document.ValueJSON(f.Val))
 	}
@@ -341,6 +338,30 @@ func parseInt(s string, def int) (int, error) {
 	return strconv.Atoi(s)
 }
 
+// writeResults writes the GET /queries/{id}/results body: what
+// json.Encoder writes for {"dropped": dropped, "results": results}.
+func writeResults(w http.ResponseWriter, results []bufferedResult, dropped int64) {
+	size := 64
+	for _, r := range results {
+		size += len(r.Merged) + 80 // seq, left, right and the member names
+	}
+	body := append(make([]byte, 0, size), `{"dropped":`...)
+	body = strconv.AppendInt(body, dropped, 10)
+	body = append(body, `,"results":`...)
+	body = appendResultsJSON(body, results)
+	writeBody(w, append(body, '}', '\n'))
+}
+
+// writeBody writes an already encoded JSON body.
+func writeBody(w http.ResponseWriter, body []byte) {
+	if w.Header().Get("Content-Type") == "" {
+		w.Header().Set("Content-Type", "application/json")
+	}
+	_, _ = w.Write(body) // a failed write means the client went away
+}
+
+// writeJSON encodes the small status bodies; results go through
+// writeResults and appendIngestResponse instead.
 func writeJSON(w http.ResponseWriter, v any) {
 	if w.Header().Get("Content-Type") == "" {
 		w.Header().Set("Content-Type", "application/json")

@@ -5,7 +5,9 @@
 // state that is shared across all queries whose (engine, window)
 // configurations align, with per-query state only where they diverge.
 // Results demux to each query through its own predicates and are
-// buffered for retrieval by long-poll or server-sent events.
+// buffered for retrieval by long-poll or server-sent events. A joinable
+// pair is encoded once per ingested document, whatever number of
+// queries and window groups deliver it: they all hold the same bytes.
 //
 // Endpoints:
 //
@@ -35,9 +37,12 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"sort"
+	"strconv"
 	"sync"
 
 	"repro/internal/core"
+	"repro/internal/document"
 	"repro/internal/join"
 	"repro/internal/state"
 	"repro/internal/telemetry"
@@ -70,6 +75,9 @@ type Server struct {
 		pairs       *telemetry.Counter
 		windows     *telemetry.Counter
 		parseErrors *telemetry.Counter
+		// deliveries ÷ encodes is what sharing encoded results buys.
+		encodes    *telemetry.Counter
+		deliveries *telemetry.Counter
 	}
 }
 
@@ -123,6 +131,8 @@ func New(opts ...Option) (*Server, error) {
 		s.tel.pairs = reg.Counter("server_join_pairs_total")
 		s.tel.windows = reg.Counter("server_windows_total")
 		s.tel.parseErrors = reg.Counter("server_parse_errors_total")
+		s.tel.encodes = reg.Counter("server_result_encodes_total")
+		s.tel.deliveries = reg.Counter("server_result_deliveries_total")
 	}
 	spec := join.QuerySpec{Engine: set.engine, WindowDocs: set.window}
 	if err := s.registerQuery(DefaultQueryID, spec); err != nil {
@@ -146,13 +156,10 @@ func (s *Server) Close() {
 	s.mu.Unlock()
 	// Drain outside the server lock (dispatch takes it) but before the
 	// buffers close, so the delayed results reach their final drain.
-	var collected []delivery
-	s.qs.DrainSpilled(func(qid string, r join.Result) {
-		collected = append(collected, delivery{qid, r})
-	})
-	if len(collected) > 0 {
-		s.dispatch(collected, map[string]int{}, nil)
-	}
+	sc := scratchPool.Get().(*ingestScratch)
+	s.qs.DrainSpilledPairs(sc.collect)
+	s.dispatch(sc)
+	sc.release()
 	s.mu.Lock()
 	close(s.done)
 	for _, b := range s.buffers {
@@ -176,7 +183,7 @@ func (s *Server) registerQuery(id string, spec join.QuerySpec) error {
 	}
 	if _, dup := s.buffers[id]; dup {
 		s.mu.Unlock()
-		return fmt.Errorf("join: query %q already registered", id)
+		return fmt.Errorf("%w: %q", join.ErrDuplicateQuery, id)
 	}
 	s.buffers[id] = buf
 	s.mu.Unlock()
@@ -256,26 +263,22 @@ func (s *Server) handleDocuments(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mu.Unlock()
 
+	sc := scratchPool.Get().(*ingestScratch)
+	defer sc.release()
 	body := http.MaxBytesReader(w, r.Body, s.set.maxBody)
 	scanner := bufio.NewScanner(body)
-	scanner.Buffer(make([]byte, 0, 64*1024), int(s.set.maxBody))
+	scanner.Buffer(sc.scan, int(s.set.maxBody))
 
-	var defaults []bufferedResult
-	counts := map[string]int{}
 	ingested := 0
-	// collected holds one ingest's deliveries; the deliver callback
-	// runs under the query set's lock, so it only appends here and the
-	// buffer pushes happen afterwards.
-	var collected []delivery
+	// The deliver callback runs under the query set's lock, so it only
+	// collects; encoding and the buffer pushes happen in dispatch.
+	collect := sc.collect
 	for scanner.Scan() {
 		line := bytes.TrimSpace(scanner.Bytes())
 		if len(line) == 0 {
 			continue
 		}
-		collected = collected[:0]
-		err := s.qs.IngestJSON(line, func(id string, r join.Result) {
-			collected = append(collected, delivery{id, r})
-		})
+		err := s.qs.IngestJSONPairs(line, collect)
 		if errors.Is(err, core.ErrOverloaded) {
 			// Rung 4 of the memory governor's ladder: refuse admission.
 			// Documents before this line in the batch were ingested;
@@ -295,7 +298,7 @@ func (s *Server) handleDocuments(w http.ResponseWriter, r *http.Request) {
 		}
 		ingested++
 		s.tel.documents.Inc()
-		defaults = s.dispatch(collected, counts, defaults)
+		s.dispatch(sc)
 	}
 	if err := scanner.Err(); err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
@@ -303,48 +306,137 @@ func (s *Server) handleDocuments(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mu.Lock()
 	s.stats.Documents += ingested
-	s.stats.JoinPairs += len(defaults)
+	s.stats.JoinPairs += len(sc.defaults)
 	s.mu.Unlock()
-	s.tel.pairs.Add(int64(len(defaults)))
+	s.tel.pairs.Add(int64(len(sc.defaults)))
 	s.syncWindows()
-	if defaults == nil {
-		defaults = []bufferedResult{}
-	}
-	writeJSON(w, map[string]any{
-		"ingested": ingested,
-		"results":  defaults,
-		"queries":  counts,
-	})
+	sc.resp = sc.appendIngestResponse(sc.resp[:0], ingested)
+	writeBody(w, sc.resp)
 }
 
-// delivery is one (query, result) pair collected during an ingest.
+// delivery is one (query, pair) collected during an ingest.
 type delivery struct {
-	id string
-	r  join.Result
+	query       string
+	left, right document.Document
 }
 
-// dispatch pushes collected deliveries into the query buffers and
-// returns the default query's results extended with this round's. A
-// query deleted between collection and dispatch simply has no buffer
+// ingestScratch is the working memory of one pass over the result path
+// — a POST /documents request, a tumble, the shutdown drain — pooled so
+// that a single-document request does not pay for a batch-sized scanner
+// buffer and response body. Everything in it is per pass except the
+// encodings handed to the result buffers, which are allocated at exact
+// size and never reused (see bufferedResult).
+type ingestScratch struct {
+	scan      []byte               // bufio.Scanner's initial buffer
+	collected []delivery           // deliveries not yet dispatched
+	enc       []byte               // encoder scratch, copied out per pair
+	encoded   map[[2]uint64][]byte // (left, right) of the document in flight → its shared encoding
+	run       []bufferedResult     // one query's consecutive deliveries
+	defaults  []bufferedResult     // the default query's echo
+	counts    map[string]int       // deliveries per query
+	ids       []string             // counts' keys, sorted
+	resp      []byte               // response body
+}
+
+var scratchPool = sync.Pool{New: func() any {
+	return &ingestScratch{
+		scan:    make([]byte, 0, 64*1024),
+		encoded: make(map[[2]uint64][]byte),
+		counts:  make(map[string]int),
+	}
+}}
+
+// collect is the join.PairFunc of a pass.
+func (sc *ingestScratch) collect(query string, left, right document.Document) {
+	sc.collected = append(sc.collected, delivery{query, left, right})
+}
+
+// release drops every reference the pass left behind and returns the
+// scratch to the pool, unless a spill replay or a bulk response grew it
+// far beyond what a request needs.
+func (sc *ingestScratch) release() {
+	const keepDeliveries, keepResponse = 4096, 1 << 20
+	if cap(sc.collected) > keepDeliveries || cap(sc.defaults) > keepDeliveries || cap(sc.resp) > keepResponse {
+		return
+	}
+	// dispatch has already emptied collected.
+	clear(sc.run[:cap(sc.run)])
+	clear(sc.defaults)
+	clear(sc.ids)
+	clear(sc.encoded)
+	clear(sc.counts)
+	sc.defaults = sc.defaults[:0]
+	scratchPool.Put(sc)
+}
+
+// dispatch encodes the collected deliveries — each distinct pair once,
+// shared by every query that delivers it — and pushes them into the
+// query buffers one query's run at a time (join.Multi delivers a
+// document's pairs query by query), extending the default query's echo.
+// A query deleted between collection and dispatch simply has no buffer
 // any more — its results are discarded, never misdelivered.
-func (s *Server) dispatch(collected []delivery, counts map[string]int, defaults []bufferedResult) []bufferedResult {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, d := range collected {
-		merged, err := d.r.Merged.MarshalJSON()
-		if err != nil {
-			continue // unreachable for valid documents
+func (s *Server) dispatch(sc *ingestScratch) {
+	clear(sc.encoded)
+	encodes := 0
+	for i := 0; i < len(sc.collected); {
+		id := sc.collected[i].query
+		sc.run = sc.run[:0]
+		for ; i < len(sc.collected) && sc.collected[i].query == id; i++ {
+			d := &sc.collected[i]
+			key := [2]uint64{d.left.ID, d.right.ID}
+			merged, ok := sc.encoded[key]
+			if !ok {
+				sc.enc = document.AppendMergedJSON(sc.enc[:0], d.left, d.right)
+				merged = make([]byte, len(sc.enc))
+				copy(merged, sc.enc)
+				sc.encoded[key] = merged
+				encodes++
+			}
+			sc.run = append(sc.run, bufferedResult{Left: d.left.ID, Right: d.right.ID, Merged: merged})
 		}
-		counts[d.id]++
-		if buf := s.buffers[d.id]; buf != nil {
-			buf.push(d.r.Left, d.r.Right, merged)
+		sc.counts[id] += len(sc.run)
+		s.mu.Lock()
+		buf := s.buffers[id]
+		s.mu.Unlock()
+		if buf != nil {
+			buf.push(sc.run)
 		}
-		if d.id == DefaultQueryID {
-			n := uint64(len(defaults)) + 1
-			defaults = append(defaults, bufferedResult{Seq: n, Left: d.r.Left, Right: d.r.Right, Merged: merged})
+		if id == DefaultQueryID {
+			for _, r := range sc.run {
+				r.Seq = uint64(len(sc.defaults)) + 1
+				sc.defaults = append(sc.defaults, r)
+			}
 		}
 	}
-	return defaults
+	s.tel.encodes.Add(int64(encodes))
+	s.tel.deliveries.Add(int64(len(sc.collected)))
+	clear(sc.collected)
+	sc.collected = sc.collected[:0]
+}
+
+// appendIngestResponse appends the POST /documents body: what
+// json.Encoder (HTML escaping off) writes for
+// {"ingested": n, "queries": counts, "results": defaults}.
+func (sc *ingestScratch) appendIngestResponse(dst []byte, ingested int) []byte {
+	sc.ids = sc.ids[:0]
+	for id := range sc.counts {
+		sc.ids = append(sc.ids, id)
+	}
+	sort.Strings(sc.ids)
+	dst = append(dst, `{"ingested":`...)
+	dst = strconv.AppendInt(dst, int64(ingested), 10)
+	dst = append(dst, `,"queries":{`...)
+	for i, id := range sc.ids {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = document.AppendJSONString(dst, id, false)
+		dst = append(dst, ':')
+		dst = strconv.AppendInt(dst, int64(sc.counts[id]), 10)
+	}
+	dst = append(dst, `},"results":`...)
+	dst = appendResultsJSON(dst, sc.defaults)
+	return append(dst, '}', '\n')
 }
 
 // syncWindows folds the default query's tumble count into the legacy
@@ -378,12 +470,11 @@ func (s *Server) handleTumble(w http.ResponseWriter, _ *http.Request) {
 // tumble closes the query's window, dispatching any results a spilled
 // group replays on its way back into memory.
 func (s *Server) tumble(id string) (docs, pairs int, err error) {
-	var collected []delivery
-	docs, pairs, err = s.qs.Tumble(id, func(qid string, r join.Result) {
-		collected = append(collected, delivery{qid, r})
-	})
-	if err == nil && len(collected) > 0 {
-		s.dispatch(collected, map[string]int{}, nil)
+	sc := scratchPool.Get().(*ingestScratch)
+	defer sc.release()
+	docs, pairs, err = s.qs.TumblePairs(id, sc.collect)
+	if err == nil {
+		s.dispatch(sc)
 	}
 	return docs, pairs, err
 }
