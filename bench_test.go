@@ -21,6 +21,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/document"
+	"repro/internal/expansion"
 	"repro/internal/experiments"
 	"repro/internal/fptree"
 	"repro/internal/join"
@@ -387,17 +388,67 @@ func BenchmarkFPTreeInsert(b *testing.B) {
 
 var benchSink int
 
-// BenchmarkDocumentParse tracks JSON-to-document decoding.
-func BenchmarkDocumentParse(b *testing.B) {
-	payload := []byte(`{"User":"A","Severity":"Warning","MsgId":2,"nested":{"x":1,"y":"z"}}`)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		d, err := document.Parse(uint64(i), payload)
-		if err != nil {
-			b.Fatal(err)
-		}
-		benchSink += d.Len()
+// benchDocs generates n documents of a dataset, seed 1.
+func benchDocs(b *testing.B, dataset string, n int) []document.Document {
+	gen, ok := datagen.ByName(dataset, 1)
+	if !ok {
+		b.Fatalf("unknown dataset %s", dataset)
 	}
+	return gen.Window(n)
+}
+
+// BenchmarkDocumentParse tracks JSON-to-document decoding over 2 000
+// generated NDJSON lines per dataset, the bytes sfj-datagen writes; one
+// op is one document. After the first pass over the lines every
+// attribute and value is in the symbol tables, which is the steady
+// state of a running service.
+func BenchmarkDocumentParse(b *testing.B) {
+	for _, dataset := range []string{"nbData", "rwData"} {
+		b.Run(dataset, func(b *testing.B) {
+			var lines [][]byte
+			for _, d := range benchDocs(b, dataset, 2000) {
+				lines = append(lines, d.AppendJSON(nil))
+			}
+			for _, line := range lines {
+				if _, err := document.Parse(0, line); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				d, err := document.Parse(uint64(i), lines[i%len(lines)])
+				if err != nil {
+					b.Fatal(err)
+				}
+				benchSink += d.Len()
+			}
+		})
+	}
+}
+
+// BenchmarkExpansionApply tracks the Assigner's per-document
+// attribute-value expansion (Sec. VI-B) on nbData, whose Boolean
+// attribute forces one: the expansion is analysed on one window and
+// applied to the documents of the next; one op is one document.
+func BenchmarkExpansionApply(b *testing.B) {
+	b.Run("nbData", func(b *testing.B) {
+		docs := benchDocs(b, "nbData", 4000)
+		spec := expansion.Analyze(docs[:2000], 4)
+		if spec == nil {
+			b.Fatal("nbData needs an expansion at m=4")
+		}
+		docs = docs[2000:]
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			d, ok := spec.Apply(docs[i%len(docs)])
+			if !ok {
+				b.Fatal("nbData document without a component attribute")
+			}
+			benchSink += d.Len()
+		}
+	})
 }
 
 // BenchmarkAblationRouting compares the paper's partition-based routing

@@ -267,24 +267,44 @@ func (qs *QuerySet) IngestJSONPairs(data []byte, deliver join.PairFunc) error {
 }
 
 func (qs *QuerySet) ingestJSON(data []byte, pairs join.PairFunc, results func(string, join.Result)) error {
+	// Admission before work: a refused document is neither parsed nor
+	// interned. The parse runs outside the lock, so concurrent callers
+	// only serialise on the join; ids follow the order of arrival there.
+	// This first check is the cheap early out; the one in ingestLocked,
+	// under the lock hold that ingests, is the one that decides.
 	qs.mu.Lock()
-	defer qs.mu.Unlock()
-	d, err := document.Parse(qs.nextDoc, data)
+	shed := qs.shedLocked()
+	qs.mu.Unlock()
+	if shed {
+		return ErrOverloaded
+	}
+	d, err := document.Parse(0, data)
 	if err != nil {
 		return fmt.Errorf("core: %w", err)
 	}
+	qs.mu.Lock()
+	defer qs.mu.Unlock()
+	d.ID = qs.nextDoc
 	qs.nextDoc++
 	return qs.ingestLocked(d, pairs, results)
+}
+
+// shedLocked reports — and counts — a refusal at rung 4 of the memory
+// governor's ladder. The document is not put into any window, so a
+// retried send after back-off is not a duplicate.
+func (qs *QuerySet) shedLocked() bool {
+	gov := qs.multi.Governor()
+	if gov.Level() < join.PressureShed {
+		return false
+	}
+	gov.ShedOne()
+	return true
 }
 
 // ingestLocked delivers to pairs when set, else to results (nil only
 // counts).
 func (qs *QuerySet) ingestLocked(d document.Document, pairs join.PairFunc, results func(string, join.Result)) error {
-	if gov := qs.multi.Governor(); gov.Level() >= join.PressureShed {
-		// Rung 4: refuse at admission. The document is not parsed into
-		// any window, so a retried send after back-off is not a
-		// duplicate.
-		gov.ShedOne()
+	if qs.shedLocked() {
 		return ErrOverloaded
 	}
 	var forced int

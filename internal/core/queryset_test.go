@@ -10,6 +10,7 @@ import (
 	"repro/internal/document"
 	"repro/internal/join"
 	"repro/internal/state"
+	"repro/internal/symbol"
 	"repro/internal/telemetry"
 )
 
@@ -292,6 +293,47 @@ func TestQuerySetShedsOverBudget(t *testing.T) {
 	}
 	if snap.Gauge("state_pressure_level") < float64(join.PressureShed) {
 		t.Errorf("pressure gauge = %g, want >= %d", snap.Gauge("state_pressure_level"), int(join.PressureShed))
+	}
+}
+
+// TestQuerySetShedsBeforeParsing: admission comes before work. While
+// the governor sheds, a refused JSON document is not parsed — its
+// never-seen values do not reach the symbol table, and the id it would
+// have taken stays free.
+func TestQuerySetShedsBeforeParsing(t *testing.T) {
+	qs := NewQuerySet(QuerySetConfig{MemoryBudget: 1})
+	for _, id := range []string{"a", "b"} { // two private windows: rung 3 cannot relieve both
+		if err := qs.Register(id, join.QuerySpec{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; qs.PressureLevel() < join.PressureShed; i++ {
+		if i == 20 {
+			t.Fatal("governor never shed despite 1-byte budget")
+		}
+		if err := qs.IngestJSON([]byte(fmt.Sprintf(`{"admit%d":1}`, i)), nil); err != nil && !errors.Is(err, ErrOverloaded) {
+			t.Fatal(err)
+		}
+	}
+	vals, attrs, next := symbol.ValCount(), symbol.AttrCount(), qs.nextDoc
+	for i := 0; i < 50; i++ {
+		line := fmt.Sprintf(`{"refused-attr-%d":"refused-value-%d"}`, i, i)
+		if err := qs.IngestJSON([]byte(line), nil); !errors.Is(err, ErrOverloaded) {
+			t.Fatalf("ingest %d under shed = %v, want ErrOverloaded", i, err)
+		}
+	}
+	if got := symbol.ValCount(); got != vals {
+		t.Errorf("refused documents interned %d values", got-vals)
+	}
+	if got := symbol.AttrCount(); got != attrs {
+		t.Errorf("refused documents interned %d attributes", got-attrs)
+	}
+	if qs.nextDoc != next {
+		t.Errorf("refused documents took %d ids", qs.nextDoc-next)
+	}
+	// A malformed document is refused the same way, not diagnosed.
+	if err := qs.IngestJSON([]byte(`{"broken`), nil); !errors.Is(err, ErrOverloaded) {
+		t.Errorf("malformed ingest under shed = %v, want ErrOverloaded", err)
 	}
 }
 

@@ -111,13 +111,21 @@ func TestClusterHungWorkerRecovery(t *testing.T) {
 		windowSize = 120
 		windows    = 6
 	)
-	newSource := func() datagen.Generator { return datagen.NewServerLog(seed) }
-	gen := newSource()
+	gen := datagen.NewServerLog(seed)
 	var docs []document.Document
 	for w := 0; w < windows; w++ {
 		docs = append(docs, gen.Window(windowSize)...)
 	}
 	want := oraclePairs(docs, windowSize)
+
+	// The stream waits for the fault: windows 0 and 1 flow, which is
+	// what the first checkpoint cut needs, and window 2 is held back
+	// until the worker is wedged. However fast the pipeline is, it
+	// cannot finish the run before the hang lands.
+	wedged := make(chan struct{})
+	newSource := func() datagen.Generator {
+		return &gatedGen{Generator: datagen.NewServerLog(seed), holdAt: 2, gate: wedged}
+	}
 
 	var mu sync.Mutex
 	got := make(map[join.Pair]bool)
@@ -151,6 +159,7 @@ func TestClusterHungWorkerRecovery(t *testing.T) {
 					}
 					if state.Cut(store, required) >= 1 {
 						w.Hang()
+						close(wedged)
 						return
 					}
 				}
@@ -188,6 +197,24 @@ func TestClusterHungWorkerRecovery(t *testing.T) {
 	if snap.SumCounter("cluster_heartbeats_sent_total") == 0 {
 		t.Error("cluster_heartbeats_sent_total = 0, want > 0")
 	}
+}
+
+// gatedGen holds a generator's window number holdAt (counting pulls
+// from 0) back until gate is closed, so that a fault scripted against
+// an event of the run lands before the stream can finish.
+type gatedGen struct {
+	datagen.Generator
+	holdAt int
+	gate   <-chan struct{}
+	pulls  int
+}
+
+func (g *gatedGen) Window(n int) []document.Document {
+	if g.pulls == g.holdAt {
+		<-g.gate
+	}
+	g.pulls++
+	return g.Generator.Window(n)
 }
 
 // pacedGen slows a generator to one window per `every`, so that faults

@@ -11,6 +11,7 @@ package document
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -117,6 +118,35 @@ func newFromSortedUnique(id uint64, pairs []Pair) Document {
 		syms[i] = symbol.InternPair(p.Attr, p.Val)
 	}
 	return Document{ID: id, pairs: pairs, syms: syms, epoch: epoch}
+}
+
+// Substitute returns the document that lacks the pairs of the given
+// attributes and holds the pair p instead, at its sorted place; a pair
+// already under p's attribute is replaced. drop and sym (p's symbol)
+// must be of the epoch of d's own symbols — the pairs that stay keep
+// their strings and symbols, nothing is interned again.
+// Attribute-value expansion builds its routing documents with it.
+func (d Document) Substitute(drop []symbol.ID, p Pair, sym symbol.Pair) Document {
+	n := len(d.pairs) - len(drop) + 1 // exact when d holds every dropped attribute and not p's
+	out := Document{ID: d.ID, pairs: make([]Pair, 0, max(n, 1)), syms: make([]symbol.Pair, 0, max(n, 1)), epoch: d.epoch}
+	placed := false
+	for i, q := range d.pairs {
+		if slices.Contains(drop, d.syms[i].Attr()) {
+			continue
+		}
+		if !placed && q.Attr >= p.Attr {
+			placed = true
+			out.pairs, out.syms = append(out.pairs, p), append(out.syms, sym)
+			if q.Attr == p.Attr {
+				continue
+			}
+		}
+		out.pairs, out.syms = append(out.pairs, q), append(out.syms, d.syms[i])
+	}
+	if !placed {
+		out.pairs, out.syms = append(out.pairs, p), append(out.syms, sym)
+	}
+	return out
 }
 
 // Syms returns the document's interned pair symbols (parallel to

@@ -6,6 +6,8 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/symbol"
 )
 
 func pairsOf(kv ...string) []Pair {
@@ -306,5 +308,41 @@ func TestQuickPairsSortedUnique(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// Substitute drops the named attributes, places the new pair in order
+// and replaces a pair already under its attribute — also when the
+// document holds none of the dropped attributes.
+func TestSubstitute(t *testing.T) {
+	d := New(7, []Pair{{"a", "s1"}, {"c", "s2"}, {"e", "s3"}})
+	ids := func(attrs ...string) []symbol.ID {
+		var out []symbol.ID
+		for _, a := range attrs {
+			out = append(out, symbol.InternAttr(a))
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		drop []symbol.ID
+		p    Pair
+		want []Pair
+	}{
+		{ids("a", "e"), Pair{"b", "sx"}, []Pair{{"b", "sx"}, {"c", "s2"}}},
+		{ids("c"), Pair{"z", "sx"}, []Pair{{"a", "s1"}, {"e", "s3"}, {"z", "sx"}}},
+		{nil, Pair{"c", "sx"}, []Pair{{"a", "s1"}, {"c", "sx"}, {"e", "s3"}}},
+		{ids("a", "c", "e"), Pair{"b", "sx"}, []Pair{{"b", "sx"}}},
+		{ids("p", "q", "r", "s", "t"), Pair{"b", "sx"}, []Pair{{"a", "s1"}, {"b", "sx"}, {"c", "s2"}, {"e", "s3"}}},
+	} {
+		got := d.Substitute(tc.drop, tc.p, symbol.InternPair(tc.p.Attr, tc.p.Val))
+		if want := New(7, tc.want); !got.Equal(want) {
+			t.Errorf("Substitute(%v, %v) = %v, want %v", tc.drop, tc.p, got, want)
+		}
+		syms, _ := got.Syms()
+		for i, p := range got.Pairs() {
+			if syms[i] != symbol.InternPair(p.Attr, p.Val) {
+				t.Errorf("Substitute(%v, %v): symbol %d does not match its pair", tc.drop, tc.p, i)
+			}
+		}
 	}
 }

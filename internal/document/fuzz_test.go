@@ -7,10 +7,12 @@ import (
 	"repro/internal/symbol"
 )
 
-// FuzzParse exercises the JSON-to-document decoder: it must never
-// panic, and every successfully parsed document must round-trip
-// through MarshalJSON into an equal document (join semantics survive
-// serialisation).
+// FuzzParse exercises the JSON-to-document scanner on arbitrary bytes:
+// it must never panic, it must agree with the reference parser
+// (parse_reference_test.go) on the error, the pairs, the symbols and
+// the marshalled bytes, and every successfully parsed document must
+// round-trip through MarshalJSON into an equal document (join
+// semantics survive serialisation).
 func FuzzParse(f *testing.F) {
 	seeds := []string{
 		`{"User":"A","Severity":"Warning"}`,
@@ -23,12 +25,26 @@ func FuzzParse(f *testing.F) {
 		`{}`,
 		`{"a":[[[]]]}`,
 		`{"huge":1e999}`,
+		`{"bool":true,"dyn1":0,"nested_arr":["A0"],"nested_obj.num":0,"nested_obj.str":"GROUP_0","sparse_000":"S0_0","str1":"GROUP_0"}`,
+		`{"a":{"b":1},"a.b":2}`,
+		`{"a":{"b":1},"a":{"c":2}}`,
+		`{"a":{"b":1},"a.c":1,"a":{"d":2}}`,
+		`{"":{"":1},"":{}}`,
+		`{"a":1} trailing`,
+		`{"a":1}{"b":2}`,
+		`null`,
+		`{"i":9223372036854775808,"j":-9223372036854775808,"k":-0,"l":1e2,"m":2.0,"n":12345678901234567890}`,
+		`{"s":"é😀\ud800 <>&\"\\\/\b\f\n\r\t"}`,
+		"{\"s\":\"\xff\xc3\",\"\xff\":[\"\xff\", \"<\"]}",
+		`{"a":[1, {"z":1,"b":[2.0,{}]}, "x" ] , "b" : { } }`,
+		"{\"a\" :\t1 ,\r\n\"b\":[ ]}",
+		`{"a":{"a":{"a":{"a":{"a":{"a":[[[[[[{"a":[]}]]]]]]}}}}}}`,
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		d, err := Parse(1, data)
+		d, err := checkAgainstReference(t, data)
 		if err != nil {
 			return // malformed input is allowed to fail, not to panic
 		}

@@ -2,8 +2,11 @@ package document
 
 import (
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
+
+	"repro/internal/symbol"
 )
 
 func TestParseScalars(t *testing.T) {
@@ -71,6 +74,26 @@ func TestParseError(t *testing.T) {
 	}
 	if _, err := Parse(1, []byte(`[1,2]`)); err == nil {
 		t.Error("non-object JSON must error")
+	}
+}
+
+// Interning happens as the scanner goes, so a document rejected late
+// has already interned the pairs before the error — and nothing after
+// it. Deliberate: valid documents grow the tables the same way.
+func TestParseRejectedDocumentInternsScannedPrefix(t *testing.T) {
+	for i, in := range []string{
+		`{"rejected_seen_0":"v","rejected_unseen_0":`,
+		`{"rejected_seen_1":"v"} {"rejected_unseen_1":"v"}`,
+	} {
+		if _, err := Parse(1, []byte(in)); err == nil {
+			t.Fatalf("%s: want an error", in)
+		}
+		if _, ok := symbol.LookupPair(fmt.Sprintf("rejected_seen_%d", i), "sv"); !ok {
+			t.Errorf("%s: the pair scanned before the error is not interned", in)
+		}
+		if _, ok := symbol.LookupAttr(fmt.Sprintf("rejected_unseen_%d", i)); ok {
+			t.Errorf("%s: an attribute past the error is interned", in)
+		}
 	}
 }
 

@@ -45,19 +45,56 @@ func EncodeNull() string { return "z" }
 func EncodeInt(v int64) string { return "i" + strconv.FormatInt(v, 10) }
 
 // EncodeFloat encodes a JSON number, canonicalising exact integers so
-// that 2 and 2.0 encode identically. The int64 range check guards the
+// that 2 and 2.0 encode identically.
+func EncodeFloat(f float64) string { return string(appendFloat(nil, f)) }
+
+// appendFloat appends EncodeFloat(f). The int64 range check guards the
 // float-to-int conversion, which the Go spec leaves implementation-
-// defined for out-of-range values.
-func EncodeFloat(f float64) string {
-	if f >= math.MinInt64 && f <= math.MaxInt64 && f == math.Trunc(f) {
-		return EncodeInt(int64(f))
+// defined for out-of-range values; its upper end is exclusive because
+// 2^63 is a float64 but not an int64.
+func appendFloat(dst []byte, f float64) []byte {
+	if f >= -(1<<63) && f < 1<<63 && f == math.Trunc(f) {
+		return strconv.AppendInt(append(dst, 'i'), int64(f), 10)
 	}
 	if math.IsInf(f, 0) || math.IsNaN(f) {
 		// JSON has no literal for these; encode as tagged strings so
 		// serialisation stays valid while equality still works.
-		return EncodeString(strconv.FormatFloat(f, 'g', -1, 64))
+		return strconv.AppendFloat(append(dst, 's'), f, 'g', -1, 64)
 	}
-	return "n" + strconv.FormatFloat(f, 'g', -1, 64)
+	return strconv.AppendFloat(append(dst, 'n'), f, 'g', -1, 64)
+}
+
+// appendNumber appends the canonical encoding of a valid JSON number
+// literal: an integer that fits int64 keeps its digits, any other
+// finite number takes EncodeFloat's form (so 2, 2.0 and 2e0 agree), and
+// a literal beyond float64 keeps its text, so that equality and JSON
+// round-trips still work.
+func appendNumber(dst, lit []byte) []byte {
+	neg := lit[0] == '-'
+	digits := lit
+	if neg {
+		digits = lit[1:]
+	}
+	integer := true
+	for _, c := range digits {
+		if c < '0' || c > '9' {
+			integer = false
+			break
+		}
+	}
+	const minInt64 = "9223372036854775808" // its digits; one more than the largest int64
+	if integer && (len(digits) < len(minInt64) ||
+		len(digits) == len(minInt64) && (string(digits) < minInt64 || neg && string(digits) == minInt64)) {
+		if neg && string(digits) == "0" {
+			lit = digits
+		}
+		return append(append(dst, 'i'), lit...)
+	}
+	f, err := strconv.ParseFloat(string(lit), 64)
+	if err != nil {
+		return append(append(dst, 'n'), lit...)
+	}
+	return appendFloat(dst, f)
 }
 
 // EncodeArrayJSON wraps an already-serialised compact JSON array.
@@ -98,15 +135,14 @@ func EncodeJSONValue(v any) (string, error) {
 	case map[string]any:
 		return "", fmt.Errorf("document: a nested object is not a single value; use a flattened attribute path")
 	case []any:
-		return EncodeArrayJSON(compactJSON(x)), nil
+		compact, err := compactJSON(x)
+		return EncodeArrayJSON(string(compact)), err
 	case json.Number:
-		if i, err := x.Int64(); err == nil {
-			return EncodeInt(i), nil
+		p := parser{data: []byte(x)}
+		if lit, err := p.number(); err != nil || len(lit) != len(x) {
+			return "", fmt.Errorf("document: %q is not a JSON number", string(x))
 		}
-		if f, err := x.Float64(); err == nil {
-			return EncodeFloat(f), nil
-		}
-		return "n" + x.String(), nil
+		return string(appendNumber(nil, p.data)), nil
 	default:
 		return EncodeValue(v), nil
 	}

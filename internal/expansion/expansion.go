@@ -21,8 +21,11 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/document"
+	"repro/internal/symbol"
 )
 
 // Expansion describes one synthetic attribute: the ordered component
@@ -39,6 +42,11 @@ type Expansion struct {
 	// MissingFraction is the fraction of analysis documents lacking at
 	// least one component attribute (pna in the paper's estimate).
 	MissingFraction float64
+
+	// resolved caches the symbol-level form Apply works on. Unexported:
+	// it does not travel with the Expansion (gob), every process
+	// resolves against its own symbol tables.
+	resolved atomic.Pointer[resolved]
 }
 
 // Analyze decides whether expansion is needed for the batch and, if so,
@@ -212,26 +220,91 @@ func syntheticAttrName(components []string) string {
 //
 // The transformation is only used for routing; Joiners always operate
 // on the original documents.
+//
+// Apply works on the document's interned symbols: the component values
+// are found by attribute ID, their concatenation is looked up by value
+// ID, and the pairs that stay keep their strings and symbols. It is
+// safe for concurrent use on a shared *Expansion.
 func (e *Expansion) Apply(d document.Document) (document.Document, bool) {
 	if e == nil {
 		return d, true
 	}
-	v, ok := syntheticValue(d, e.Components)
-	if !ok {
-		return d, false
+	r := e.resolve()
+	src := d
+	syms, epoch := src.Syms()
+	if epoch != r.epoch {
+		// Built before a symbol.Reset: intern it again.
+		src = document.FromSorted(d.ID, d.Pairs())
+		syms, _ = src.Syms()
 	}
-	comp := make(map[string]bool, len(e.Components))
-	for _, c := range e.Components {
-		comp[c] = true
-	}
-	pairs := make([]document.Pair, 0, d.Len())
-	for _, p := range d.Pairs() {
-		if !comp[p.Attr] {
-			pairs = append(pairs, p)
+	var val symbol.ID
+	for n, c := range r.components {
+		i := 0
+		for i < len(syms) && syms[i].Attr() != c {
+			i++
+		}
+		if i == len(syms) {
+			return d, false
+		}
+		if n == 0 {
+			val = syms[i].Val()
+		} else {
+			val = r.concat(val, syms[i].Val())
 		}
 	}
-	pairs = append(pairs, document.Pair{Attr: e.SyntheticAttr, Val: v})
-	return document.New(d.ID, pairs), true
+	p := document.Pair{Attr: r.attrName, Val: symbol.ValString(val)}
+	return src.Substitute(r.components, p, symbol.MakePair(r.attr, val)), true
+}
+
+// resolved is an Expansion in terms of one symbol epoch: the IDs of its
+// attributes, and every concatenation of two values it has built so
+// far. It lives as long as its Expansion — the Merger replaces that at
+// every repartition — or until a symbol.Reset, and holds one entry per
+// distinct synthetic value (and per distinct prefix of one, beyond two
+// components), each of which the value table holds anyway.
+type resolved struct {
+	epoch      uint64
+	components []symbol.ID
+	attr       symbol.ID
+	attrName   string // the attribute table's copy of SyntheticAttr
+
+	mu      sync.RWMutex
+	concats map[symbol.Pair]symbol.ID // (left value, right value) -> their ConcatValues
+}
+
+// resolve returns e's symbol-level form for the current epoch, building
+// it on first use. Racing first users may each build one; they are
+// equivalent and one of them stays.
+func (e *Expansion) resolve() *resolved {
+	epoch := symbol.Epoch()
+	if r := e.resolved.Load(); r != nil && r.epoch == epoch {
+		return r
+	}
+	r := &resolved{epoch: epoch, concats: make(map[symbol.Pair]symbol.ID)}
+	for _, c := range e.Components {
+		r.components = append(r.components, symbol.InternAttr(c))
+	}
+	r.attr = symbol.InternAttr(e.SyntheticAttr)
+	r.attrName = symbol.AttrString(r.attr)
+	e.resolved.Store(r)
+	return r
+}
+
+// concat returns the value ID of ConcatValues(left, right), building
+// and interning the string only the first time the combination is seen.
+func (r *resolved) concat(left, right symbol.ID) symbol.ID {
+	key := symbol.MakePair(left, right)
+	r.mu.RLock()
+	id, ok := r.concats[key]
+	r.mu.RUnlock()
+	if ok {
+		return id
+	}
+	id = symbol.InternVal(document.ConcatValues(symbol.ValString(left), symbol.ValString(right)))
+	r.mu.Lock()
+	r.concats[key] = id
+	r.mu.Unlock()
+	return id
 }
 
 // ApplyBatch transforms a whole batch, dropping the documents that

@@ -269,11 +269,12 @@ func (s *Server) handleDocuments(w http.ResponseWriter, r *http.Request) {
 	scanner := bufio.NewScanner(body)
 	scanner.Buffer(sc.scan, int(s.set.maxBody))
 
-	ingested := 0
+	ingested, lineNo := 0, 0
 	// The deliver callback runs under the query set's lock, so it only
 	// collects; encoding and the buffer pushes happen in dispatch.
 	collect := sc.collect
 	for scanner.Scan() {
+		lineNo++
 		line := bytes.TrimSpace(scanner.Bytes())
 		if len(line) == 0 {
 			continue
@@ -293,7 +294,8 @@ func (s *Server) handleDocuments(w http.ResponseWriter, r *http.Request) {
 			s.stats.ParseErrors++
 			s.mu.Unlock()
 			s.tel.parseErrors.Inc()
-			http.Error(w, fmt.Sprintf("document %d: %v", ingested+1, err), http.StatusBadRequest)
+			// Documents before this line were ingested, as above.
+			http.Error(w, fmt.Sprintf("line %d (after %d documents): %v", lineNo, ingested, err), http.StatusBadRequest)
 			return
 		}
 		ingested++

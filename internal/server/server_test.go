@@ -125,6 +125,35 @@ func TestMalformedDocumentRejected(t *testing.T) {
 	}
 }
 
+// TestBadLineNamedByNumber: a line that is not exactly one JSON object
+// — a second object behind the first, trailing text, a top-level null —
+// is refused with its line number (blank lines count) and the number of
+// documents ingested before it; nothing is dropped silently.
+func TestBadLineNamedByNumber(t *testing.T) {
+	cases := []struct{ name, bad string }{
+		{"two objects on one line", `{"a":1}{"b":2}`},
+		{"trailing text", `{"a":1} trailing`},
+		{"top-level null", `null`},
+		{"array", `[{"a":1}]`},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			ts := newTestServer(t)
+			body := `{"k":1}` + "\n\n" + `{"k":2}` + "\n" + c.bad + "\n" + `{"k":3}` + "\n"
+			resp, msg := post(t, ts.URL+"/documents", body)
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Fatalf("status = %d, want 400 (%s)", resp.StatusCode, msg)
+			}
+			if !strings.Contains(string(msg), "line 4 (after 2 documents)") {
+				t.Errorf("error does not name line 4 after 2 documents: %s", msg)
+			}
+			if st := getStats(t, ts.URL); st.ParseErrors != 1 {
+				t.Errorf("ParseErrors = %d, want 1", st.ParseErrors)
+			}
+		})
+	}
+}
+
 func getStats(t *testing.T, base string) Stats {
 	t.Helper()
 	resp, err := http.Get(base + "/stats")

@@ -3,9 +3,11 @@ package state
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 )
 
@@ -197,8 +199,9 @@ func TestMemStoreSaveCopies(t *testing.T) {
 }
 
 // FSStore's directory scans must ignore foreign files — operator notes,
-// stray temps from killed processes, nested directories — and opening a
-// store sweeps orphaned ".ckpt-*" temps while leaving everything else.
+// stray temps from killed processes, nested directories — and a
+// reopened store's first save into a task directory sweeps its orphaned
+// ".ckpt-*" temps while leaving everything else.
 func TestFSStoreForeignFiles(t *testing.T) {
 	dir := t.TempDir()
 	s, err := NewFSStore(dir)
@@ -243,16 +246,75 @@ func TestFSStoreForeignFiles(t *testing.T) {
 		}
 	}
 
-	// Reopening sweeps the orphaned temp but nothing else.
-	if _, err := NewFSStore(dir); err != nil {
+	// Reopening alone touches nothing: the temp could be a live
+	// store's write in flight. The reopened store's first save into the
+	// directory sweeps the orphaned temp but nothing else.
+	reopened, err := NewFSStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(orphan); err != nil {
+		t.Fatalf("opening a store removed a temp file it does not own: %v", err)
+	}
+	if err := reopened.Save("task", 7, []byte{7}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(orphan); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("orphaned temp survived reopen: %v", err)
+		t.Fatalf("orphaned temp survived the reopened store's save: %v", err)
 	}
 	for _, name := range foreign {
 		if _, err := os.Stat(filepath.Join(taskDir, name)); err != nil {
 			t.Fatalf("reopen disturbed foreign file %s: %v", name, err)
+		}
+	}
+}
+
+// TestFSStoreConcurrentOpenSharedRoot is the Joiners' spill pattern:
+// every task opens its own store on the shared root and saves at once.
+// Opening a store must not disturb a sibling's write in flight — a
+// sweep of ".ckpt-*" files across the whole root at open time used to
+// delete the temp file a sibling was about to rename, and the save
+// failed with ENOENT.
+func TestFSStoreConcurrentOpenSharedRoot(t *testing.T) {
+	const tasks, rounds = 8, 40
+	dir := t.TempDir()
+	var wg sync.WaitGroup
+	errs := make(chan error, tasks*rounds)
+	for task := 0; task < tasks; task++ {
+		wg.Add(1)
+		go func(task int) {
+			defer wg.Done()
+			name := fmt.Sprintf("joiner-%d", task)
+			for w := 0; w < rounds; w++ {
+				s, err := NewFSStore(dir) // reopen every round: many opens race many saves
+				if err == nil {
+					err = s.Save(name, w, []byte{byte(task), byte(w)})
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(task)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	s, err := NewFSStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for task := 0; task < tasks; task++ {
+		name := fmt.Sprintf("joiner-%d", task)
+		if got := s.Windows(name); len(got) != rounds {
+			t.Errorf("%s holds %d windows, want %d", name, len(got), rounds)
+		}
+		for w := 0; w < rounds; w++ {
+			if data, err := s.Load(name, w); err != nil || !bytes.Equal(data, []byte{byte(task), byte(w)}) {
+				t.Errorf("%s window %d = %v, %v", name, w, data, err)
+			}
 		}
 	}
 }

@@ -165,46 +165,49 @@ func (m *MemStore) Remove(task string, window int) error {
 // root directory, written atomically (temp file + rename) so a crash
 // mid-checkpoint never leaves a torn snapshot behind. Task names may
 // contain '/' (e.g. "assigner/3"); they map to a flat directory name.
+//
+// Several stores, in one process or in several, may share a root as
+// long as each task is saved through one of them at a time — which is
+// how the Joiners spill, one store per task on the common spill
+// directory.
 type FSStore struct {
 	dir string
 	mu  sync.Mutex
+	// swept holds the task directories this store has cleared of
+	// orphaned temp files; guarded by mu.
+	swept map[string]bool
 }
 
 // NewFSStore creates (if needed) the root directory and returns the
-// store. Opening also sweeps orphaned temp files (".ckpt-*" — the
-// in-flight writes of a process that was killed before its rename):
-// they are never part of any snapshot listing and would otherwise
-// accumulate forever.
+// store.
 func NewFSStore(dir string) (*FSStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("state: fs store: %w", err)
 	}
-	f := &FSStore{dir: dir}
-	f.removeOrphanedTemps()
-	return f, nil
+	return &FSStore{dir: dir, swept: make(map[string]bool)}, nil
 }
 
-// removeOrphanedTemps deletes stray ".ckpt-*" temp files in every task
-// directory. Only exact temp-pattern names are touched: foreign files
-// an operator drops into the tree are left alone.
-func (f *FSStore) removeOrphanedTemps() {
-	ents, err := os.ReadDir(f.dir)
+// removeOrphanedTemps deletes stray ".ckpt-*" temp files — the
+// in-flight writes of a process that was killed before its rename,
+// which are never part of any snapshot listing and would otherwise
+// accumulate forever — from one task directory, before this store's
+// first save into it. It never looks into a directory the store does
+// not write: there a ".ckpt-*" file may be the in-flight write of
+// another store on the same root. Only exact temp-pattern names are
+// touched: foreign files an operator drops into the tree are left
+// alone.
+func (f *FSStore) removeOrphanedTemps(taskDir string) {
+	if f.swept[taskDir] {
+		return
+	}
+	f.swept[taskDir] = true
+	files, err := os.ReadDir(taskDir)
 	if err != nil {
 		return
 	}
-	for _, e := range ents {
-		if !e.IsDir() {
-			continue
-		}
-		taskDir := filepath.Join(f.dir, e.Name())
-		files, err := os.ReadDir(taskDir)
-		if err != nil {
-			continue
-		}
-		for _, file := range files {
-			if name := file.Name(); strings.HasPrefix(name, ".ckpt-") && !file.IsDir() {
-				os.Remove(filepath.Join(taskDir, name))
-			}
+	for _, file := range files {
+		if name := file.Name(); strings.HasPrefix(name, ".ckpt-") && !file.IsDir() {
+			os.Remove(filepath.Join(taskDir, name))
 		}
 	}
 }
@@ -230,6 +233,7 @@ func (f *FSStore) Save(task string, window int, data []byte) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("state: fs store save: %w", err)
 	}
+	f.removeOrphanedTemps(dir)
 	tmp, err := os.CreateTemp(dir, ".ckpt-*")
 	if err != nil {
 		return fmt.Errorf("state: fs store save: %w", err)

@@ -6,10 +6,16 @@
 // literature the paper builds on, where items are integer IDs.
 //
 // Two process-global tables (one for attributes, one for values) serve
-// the document, fptree and partition layers. Lookups are lock-free
-// (one atomic load plus a map access); interning a new string takes a
-// mutex only on first sight. IDs are dense and assigned in first-use
-// order, so slices indexed by ID stay small.
+// the document, fptree and partition layers. A table is sharded by a
+// hash of the string: a lookup takes one shard's read lock, so readers
+// of different shards share nothing and readers of one shard do not
+// exclude each other; interning a new string takes that shard's write
+// lock plus a short table-wide lock that hands out the next ID. A hit
+// allocates nothing, whether the key arrives as a string or as bytes
+// (InternBytes), and returns the table's own copy of the string, so
+// documents share the table's strings instead of owning theirs. IDs
+// are dense and assigned in first-use order, so slices indexed by ID
+// stay small.
 //
 // # Epochs
 //
@@ -27,6 +33,7 @@
 package symbol
 
 import (
+	"hash/maphash"
 	"sync"
 	"sync/atomic"
 )
@@ -48,37 +55,76 @@ func (p Pair) Attr() ID { return ID(p >> 32) }
 // Val unpacks the value ID.
 func (p Pair) Val() ID { return ID(p) }
 
+// shardCount spreads lookups over enough locks that tasks interning
+// different strings rarely touch the same one. A power of two.
+const shardCount = 64
+
+// shard is one slice of the string -> ID direction, padded to its own
+// cache line so read-locking one shard does not invalidate its
+// neighbours.
+type shard struct {
+	mu  sync.RWMutex
+	ids map[string]ID
+	_   [32]byte // RWMutex is 24 bytes, the map header 8
+}
+
+// shardSeed keys the shard hash; one seed for the process, so a string
+// and the same bytes always pick the same shard.
+var shardSeed = maphash.MakeSeed()
+
 // Table is one string interning dictionary: string -> dense ID and
 // back. The zero value is not ready; use NewTable. Lookup, String and
 // Len are safe for concurrent use with Intern; Reset requires external
 // quiescence (see the package comment).
 type Table struct {
-	mu   sync.Mutex
-	ids  atomic.Pointer[sync.Map] // string -> ID
-	strs atomic.Pointer[[]string] // ID -> string
+	shards [shardCount]shard
+	mu     sync.Mutex               // serialises ID assignment
+	strs   atomic.Pointer[[]string] // ID -> string
 }
 
 // NewTable creates an empty table.
 func NewTable() *Table {
 	t := &Table{}
-	t.ids.Store(&sync.Map{})
-	strs := make([]string, 0, 64)
-	t.strs.Store(&strs)
+	t.reset()
 	return t
 }
 
 // Intern returns the ID for s, assigning the next dense ID on first
 // sight. Safe for concurrent use.
 func (t *Table) Intern(s string) ID {
-	if v, ok := t.ids.Load().Load(s); ok {
-		return v.(ID)
+	sh := &t.shards[maphash.String(shardSeed, s)%shardCount]
+	sh.mu.RLock()
+	id, ok := sh.ids[s]
+	sh.mu.RUnlock()
+	if ok {
+		return id
+	}
+	return t.add(sh, s)
+}
+
+// InternBytes is Intern for a key held as bytes, and also returns the
+// table's own string for it. A hit allocates nothing; b is copied only
+// when it is new to the table.
+func (t *Table) InternBytes(b []byte) (ID, string) {
+	sh := &t.shards[maphash.Bytes(shardSeed, b)%shardCount]
+	sh.mu.RLock()
+	id, ok := sh.ids[string(b)] // no allocation: the conversion is only a map key
+	sh.mu.RUnlock()
+	if !ok {
+		id = t.add(sh, string(b))
+	}
+	// The string was published before its map entry, so it is there.
+	return id, t.String(id)
+}
+
+// add interns s, which a read of sh just missed.
+func (t *Table) add(sh *shard, s string) ID {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if id, ok := sh.ids[s]; ok {
+		return id
 	}
 	t.mu.Lock()
-	defer t.mu.Unlock()
-	ids := t.ids.Load()
-	if v, ok := ids.Load(s); ok {
-		return v.(ID)
-	}
 	strs := *t.strs.Load()
 	id := ID(len(strs))
 	// Appending may write into the shared backing array one slot past
@@ -86,16 +132,18 @@ func (t *Table) Intern(s string) ID {
 	// new header is atomically published below.
 	ns := append(strs, s)
 	t.strs.Store(&ns)
-	ids.Store(s, id)
+	t.mu.Unlock()
+	sh.ids[s] = id
 	return id
 }
 
 // Lookup returns the ID for s without interning it.
 func (t *Table) Lookup(s string) (ID, bool) {
-	if v, ok := t.ids.Load().Load(s); ok {
-		return v.(ID), true
-	}
-	return 0, false
+	sh := &t.shards[maphash.String(shardSeed, s)%shardCount]
+	sh.mu.RLock()
+	id, ok := sh.ids[s]
+	sh.mu.RUnlock()
+	return id, ok
 }
 
 // String resolves an ID back to its string; unknown IDs resolve to "".
@@ -112,11 +160,16 @@ func (t *Table) Len() int { return len(*t.strs.Load()) }
 
 // reset clears the table in place. Callers must guarantee quiescence.
 func (t *Table) reset() {
+	for i := range t.shards {
+		sh := &t.shards[i]
+		sh.mu.Lock()
+		sh.ids = make(map[string]ID)
+		sh.mu.Unlock()
+	}
 	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.ids.Store(&sync.Map{})
 	strs := make([]string, 0, 64)
 	t.strs.Store(&strs)
+	t.mu.Unlock()
 }
 
 // Global tables and epoch. The attribute and value spaces are kept
@@ -134,6 +187,14 @@ func InternAttr(s string) ID { return attrTable.Intern(s) }
 
 // InternVal interns a canonical value in the global value table.
 func InternVal(s string) ID { return valTable.Intern(s) }
+
+// InternAttrBytes interns an attribute name held as bytes and returns
+// the table's string for it (see Table.InternBytes).
+func InternAttrBytes(b []byte) (ID, string) { return attrTable.InternBytes(b) }
+
+// InternValBytes interns a canonical value held as bytes and returns
+// the table's string for it (see Table.InternBytes).
+func InternValBytes(b []byte) (ID, string) { return valTable.InternBytes(b) }
 
 // LookupAttr resolves an attribute name without interning it.
 func LookupAttr(s string) (ID, bool) { return attrTable.Lookup(s) }

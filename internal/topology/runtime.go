@@ -395,6 +395,7 @@ func (t *Topology) Run() Stats {
 					runReliableSpout(rt, comp, task, reliable, col)
 				} else {
 					for nextTuple(rt, comp, task, spout, col) {
+						rt.pace()
 					}
 				}
 				spout.Close()
@@ -434,6 +435,25 @@ func (t *Topology) Run() Stats {
 	stats.Failures = rt.failures
 	stats.Latency = rt.latency.summaries()
 	return stats
+}
+
+// spoutHighWater is the number of queued or executing tuples above
+// which spouts stop emitting. Mailboxes are unbounded unless
+// Builder.MaxPending is set, and components on a feedback cycle are
+// unbounded even then, so without it a source that outruns the
+// pipeline parks its whole input in the first mailboxes and the queue
+// becomes the peak heap. Large enough that no task runs dry while a
+// spout sleeps.
+const spoutHighWater = 4096
+
+// pace holds a spout back while more than spoutHighWater tuples are in
+// flight. The tuples in flight do not depend on the spout, so the count
+// falls without it; the wait is the parked poll Run's quiescence wait
+// uses.
+func (rt *runtime) pace() {
+	for rt.pending.Load() > spoutHighWater {
+		time.Sleep(200 * time.Microsecond)
+	}
 }
 
 // execute runs one bolt invocation, recovering panics so a poisoned
