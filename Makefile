@@ -58,25 +58,26 @@ bench-all:
 # any guarded ns/op regressed more than 5% against the recorded
 # baseline, or if a benchmark in the guard's -allocs set
 # (JoinerResultPath, ServeResultPath, DocumentParse/{nbData,rwData},
-# ExpansionApply/nbData) allocates one object more per op
+# ExpansionApply/nbData, PartitionCreate/{nbData,rwData},
+# AssignerRoute/nbData, FPTreeInsert) allocates one object more per op
 # than recorded. The macro benches run few iterations because one op
 # ingests thousands of documents; the micro benches sample heavily. The
-# benches of the -allocs set (both result paths, DocumentParse,
-# ExpansionApply) run under GOGC=off: their allocs/op is exact
-# only without GC cycles (each one flushes the runtime's per-P
+# benches of the -allocs set run under GOGC=off: their allocs/op is
+# exact only without GC cycles (each one flushes the runtime's per-P
 # sudog/defer caches, which then re-allocate), so their ns/op is the
 # mutator's time; all but JoinerResultPath also run at -cpu 1, because a
 # sync.Pool Get on another P than the last Put is a miss that
 # allocates. The baseline was recorded the same way.
 bench-guard:
 	$(GO) test -run '^$$' -bench '^(BenchmarkFig11aFPJServerLog|BenchmarkFig11bFPJNoBench|BenchmarkTelemetryOverhead)$$' -benchtime 2x -count 2 -json . > bench_guard_current.json
-	$(GO) test -run '^$$' -bench '^(BenchmarkFPTreeInsert|BenchmarkJoinableClassify)$$' -benchtime 2000x -count 2 -json . >> bench_guard_current.json
+	$(GO) test -run '^$$' -bench '^BenchmarkJoinableClassify$$' -benchtime 2000x -count 2 -json . >> bench_guard_current.json
 	$(GO) test -run '^$$' -bench '^BenchmarkParallelBatchProbe$$' -benchtime 2x -count 2 -json . >> bench_guard_current.json
 	GOGC=off $(GO) test -run '^$$' -bench '^BenchmarkJoinerResultPath$$' -benchtime 5x -count 3 -json . >> bench_guard_current.json
 	GOGC=off $(GO) test -run '^$$' -bench '^BenchmarkServeResultPath$$' -benchtime 5x -count 3 -cpu 1 -json . >> bench_guard_current.json
-	GOGC=off $(GO) test -run '^$$' -bench '^(BenchmarkDocumentParse|BenchmarkExpansionApply)$$' -benchtime 200000x -count 3 -cpu 1 -json . >> bench_guard_current.json
+	GOGC=off $(GO) test -run '^$$' -bench '^(BenchmarkDocumentParse|BenchmarkExpansionApply|BenchmarkAssignerRoute|BenchmarkFPTreeInsert)$$' -benchtime 200000x -count 3 -cpu 1 -json . >> bench_guard_current.json
+	GOGC=off $(GO) test -run '^$$' -bench '^BenchmarkPartitionCreate$$' -benchtime 50x -count 3 -cpu 1 -json . >> bench_guard_current.json
 	$(GO) test -run '^$$' -bench '^(BenchmarkWireEncode|BenchmarkWireDecode|BenchmarkFrameBatch)$$' -benchtime 200000x -count 3 -json ./internal/cluster/ >> bench_guard_current.json
-	$(GO) run ./cmd/sfj-benchguard -baseline BENCH_issue20_after.json -current bench_guard_current.json
+	$(GO) run ./cmd/sfj-benchguard -baseline BENCH_issue26_after.json -current bench_guard_current.json
 
 # serve-smoke runs the multi-tenant query service end to end: build
 # sfj-serve, register two standing queries, stream a batch, assert both

@@ -451,6 +451,53 @@ func BenchmarkExpansionApply(b *testing.B) {
 	})
 }
 
+// BenchmarkPartitionCreate tracks partition creation in the shape the
+// topology runs it: two creators each fold their shuffled half of a
+// 2 000-document window into local association groups, the Merger
+// consolidates them and packs m = 4 partitions. One op is one window.
+func BenchmarkPartitionCreate(b *testing.B) {
+	for _, dataset := range []string{"nbData", "rwData"} {
+		b.Run(dataset, func(b *testing.B) {
+			docs := benchDocs(b, dataset, 2000)
+			spec := expansion.Analyze(docs, 4)
+			var halves [2][]document.Document
+			for i, d := range spec.ApplyBatch(docs) {
+				halves[i%2] = append(halves[i%2], d)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				local := [][]partition.AssocGroup{
+					partition.AssociationGroups{}.Groups(halves[0]),
+					partition.AssociationGroups{}.Groups(halves[1]),
+				}
+				table := partition.AssignGroups(partition.Consolidate(local), 4)
+				benchSink += table.M
+			}
+		})
+	}
+}
+
+// BenchmarkAssignerRoute tracks the Assigner's routing kernel: every
+// document of window w + 1 routed under the table and expansion planned
+// from window w. One op is one document.
+func BenchmarkAssignerRoute(b *testing.B) {
+	b.Run("nbData", func(b *testing.B) {
+		docs := benchDocs(b, "nbData", 4000)
+		table, spec := core.PlanPartitions(docs[:2000], 4, nil, core.ExpansionAuto)
+		if spec == nil {
+			b.Fatal("nbData needs an expansion at m=4")
+		}
+		docs = docs[2000:]
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			targets, _ := core.RouteDocument(table, spec, docs[i%len(docs)])
+			benchSink += len(targets)
+		}
+	})
+}
+
 // BenchmarkAblationRouting compares the paper's partition-based routing
 // against the hash-pairs baseline its related work dismisses: the whole
 // topology runs under each policy on the same stream.

@@ -419,6 +419,7 @@ type Worker struct {
 		migInBytes  *telemetry.Counter
 		exec        map[string]*telemetry.Counter
 		emit        map[string]*telemetry.Counter
+		execSeconds map[string]*telemetry.Histogram
 	}
 	metricsSrv atomic.Pointer[telemetry.Server]
 }
@@ -699,11 +700,16 @@ func (w *Worker) initTelemetry() {
 	w.tel.migInBytes = reg.Counter(telemetry.Name("cluster_migration_bytes_total", "direction", "in", "worker", id))
 	w.tel.exec = make(map[string]*telemetry.Counter, len(w.spec))
 	w.tel.emit = make(map[string]*telemetry.Counter, len(w.spec))
+	w.tel.execSeconds = make(map[string]*telemetry.Histogram, len(w.spec))
 	for _, comp := range w.spec {
 		// Same base names as the in-process runtime, so a cross-worker
 		// SumCounter matches a single-process run's totals.
 		w.tel.exec[comp.ID] = reg.Counter(telemetry.Name("topology_tuples_executed_total", "component", comp.ID, "worker", id))
 		w.tel.emit[comp.ID] = reg.Counter(telemetry.Name("topology_tuples_emitted_total", "component", comp.ID, "worker", id))
+		// The in-process runtime's very name, no worker label: the
+		// workers' histograms merge into the one series a single-process
+		// run reports.
+		w.tel.execSeconds[comp.ID] = reg.Histogram(telemetry.Name("topology_execute_seconds", "component", comp.ID))
 	}
 }
 
@@ -950,12 +956,20 @@ func (w *Worker) boltLoop(comp topology.ComponentSpec, task int, h *taskHandle, 
 	} else if rec, ok := h.bolt.(topology.Recoverer); ok {
 		rec.Recover(col)
 	}
+	lat := w.tel.execSeconds[comp.ID] // nil without a registry: no clock reads
 	for {
 		tuple, ok := h.box.get()
 		if !ok {
 			break
 		}
+		var start time.Time
+		if lat != nil {
+			start = time.Now()
+		}
 		w.safeExecute(comp.ID, task, h.bolt, tuple, col)
+		if lat != nil {
+			lat.Observe(time.Since(start))
+		}
 		w.execCount[comp.ID].Add(1)
 		w.taskExec[comp.ID][task].Add(1)
 		w.executed.Add(1)

@@ -2,12 +2,12 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/document"
 	"repro/internal/expansion"
 	"repro/internal/metrics"
 	"repro/internal/partition"
+	"repro/internal/symbol"
 	"repro/internal/telemetry"
 	"repro/internal/topology"
 )
@@ -26,9 +26,18 @@ type assignerBolt struct {
 	spec    *expansion.Expansion
 	version int
 
+	// generation is the version of the last adopted table that came out
+	// of a full computation (the initial one or a θ recomputation); the
+	// additive δ tables that follow extend it.
+	generation int
+
 	// unseen counts occurrences of uncovered pairs at this task; the
 	// document that makes a pair reach δ becomes an update request.
-	unseen map[document.Pair]int
+	// Keyed by symbol in memory, by strings in snapshots.
+	unseen map[symbol.Pair]int
+
+	scratch partition.RouteScratch
+	all     []int // every joiner: the broadcast target list, never written
 
 	// Per-window routing statistics (this task's share).
 	window        int
@@ -38,6 +47,9 @@ type assignerBolt struct {
 	broadcasts    int
 	updates       int
 	repartitioned bool
+	// genLow/genHigh span the table generations this window's documents
+	// were routed under (meaningful while documents > 0).
+	genLow, genHigh int
 
 	// Quality baseline, established on the first completed window
 	// after a recomputed table (Sec. VI-A).
@@ -89,7 +101,7 @@ func newAssignerBolt(cfg Config, task int) *assignerBolt {
 	b := &assignerBolt{
 		cfg:           cfg,
 		task:          task,
-		unseen:        make(map[document.Pair]int),
+		unseen:        make(map[symbol.Pair]int),
 		pendingRepart: make(map[int]bool),
 		lastDecision:  decisionMsg{Window: -1, Task: task},
 		cp:            newCheckpointer(cfg, "assigner", task),
@@ -114,6 +126,10 @@ func (b *assignerBolt) Prepare(ctx *topology.TaskContext) {
 		b.numJoiners = b.cfg.M
 	}
 	b.perJoiner = make([]int, b.numJoiners)
+	b.all = make([]int, b.numJoiners)
+	for i := range b.all {
+		b.all[i] = i
+	}
 	b.cp.restore(b)
 }
 
@@ -183,6 +199,9 @@ func (b *assignerBolt) adoptTable(msg tableMsg, c topology.Collector) {
 	if msg.Version <= b.version {
 		return // stale or duplicate broadcast
 	}
+	if msg.Recomputed || b.version == 0 {
+		b.generation = msg.Version
+	}
 	b.version = msg.Version
 	b.table = msg.Table
 	b.spec = msg.Expansion
@@ -191,9 +210,9 @@ func (b *assignerBolt) adoptTable(msg tableMsg, c topology.Collector) {
 		b.baselineSet = false
 		b.awaitingBase = true
 	}
-	for p := range b.unseen {
-		if b.table.Covers(p) {
-			delete(b.unseen, p)
+	for sp := range b.unseen {
+		if b.table.CoversSym(sp) {
+			delete(b.unseen, sp)
 		}
 	}
 	if b.waiting && msg.Window >= b.waitWindow {
@@ -225,6 +244,10 @@ func (b *assignerBolt) drain(c topology.Collector) {
 // route forwards one document to its joiners and handles the dynamics
 // around uncovered pairs.
 func (b *assignerBolt) route(d document.Document, c topology.Collector) {
+	if b.documents == 0 {
+		b.genLow = b.generation
+	}
+	b.genHigh = b.generation // generations only grow
 	b.documents++
 	targets, broadcast := b.targets(d, c)
 	for _, j := range targets {
@@ -249,7 +272,9 @@ func (b *assignerBolt) route(d document.Document, c topology.Collector) {
 // partitions when every (transformed) pair is covered, all joiners
 // otherwise. Uncovered pairs are counted toward the δ update gate; the
 // document whose pair reaches δ is sent to the Merger as an update
-// request.
+// request. The expansion is applied on the fly: the table walks the
+// document's own pairs minus the component pairs plus the synthetic
+// one, one lookup per pair. Joiners only read the returned list.
 func (b *assignerBolt) targets(d document.Document, c topology.Collector) ([]int, bool) {
 	if b.cfg.Routing == HashPairsRouting {
 		return b.hashTargets(d), false
@@ -257,18 +282,21 @@ func (b *assignerBolt) targets(d document.Document, c topology.Collector) ([]int
 	if b.table == nil {
 		// No partitions yet (start of the stream): conservative
 		// broadcast keeps the join complete.
-		return b.allJoiners(), true
+		return b.all, true
 	}
-	td, ok := b.spec.Apply(d)
+	syms := d.InternedPairs()
+	drop, synthetic, ok := b.spec.Synthetic(syms)
 	if !ok {
 		// Missing expansion component: broadcast (Sec. VI-B).
-		return b.allJoiners(), true
+		return b.all, true
 	}
-	if uncovered := b.table.UncoveredPairs(td); len(uncovered) > 0 {
+	targets := b.table.RouteSyms(&b.scratch, syms, drop, synthetic)
+	if len(b.scratch.Uncovered) > 0 {
 		hitDelta := false
-		for _, p := range uncovered {
-			b.unseen[p]++
-			if b.unseen[p] == b.cfg.Delta {
+		for _, sp := range b.scratch.Uncovered {
+			n := b.unseen[sp] + 1
+			b.unseen[sp] = n
+			if n == b.cfg.Delta {
 				hitDelta = true
 			}
 		}
@@ -277,12 +305,12 @@ func (b *assignerBolt) targets(d document.Document, c topology.Collector) ([]int
 			b.tel.updates.Inc()
 			c.EmitTo(streamUpdate, topology.Values{"msg": updateMsg{Doc: d}})
 		}
-		return b.allJoiners(), true
+		return b.all, true
 	}
-	if targets := b.table.Assign(td); len(targets) > 0 {
+	if targets != nil {
 		return targets, false
 	}
-	return b.allJoiners(), true
+	return b.all, true
 }
 
 // finishWindow emits this task's routing statistics, evaluates the θ
@@ -327,6 +355,8 @@ func (b *assignerBolt) finishWindow(w int, c topology.Collector) {
 		Broadcasts:    b.broadcasts,
 		Updates:       b.updates,
 		Repartitioned: b.repartitioned,
+		GenLow:        b.genLow,
+		GenHigh:       b.genHigh,
 		Checkpoint:    b.cp != nil,
 	}})
 	// The joiner punctuation relays the window's checkpoint barrier
@@ -352,37 +382,14 @@ func (b *assignerBolt) finishWindow(w int, c topology.Collector) {
 // hash target — join completeness holds without any partition table or
 // table-version coordination.
 func (b *assignerBolt) hashTargets(d document.Document) []int {
-	seen := make(map[int]struct{}, 4)
-	var out []int
+	set := &b.scratch.Matched
+	set.Reset(b.numJoiners)
 	for _, p := range d.Pairs() {
-		h := fnv64(p.Key()) % b.numJoiners
-		if _, dup := seen[h]; !dup {
-			seen[h] = struct{}{}
-			out = append(out, h)
-		}
+		set.Add(pairHash(p) % b.numJoiners)
 	}
-	sort.Ints(out)
-	return out
+	return set.List()
 }
 
-// fnv64 is FNV-1a over s, reduced to a non-negative int.
-func fnv64(s string) int {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	var h uint64 = offset
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= prime
-	}
-	return int(h % (1 << 31))
-}
-
-func (b *assignerBolt) allJoiners() []int {
-	out := make([]int, b.numJoiners)
-	for i := range out {
-		out[i] = i
-	}
-	return out
-}
+// pairHash reduces the pair's key hash — FNV-1a over document.Pair.Key,
+// the value every process agrees on — to a non-negative int.
+func pairHash(p document.Pair) int { return int(p.KeyHash() % (1 << 31)) }

@@ -46,6 +46,7 @@ type collectorBolt struct {
 		tableVersions *telemetry.Counter
 		repartitions  *telemetry.Counter
 		windowsDone   *telemetry.Counter
+		mixedWindows  *telemetry.Counter
 		replication   *telemetry.Gauge
 		gini          *telemetry.Gauge
 	}
@@ -60,7 +61,14 @@ type windowAgg struct {
 	docs          int // documents the joiners incorporated
 	ckpt          bool
 	done          bool
+	// genLow/genHigh span the table generations the assigners routed
+	// the window under (valid once routed is set); mixed when they
+	// differ.
+	routed          bool
+	genLow, genHigh int
 }
+
+func (a *windowAgg) mixed() bool { return a.routed && a.genLow != a.genHigh }
 
 func newCollectorBolt(cfg Config, report *Report) *collectorBolt {
 	b := &collectorBolt{
@@ -75,6 +83,7 @@ func newCollectorBolt(cfg Config, report *Report) *collectorBolt {
 		b.tel.tableVersions = reg.Counter("collector_table_versions_total")
 		b.tel.repartitions = reg.Counter("collector_repartitions_total")
 		b.tel.windowsDone = reg.Counter("collector_windows_completed_total")
+		b.tel.mixedWindows = reg.Counter("partition_mixed_generation_windows_total")
 		b.tel.replication = reg.Gauge("partition_global_replication")
 		b.tel.gini = reg.Gauge("partition_global_gini")
 	}
@@ -106,6 +115,15 @@ func (b *collectorBolt) Execute(t topology.Tuple, _ topology.Collector) {
 		}
 		if msg.Checkpoint {
 			agg.ckpt = true
+		}
+		if msg.Documents > 0 {
+			if !agg.routed || msg.GenLow < agg.genLow {
+				agg.genLow = msg.GenLow
+			}
+			if !agg.routed || msg.GenHigh > agg.genHigh {
+				agg.genHigh = msg.GenHigh
+			}
+			agg.routed = true
 		}
 		agg.partials++
 		b.maybeComplete(msg.Window, agg)
@@ -143,6 +161,9 @@ func (b *collectorBolt) maybeComplete(w int, agg *windowAgg) {
 	}
 	agg.done = true
 	b.tel.windowsDone.Inc()
+	if agg.mixed() {
+		b.tel.mixedWindows.Inc()
+	}
 	b.tel.replication.Set(agg.stats.Replication())
 	b.tel.gini.Set(agg.stats.LoadBalance())
 	if agg.ckpt {
@@ -176,6 +197,9 @@ func (b *collectorBolt) Cleanup() {
 		b.report.Run.Add(agg.stats)
 		b.report.JoinPairs += agg.pairs
 		b.report.DocsJoined += agg.docs
+		if agg.mixed() {
+			b.report.MixedTableWindows = append(b.report.MixedTableWindows, w)
+		}
 	}
 	b.report.TableVersions = b.tableVersions
 	b.report.Repartitions = b.repartitions

@@ -277,6 +277,12 @@ type Report struct {
 	// TableVersions counts all partition-table broadcasts, including
 	// δ-gated updates.
 	TableVersions int
+	// MixedTableWindows lists, ascending, the windows whose documents
+	// were routed under more than one table generation — by two
+	// assigners or by one. Nothing fails on it; it is the observation
+	// ROADMAP item 1 needs (a pair whose documents were routed under
+	// different generations may meet on no joiner).
+	MixedTableWindows []int
 	// Topology carries the substrate counters.
 	Topology topology.Stats
 	// Telemetry is the final snapshot of Config.Telemetry (zero when
@@ -286,6 +292,6 @@ type Report struct {
 
 // String renders the headline numbers.
 func (r *Report) String() string {
-	return fmt.Sprintf("%s pairs=%d repartitions=%d tables=%d",
-		r.Run.Summary(), r.JoinPairs, r.Repartitions, r.TableVersions)
+	return fmt.Sprintf("%s pairs=%d repartitions=%d tables=%d mixed_generation_windows=%d",
+		r.Run.Summary(), r.JoinPairs, r.Repartitions, r.TableVersions, len(r.MixedTableWindows))
 }

@@ -131,6 +131,11 @@ type assignerStatsMsg struct {
 	Broadcasts    int
 	Updates       int
 	Repartitioned bool
+	// GenLow and GenHigh are the lowest and highest table generation —
+	// the version of the last fully computed table, 0 before the first —
+	// the task routed the window's documents under; meaningful when
+	// Documents > 0. The collector derives Report.MixedTableWindows.
+	GenLow, GenHigh int
 	// Checkpoint propagates the window's checkpoint barrier to the
 	// collector, which snapshots a window once every assigner and
 	// joiner partial for it has arrived.

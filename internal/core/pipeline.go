@@ -98,15 +98,13 @@ func PlanPartitions(docs []document.Document, m int, p partition.Partitioner, mo
 // RouteDocument returns the machines a document is forwarded to under
 // a planned table and expansion: matching partitions, or all machines
 // (broadcast=true) when the document is not fully covered or cannot
-// form the synthetic attribute.
+// form the synthetic attribute. A broadcast's target list is shared and
+// must not be written.
 func RouteDocument(table *partition.Table, spec *expansion.Expansion, d document.Document) (targets []int, broadcast bool) {
-	td, ok := spec.Apply(d)
+	syms := d.InternedPairs()
+	drop, synthetic, ok := spec.Synthetic(syms)
 	if !ok {
-		all := make([]int, table.M)
-		for i := range all {
-			all[i] = i
-		}
-		return all, true
+		return table.All(), true
 	}
-	return table.Route(td)
+	return table.RouteExpanded(syms, drop, synthetic)
 }

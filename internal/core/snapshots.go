@@ -11,6 +11,7 @@ import (
 	"repro/internal/expansion"
 	"repro/internal/metrics"
 	"repro/internal/partition"
+	"repro/internal/symbol"
 )
 
 // This file holds the state.Snapshotter implementations of the Fig. 2
@@ -31,10 +32,11 @@ import (
 // window. Per-window routing counters are zero at that point (just
 // reset by finishWindow) and are not carried.
 type assignerState struct {
-	Version int
-	Table   *partition.Table
-	Spec    *expansion.Expansion
-	Unseen  map[document.Pair]int
+	Version    int
+	Generation int
+	Table      *partition.Table
+	Spec       *expansion.Expansion
+	Unseen     map[document.Pair]int
 
 	BaselineSet  bool
 	BaselineRepl float64
@@ -52,9 +54,10 @@ type assignerState struct {
 func (b *assignerBolt) Snapshot(w io.Writer) error {
 	st := assignerState{
 		Version:      b.version,
+		Generation:   b.generation,
 		Table:        b.table,
 		Spec:         b.spec,
-		Unseen:       b.unseen,
+		Unseen:       make(map[document.Pair]int, len(b.unseen)),
 		BaselineSet:  b.baselineSet,
 		BaselineRepl: b.baselineRepl,
 		BaselineGini: b.baselineGini,
@@ -62,6 +65,10 @@ func (b *assignerBolt) Snapshot(w io.Writer) error {
 		Waiting:      b.waiting,
 		WaitWindow:   b.waitWindow,
 		LastDecision: b.lastDecision,
+	}
+	for sp, n := range b.unseen {
+		attr, val := symbol.PairStrings(sp)
+		st.Unseen[document.Pair{Attr: attr, Val: val}] = n
 	}
 	for w := range b.pendingRepart {
 		st.PendingRepart = append(st.PendingRepart, w)
@@ -77,11 +84,15 @@ func (b *assignerBolt) Restore(r io.Reader) error {
 		return err
 	}
 	b.version = st.Version
+	b.generation = st.Generation
+	if b.generation == 0 {
+		b.generation = st.Version // written before generations were tracked
+	}
 	b.table = st.Table
 	b.spec = st.Spec
-	b.unseen = st.Unseen
-	if b.unseen == nil {
-		b.unseen = make(map[document.Pair]int)
+	b.unseen = make(map[symbol.Pair]int, len(st.Unseen))
+	for p, n := range st.Unseen {
+		b.unseen[symbol.InternPair(p.Attr, p.Val)] = n
 	}
 	b.baselineSet = st.BaselineSet
 	b.baselineRepl = st.BaselineRepl
@@ -304,6 +315,10 @@ type collectorWindowState struct {
 	Repartitioned bool
 	Pairs         int
 	Docs          int
+	// Routed, GenLow, GenHigh: the table generations the window was
+	// routed under (windowAgg's fields of the same names).
+	Routed          bool
+	GenLow, GenHigh int
 }
 
 // Snapshot implements state.Snapshotter. Only completed windows are
@@ -324,6 +339,9 @@ func (b *collectorBolt) Snapshot(w io.Writer) error {
 			Repartitioned: agg.repartitioned,
 			Pairs:         agg.pairs,
 			Docs:          agg.docs,
+			Routed:        agg.routed,
+			GenLow:        agg.genLow,
+			GenHigh:       agg.genHigh,
 		}
 	}
 	return gob.NewEncoder(w).Encode(&st)
@@ -348,6 +366,9 @@ func (b *collectorBolt) Restore(r io.Reader) error {
 			pairs:         ws.Pairs,
 			docs:          ws.Docs,
 			done:          true,
+			routed:        ws.Routed,
+			genLow:        ws.GenLow,
+			genHigh:       ws.GenHigh,
 		}
 	}
 	return nil

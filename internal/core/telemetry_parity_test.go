@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -172,6 +174,37 @@ func TestClusterTelemetryParity(t *testing.T) {
 		}
 		if got != want {
 			t.Errorf("executed[%s] = %d, coordinator = %d", comp, got, want)
+		}
+	}
+
+	// Execute latency: the workers observe topology_execute_seconds under
+	// the in-process runtime's own series names (no worker label), one
+	// observation per executed tuple, so the merged histograms cover the
+	// same components as a single-process run and count what the
+	// coordinator counted.
+	executeSeries := func(s telemetry.Snapshot) []string {
+		var names []string
+		for name := range s.Histograms {
+			if strings.HasPrefix(name, "topology_execute_seconds") {
+				names = append(names, name)
+			}
+		}
+		sort.Strings(names)
+		return names
+	}
+	if got, want := executeSeries(snap), executeSeries(localReg.Snapshot()); !slices.Equal(got, want) {
+		t.Errorf("cluster execute-latency series = %v, single-process = %v", got, want)
+	}
+	for comp, want := range clusterReport.Topology.Executed {
+		h := snap.Histograms[telemetry.Name("topology_execute_seconds", "component", comp)]
+		if h.Count != want {
+			t.Errorf("topology_execute_seconds{component=%s} count = %d, executed = %d", comp, h.Count, want)
+		}
+	}
+	for comp, want := range localReport.Topology.Executed {
+		h := localReg.Snapshot().Histograms[telemetry.Name("topology_execute_seconds", "component", comp)]
+		if h.Count != want {
+			t.Errorf("single-process topology_execute_seconds{component=%s} count = %d, executed = %d", comp, h.Count, want)
 		}
 	}
 

@@ -42,6 +42,20 @@ func (p Pair) Key() string {
 
 const pairSep = ""
 
+// KeyHash is 64-bit FNV-1a over the bytes of Key(), computed in place:
+// no key string is built. It is the same on every process, so it can
+// decide where a pair lives (core's hash routing).
+func (p Pair) KeyHash() uint64 {
+	const prime = 1099511628211
+	h := uint64(14695981039346656037)
+	for _, part := range [...]string{p.Attr, pairSep, p.Val} {
+		for i := 0; i < len(part); i++ {
+			h = (h ^ uint64(part[i])) * prime
+		}
+	}
+	return h
+}
+
 // PairFromKey reconstructs a Pair from Key(). It panics on malformed
 // input because keys only circulate internally.
 func PairFromKey(key string) Pair {

@@ -219,24 +219,43 @@ func syntheticAttrName(components []string) string {
 // and must be broadcast to all machines.
 //
 // The transformation is only used for routing; Joiners always operate
-// on the original documents.
+// on the original documents. Routing itself does not build the
+// transformed document — it asks Synthetic for the change and walks the
+// original pairs (partition.Table.RouteSyms).
 //
-// Apply works on the document's interned symbols: the component values
-// are found by attribute ID, their concatenation is looked up by value
-// ID, and the pairs that stay keep their strings and symbols. It is
-// safe for concurrent use on a shared *Expansion.
+// Apply works on the document's interned symbols: the pairs that stay
+// keep their strings and symbols. It is safe for concurrent use on a
+// shared *Expansion.
 func (e *Expansion) Apply(d document.Document) (document.Document, bool) {
 	if e == nil {
 		return d, true
 	}
-	r := e.resolve()
 	src := d
-	syms, epoch := src.Syms()
-	if epoch != r.epoch {
+	if _, epoch := d.Syms(); epoch != symbol.Epoch() {
 		// Built before a symbol.Reset: intern it again.
 		src = document.FromSorted(d.ID, d.Pairs())
-		syms, _ = src.Syms()
 	}
+	syms, _ := src.Syms()
+	drop, sym, ok := e.Synthetic(syms)
+	if !ok {
+		return d, false
+	}
+	p := document.Pair{Attr: symbol.AttrString(sym.Attr()), Val: symbol.ValString(sym.Val())}
+	return src.Substitute(drop, p, sym), true
+}
+
+// Synthetic is the symbol half of Apply: for a document's pair symbols
+// (of the current epoch) it returns the synthetic pair and the
+// attributes whose pairs it replaces. The component values are found by
+// attribute ID and their concatenation is looked up by value ID; a
+// string is built only the first time a combination is seen. ok=false
+// means a component attribute is missing. A nil Expansion changes
+// nothing: no attributes to drop, ok=true. drop must not be written.
+func (e *Expansion) Synthetic(syms []symbol.Pair) (drop []symbol.ID, synthetic symbol.Pair, ok bool) {
+	if e == nil {
+		return nil, 0, true
+	}
+	r := e.resolve()
 	var val symbol.ID
 	for n, c := range r.components {
 		i := 0
@@ -244,7 +263,7 @@ func (e *Expansion) Apply(d document.Document) (document.Document, bool) {
 			i++
 		}
 		if i == len(syms) {
-			return d, false
+			return nil, 0, false
 		}
 		if n == 0 {
 			val = syms[i].Val()
@@ -252,8 +271,7 @@ func (e *Expansion) Apply(d document.Document) (document.Document, bool) {
 			val = r.concat(val, syms[i].Val())
 		}
 	}
-	p := document.Pair{Attr: r.attrName, Val: symbol.ValString(val)}
-	return src.Substitute(r.components, p, symbol.MakePair(r.attr, val)), true
+	return r.components, symbol.MakePair(r.attr, val), true
 }
 
 // resolved is an Expansion in terms of one symbol epoch: the IDs of its
@@ -266,7 +284,6 @@ type resolved struct {
 	epoch      uint64
 	components []symbol.ID
 	attr       symbol.ID
-	attrName   string // the attribute table's copy of SyntheticAttr
 
 	mu      sync.RWMutex
 	concats map[symbol.Pair]symbol.ID // (left value, right value) -> their ConcatValues
@@ -285,7 +302,6 @@ func (e *Expansion) resolve() *resolved {
 		r.components = append(r.components, symbol.InternAttr(c))
 	}
 	r.attr = symbol.InternAttr(e.SyntheticAttr)
-	r.attrName = symbol.AttrString(r.attr)
 	e.resolved.Store(r)
 	return r
 }

@@ -20,9 +20,8 @@ import (
 //
 // The encoding preserves everything JoinPartners' traversal order
 // depends on — attribute-group order, child order within a group, the
-// per-node document id order, and branch ids (whose ascending order
-// reconstructs the header chains) — so a restored tree yields
-// byte-identical JoinPartners results.
+// per-node document id order, and branch ids — so a restored tree
+// yields byte-identical JoinPartners results.
 
 // treeGob is the wire form of a Tree.
 type treeGob struct {
@@ -118,25 +117,14 @@ func (t *Tree) Restore(r io.Reader) error {
 		}
 		s := symbol.InternPair(ng.Attr, ng.Val)
 		id := nt.newNode(parent, s, int32(ng.BranchID))
-		nt.docs[id] = ng.Docs
+		if len(ng.Docs) > 0 {
+			// Into the slab, so MemBytes charges a restored (e.g.
+			// reloaded after a spill) tree like one built by Insert.
+			nt.docs[id] = append(nt.docSlab.carve(len(ng.Docs)), ng.Docs...)
+		}
 		if ng.BranchID > nt.nextBranch {
 			nt.nextBranch = ng.BranchID
 		}
-	}
-	// Header chains are push-front in creation order, so the head is
-	// the newest node: replaying pushes in ascending branch id rebuilds
-	// every chain exactly.
-	byBranch := make([]int32, 0, nt.NodeCount())
-	for id := int32(1); id < int32(len(nt.syms)); id++ {
-		byBranch = append(byBranch, id)
-	}
-	sort.Slice(byBranch, func(i, j int) bool { return nt.branch[byBranch[i]] < nt.branch[byBranch[j]] })
-	for _, id := range byBranch {
-		s := nt.syms[id]
-		if head, ok := nt.header[s]; ok {
-			nt.hnext[id] = head
-		}
-		nt.header[s] = id
 	}
 	nt.docCount = g.DocCount
 	nt.maxDepth = g.MaxDepth

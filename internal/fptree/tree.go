@@ -27,7 +27,14 @@ import (
 //	            attribute form one contiguous run, runs ordered by
 //	            first appearance — the same grouping the pointer tree
 //	            kept in its attrGroup lists
-//	hnext[id]   header-table chain of equally labeled nodes (-1 ends)
+//
+// The paper's header table is not stored: Algorithms 2 and 3 never
+// follow its chains, so an insert would pay one map write per node for
+// a structure nothing on the probe path reads (HeaderChainLen derives
+// the count by scanning the arena).
+//
+// kids and docs slices are carved from two tree-owned slabs that Reset
+// rewinds, so a steady-state window allocates nothing per node.
 //
 // Node labels are stored only as interned symbols; the canonical
 // strings (for Dump, DocPath and snapshots) are resolved back through
@@ -37,6 +44,8 @@ import (
 // otherwise goes through one tree-wide hash map keyed by
 // (parent, symbol.Pair) — the already-dense packed pair — replacing the
 // per-node group scan plus per-group value map of the pointer layout.
+// The map holds only the children of parents whose span outgrew
+// spanScanMax: a span is indexed whole when it crosses the threshold.
 // Traversal no longer recurses: Prober walks an explicit frame stack,
 // so degenerate chain-shaped trees cannot grow the goroutine stack.
 type Tree struct {
@@ -49,10 +58,11 @@ type Tree struct {
 	branch  []int32
 	docs    [][]uint64
 	kids    [][]edge
-	hnext   []int32
+
+	edgeSlab slab[edge]
+	docSlab  slab[uint64]
 
 	childIdx map[childKey]int32
-	header   map[symbol.Pair]int32
 
 	docCount   int
 	attrCounts []int // documents containing each attribute, indexed by attribute symbol ID
@@ -107,7 +117,6 @@ func New(order *Order) *Tree {
 	t := &Tree{
 		order:    order,
 		childIdx: make(map[childKey]int32),
-		header:   make(map[symbol.Pair]int32),
 		symEpoch: symbol.Epoch(),
 	}
 	t.initRoot()
@@ -125,7 +134,8 @@ func (t *Tree) initRoot() {
 	t.branch = append(t.branch[:0], 0)
 	t.docs = append(t.docs[:0], nil)
 	t.kids = append(t.kids[:0], nil)
-	t.hnext = append(t.hnext[:0], -1)
+	t.edgeSlab.rewind()
+	t.docSlab.rewind()
 }
 
 // Build constructs a tree over a whole batch, deriving the attribute
@@ -152,24 +162,26 @@ func (t *Tree) MaxDepth() int { return t.maxDepth }
 
 // MemBytes estimates the tree's resident heap footprint in O(1) from
 // the arena counters: every node costs its arena slots (label symbol,
-// parent/depth/branch/hnext int32s, docs and kids slice headers), one
-// incoming edge in its parent's span, and one child-index map entry;
-// each stored document ID costs one uint64 at its terminal node; the
-// header table costs one map entry per distinct label. The constants
-// approximate Go's 64-bit layout — the memory governor needs a stable
-// estimate it can read on every admission, not allocator truth.
+// parent/depth/branch int32s, docs and kids slice headers); edge spans
+// and document-id lists cost what they carved from the slabs (regions
+// abandoned when a span doubled included — they are held until Reset);
+// every child-index entry costs one map slot. The constants approximate
+// Go's 64-bit layout — the memory governor needs a stable estimate it
+// can read on every admission, not allocator truth. Capacity the arena
+// and the slabs keep across Reset is not charged: it is not window
+// state, and charging it would give an empty tree a floor the governor
+// can never spill or tumble away.
 func (t *Tree) MemBytes() int64 {
 	const (
-		nodeBytes   = 8 + 4 + 4 + 4 + 4 + 24 + 24 // syms+parents+depths+branch+hnext+docs hdr+kids hdr
-		edgeBytes   = 16                          // one edge in the parent's span (sym + id, padded)
-		childIdxEnt = 48                          // childKey + int32 value + map bucket overhead
-		headerEnt   = 40                          // symbol.Pair key + int32 value + bucket overhead
+		nodeBytes   = 8 + 4 + 4 + 4 + 24 + 24 // syms+parents+depths+branch+docs hdr+kids hdr
+		edgeBytes   = 16                      // sym + id, padded
+		childIdxEnt = 40                      // childKey + int32 value, padded, at the map's load factor
 		docIDBytes  = 8
 	)
-	nodes := int64(len(t.syms)) // root included: it owns arena slots too
-	n := nodes * (nodeBytes + edgeBytes + childIdxEnt)
-	n += int64(t.docCount) * docIDBytes
-	n += int64(len(t.header)) * headerEnt
+	n := int64(len(t.syms)) * nodeBytes // root included: it owns arena slots too
+	n += int64(t.edgeSlab.used) * edgeBytes
+	n += int64(t.docSlab.used) * docIDBytes
+	n += int64(len(t.childIdx)) * childIdxEnt
 	n += int64(len(t.attrCounts)) * 8
 	return n
 }
@@ -232,24 +244,16 @@ func (t *Tree) child(parent int32, s symbol.Pair) int32 {
 }
 
 // addChild appends a fresh node labeled s under parent with the next
-// branch id and chains it into the header table (push-front, so the
-// head is always the newest equally-labeled node).
+// branch id.
 func (t *Tree) addChild(parent int32, s symbol.Pair) int32 {
 	t.nextBranch++
-	id := t.newNode(parent, s, int32(t.nextBranch))
-	if head, ok := t.header[s]; ok {
-		t.hnext[id] = head
-	}
-	t.header[s] = id
-	return id
+	return t.newNode(parent, s, int32(t.nextBranch))
 }
 
 // newNode appends a node to the arena, keeping the parent's edge span
 // grouped by attribute: the new child lands at the end of its
 // attribute's run when one exists, or opens a new run at the end
-// (first-appearance group order, insertion order within). The header
-// chain is left to the caller (Insert chains in creation order; Restore
-// replays chains by branch id).
+// (first-appearance group order, insertion order within).
 func (t *Tree) newNode(parent int32, s symbol.Pair, branchID int32) int32 {
 	id := int32(len(t.syms))
 	t.syms = append(t.syms, s)
@@ -259,30 +263,35 @@ func (t *Tree) newNode(parent int32, s symbol.Pair, branchID int32) int32 {
 	t.branch = append(t.branch, branchID)
 	t.docs = append(t.docs, nil)
 	t.kids = append(t.kids, nil)
-	t.hnext = append(t.hnext, -1)
-	t.childIdx[childKey{parent, s}] = id
 
 	// Splice into the parent's grouped edge span. Scanning from the
 	// back finds the run end cheaply in the common case where the
 	// node's largest group is also its newest.
 	ks := t.kids[parent]
 	attr := s.Attr()
-	insertAt := -1
+	insertAt := len(ks)
 	for i := len(ks) - 1; i >= 0; i-- {
 		if ks[i].sym.Attr() == attr {
 			insertAt = i + 1
 			break
 		}
 	}
-	e := edge{sym: s, id: id}
-	if insertAt < 0 || insertAt == len(ks) {
-		ks = append(ks, e)
-	} else {
-		ks = append(ks, edge{})
-		copy(ks[insertAt+1:], ks[insertAt:])
-		ks[insertAt] = e
-	}
+	ks = t.edgeSlab.grow(ks)
+	copy(ks[insertAt+1:], ks[insertAt:])
+	ks[insertAt] = edge{sym: s, id: id}
 	t.kids[parent] = ks
+
+	// child() scans spans up to spanScanMax and never consults the
+	// index for them, so a span is indexed whole when it outgrows the
+	// scan and entry by entry from then on.
+	switch {
+	case len(ks) == spanScanMax+1:
+		for _, e := range ks {
+			t.childIdx[childKey{parent, e.sym}] = e.id
+		}
+	case len(ks) > spanScanMax+1:
+		t.childIdx[childKey{parent, s}] = id
+	}
 
 	if int(depth) > t.maxDepth {
 		t.maxDepth = int(depth)
@@ -305,7 +314,9 @@ func (t *Tree) Insert(d document.Document) {
 		}
 		cur = child
 	}
-	t.docs[cur] = append(t.docs[cur], d.ID)
+	ds := t.docSlab.grow(t.docs[cur])
+	ds[len(ds)-1] = d.ID
+	t.docs[cur] = ds
 	t.docCount++
 	for _, s := range syms {
 		a := s.Attr()
@@ -411,20 +422,19 @@ func appendExcluding(dst []uint64, src []uint64, exclude uint64) []uint64 {
 	return dst
 }
 
-// HeaderChainLen returns the number of nodes labeled with p, following
-// the header-table chain (used by tests and diagnostics).
+// HeaderChainLen returns the number of nodes labeled with p — the
+// length of p's chain in the paper's header table (diagnostic; linear
+// in tree size, like DocPath: the chains themselves are not stored).
 func (t *Tree) HeaderChainLen(p document.Pair) int {
 	s, ok := symbol.LookupPair(p.Attr, p.Val)
 	if !ok {
 		return 0
 	}
 	n := 0
-	cur, ok := t.header[s]
-	if !ok {
-		return 0
-	}
-	for ; cur >= 0; cur = t.hnext[cur] {
-		n++
+	for _, ns := range t.syms[1:] {
+		if ns == s {
+			n++
+		}
 	}
 	return n
 }
@@ -487,14 +497,13 @@ func (t *Tree) Dump() string {
 // Reset evicts the entire tree, matching the paper's tumbling-window
 // semantics ("evict the entire tree once the window tumbles"), while
 // keeping the attribute ordering — and bounded scratch buffers — in
-// place. Arena slices are truncated but keep their capacity (bounded by
-// the largest window seen); oversized probe scratch is released so a
-// long-lived joiner does not leak scratch across windows and symbol
-// epochs.
+// place. Arena slices are truncated and the slabs rewound, both keeping
+// their capacity (bounded by the largest window seen); oversized probe
+// scratch is released so a long-lived joiner does not leak scratch
+// across windows and symbol epochs.
 func (t *Tree) Reset() {
 	t.initRoot()
 	clear(t.childIdx)
-	clear(t.header)
 	// Truncate rather than zero: the slice is indexed by global
 	// attribute symbol ID, so its length tracks the whole process's
 	// symbol space, not this window. Keeping it full-length would give

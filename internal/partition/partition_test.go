@@ -273,8 +273,8 @@ func TestTableAddPair(t *testing.T) {
 	if !ok {
 		t.Fatal("AddPair did not intern the pair")
 	}
-	if n := len(tbl.index[sp]); n != 1 {
-		t.Errorf("duplicate index entries: %d", n)
+	if at := tbl.index[sp]; at != 1 || len(tbl.shared) != 0 {
+		t.Errorf("duplicate index entries: index %d, %d shared lists", at, len(tbl.shared))
 	}
 }
 

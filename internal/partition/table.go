@@ -12,7 +12,8 @@ package partition
 
 import (
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
 	"strings"
 
 	"repro/internal/document"
@@ -91,42 +92,21 @@ func (s PairSet) SubsetOf(o PairSet) bool {
 
 // Sorted returns the pairs in deterministic (lexicographic) order.
 func (s PairSet) Sorted() []document.Pair {
-	out := make([]document.Pair, 0, len(s))
-	for sp := range s {
-		a, v := symbol.PairStrings(sp)
-		out = append(out, document.Pair{Attr: a, Val: v})
+	out := make([]document.Pair, len(s))
+	for i, sp := range s.sortedSyms() {
+		out[i].Attr, out[i].Val = symbol.PairStrings(sp)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Attr != out[j].Attr {
-			return out[i].Attr < out[j].Attr
-		}
-		return out[i].Val < out[j].Val
-	})
 	return out
 }
 
 // sortedSyms returns the pair symbols ordered lexicographically by
 // their resolved strings — the same order as Sorted.
 func (s PairSet) sortedSyms() []symbol.Pair {
-	type kv struct {
-		sp   symbol.Pair
-		a, v string
-	}
-	items := make([]kv, 0, len(s))
+	out := make([]symbol.Pair, 0, len(s))
 	for sp := range s {
-		a, v := symbol.PairStrings(sp)
-		items = append(items, kv{sp, a, v})
+		out = append(out, sp)
 	}
-	sort.Slice(items, func(i, j int) bool {
-		if items[i].a != items[j].a {
-			return items[i].a < items[j].a
-		}
-		return items[i].v < items[j].v
-	})
-	out := make([]symbol.Pair, len(items))
-	for i, it := range items {
-		out[i] = it.sp
-	}
+	slices.SortFunc(out, comparePairs)
 	return out
 }
 
@@ -138,39 +118,176 @@ type Table struct {
 	M          int
 	Partitions []PairSet
 
-	index map[symbol.Pair][]int
+	// index maps a pair to the partition holding it, i ≥ 0, or — for a
+	// pair several partitions hold — to ^k, with shared[k] listing them.
+	index  map[symbol.Pair]int32
+	shared [][]int
+	all    []int // 0 … M-1: the broadcast target list, never written
 }
 
 // NewTable builds a table over the given partitions (len == m) and
 // constructs the pair index.
 func NewTable(parts []PairSet) *Table {
+	pairs := 0
+	for _, ps := range parts {
+		pairs += len(ps)
+	}
 	t := &Table{
 		M:          len(parts),
 		Partitions: parts,
-		index:      make(map[symbol.Pair][]int),
+		index:      make(map[symbol.Pair]int32, pairs),
+		all:        make([]int, len(parts)),
 	}
 	for i, ps := range parts {
+		t.all[i] = i
 		for sp := range ps {
-			t.index[sp] = append(t.index[sp], i)
+			t.indexPair(sp, i)
 		}
 	}
 	return t
 }
 
+// indexPair records that partition i holds sp.
+func (t *Table) indexPair(sp symbol.Pair, i int) {
+	switch at, ok := t.index[sp]; {
+	case !ok:
+		t.index[sp] = int32(i)
+	case at >= 0:
+		t.index[sp] = int32(^len(t.shared))
+		t.shared = append(t.shared, []int{int(at), i})
+	default:
+		t.shared[^at] = append(t.shared[^at], i)
+	}
+}
+
 // Covers reports whether the pair belongs to any partition.
 func (t *Table) Covers(p document.Pair) bool {
 	sp, ok := symbol.LookupPair(p.Attr, p.Val)
-	if !ok {
-		return false
-	}
-	_, ok = t.index[sp]
+	return ok && t.CoversSym(sp)
+}
+
+// CoversSym reports whether an interned pair belongs to any partition.
+func (t *Table) CoversSym(sp symbol.Pair) bool {
+	_, ok := t.index[sp]
 	return ok
 }
 
-// coversSym reports whether an interned pair belongs to any partition.
-func (t *Table) coversSym(sp symbol.Pair) bool {
-	_, ok := t.index[sp]
-	return ok
+// All returns the broadcast target list, 0 … M-1. It is shared by every
+// caller and must not be written.
+func (t *Table) All() []int { return t.all }
+
+// TargetSet is a set of partition indexes kept as a bitmask: one word
+// up to m = 64, as many as it takes beyond.
+type TargetSet []uint64
+
+// Reset empties the set and sizes it for indexes below m.
+func (s *TargetSet) Reset(m int) {
+	n := (m + 63) / 64
+	if cap(*s) < n {
+		*s = make(TargetSet, n)
+		return
+	}
+	*s = (*s)[:n]
+	clear(*s)
+}
+
+// Add inserts index i.
+func (s TargetSet) Add(i int) { s[i>>6] |= 1 << (i & 63) }
+
+// List returns the members in ascending order as a new slice, nil for
+// the empty set.
+func (s TargetSet) List() []int {
+	n := 0
+	for _, w := range s {
+		n += bits.OnesCount64(w)
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]int, 0, n)
+	for k, w := range s {
+		for ; w != 0; w &= w - 1 {
+			out = append(out, k<<6+bits.TrailingZeros64(w))
+		}
+	}
+	return out
+}
+
+// RouteScratch is the caller-owned scratch of RouteSyms: one per
+// routing task, reused from document to document.
+type RouteScratch struct {
+	// Matched holds, after a call, the partitions sharing a pair with
+	// the document; Uncovered lists the document's pairs that no
+	// partition holds.
+	Matched   TargetSet
+	Uncovered []symbol.Pair
+}
+
+// walk is the routing kernel: one pass over a document's pairs with one
+// index lookup per pair. It adds the partitions sharing a pair with the
+// document to matched (sized for the table), appends the pairs no
+// partition holds to *uncovered, and reports whether there were none.
+// A nil uncovered ends the walk at the first uncovered pair, for
+// callers that only need to know there is one.
+//
+// The document is syms without the pairs under the attributes in drop —
+// and under extra's attribute — plus extra: an attribute-value expansion
+// applied without building the transformed document. An empty drop
+// means syms as they are.
+func (t *Table) walk(matched TargetSet, uncovered *[]symbol.Pair, syms []symbol.Pair, drop []symbol.ID, extra symbol.Pair) (covered bool) {
+	covered = true
+	if len(drop) > 0 && !t.walkPair(matched, uncovered, extra) {
+		if uncovered == nil {
+			return false
+		}
+		covered = false
+	}
+	for _, sp := range syms {
+		if len(drop) > 0 && (sp.Attr() == extra.Attr() || slices.Contains(drop, sp.Attr())) {
+			continue
+		}
+		if !t.walkPair(matched, uncovered, sp) {
+			if uncovered == nil {
+				return false
+			}
+			covered = false
+		}
+	}
+	return covered
+}
+
+// walkPair is walk's step for one pair; it reports whether the pair is
+// covered.
+func (t *Table) walkPair(matched TargetSet, uncovered *[]symbol.Pair, sp symbol.Pair) bool {
+	switch at, ok := t.index[sp]; {
+	case !ok:
+		if uncovered != nil {
+			*uncovered = append(*uncovered, sp)
+		}
+		return false
+	case at >= 0:
+		matched.Add(int(at))
+	default:
+		for _, i := range t.shared[^at] {
+			matched.Add(i)
+		}
+	}
+	return true
+}
+
+// RouteSyms routes the document "syms without the pairs under drop's
+// attributes, plus extra" (see walk; an empty drop means syms as they
+// are) under the Assigner policy. It returns the matching partitions in
+// ascending order as a new slice, or nil when the document must be
+// broadcast: some pair is uncovered — sc.Uncovered lists them all — or
+// nothing matched.
+func (t *Table) RouteSyms(sc *RouteScratch, syms []symbol.Pair, drop []symbol.ID, extra symbol.Pair) []int {
+	sc.Matched.Reset(t.M)
+	sc.Uncovered = sc.Uncovered[:0]
+	if !t.walk(sc.Matched, &sc.Uncovered, syms, drop, extra) {
+		return nil
+	}
+	return sc.Matched.List()
 }
 
 // Assign returns the sorted set of partition indexes whose pair sets
@@ -178,65 +295,36 @@ func (t *Table) coversSym(sp symbol.Pair) bool {
 // the document matches no partition and must be broadcast to all
 // machines to guarantee join completeness.
 func (t *Table) Assign(d document.Document) []int {
-	var out []int
-	for _, sp := range d.InternedPairs() {
-		for _, idx := range t.index[sp] {
-			dup := false
-			for _, have := range out {
-				if have == idx {
-					dup = true
-					break
-				}
-			}
-			if !dup {
-				out = append(out, idx)
-			}
-		}
-	}
-	sort.Ints(out)
-	return out
-}
-
-// FullyCovered reports whether every pair of d belongs to some
-// partition. A document with an uncovered (previously unseen) pair must
-// be broadcast to all machines to guarantee join completeness: its
-// uncovered pair could be the only link to a joinable partner (paper
-// Sec. VI-A and VII-E.4).
-func (t *Table) FullyCovered(d document.Document) bool {
-	for _, sp := range d.InternedPairs() {
-		if !t.coversSym(sp) {
-			return false
-		}
-	}
-	return true
-}
-
-// UncoveredPairs returns the pairs of d not present in any partition.
-func (t *Table) UncoveredPairs(d document.Document) []document.Pair {
-	var out []document.Pair
-	pairs := d.Pairs()
-	for i, sp := range d.InternedPairs() {
-		if !t.coversSym(sp) {
-			out = append(out, pairs[i])
-		}
-	}
-	return out
+	var matched TargetSet
+	matched.Reset(t.M)
+	var uncovered []symbol.Pair // recorded so the walk does not stop early
+	t.walk(matched, &uncovered, d.InternedPairs(), nil, 0)
+	return matched.List()
 }
 
 // Route computes the machines a document is forwarded to under the
 // Assigner policy: if every pair is covered, the matching partitions;
-// otherwise a broadcast to all machines (broadcast=true).
+// otherwise a broadcast to all machines (broadcast=true) — a document
+// with an uncovered (previously unseen) pair must reach every machine,
+// because that pair could be its only link to a joinable partner (paper
+// Sec. VI-A and VII-E.4). A broadcast's target list is shared by every
+// caller and must not be written.
 func (t *Table) Route(d document.Document) (targets []int, broadcast bool) {
-	if t.FullyCovered(d) {
-		if targets = t.Assign(d); len(targets) > 0 {
+	return t.RouteExpanded(d.InternedPairs(), nil, 0)
+}
+
+// RouteExpanded is Route for the document "syms without the pairs under
+// drop's attributes, plus extra" (see RouteSyms).
+func (t *Table) RouteExpanded(syms []symbol.Pair, drop []symbol.ID, extra symbol.Pair) (targets []int, broadcast bool) {
+	var words [4]uint64 // m ≤ 256 routes without touching the heap
+	matched := TargetSet(words[:0])
+	matched.Reset(t.M)
+	if t.walk(matched, nil, syms, drop, extra) {
+		if targets = matched.List(); targets != nil {
 			return targets, false
 		}
 	}
-	targets = make([]int, t.M)
-	for i := range targets {
-		targets[i] = i
-	}
-	return targets, true
+	return t.All(), true
 }
 
 // AddPair extends partition idx with pair p (used by the Merger's
@@ -250,7 +338,7 @@ func (t *Table) AddPair(idx int, p document.Pair) {
 		return
 	}
 	t.Partitions[idx].AddSym(sp)
-	t.index[sp] = append(t.index[sp], idx)
+	t.indexPair(sp, idx)
 }
 
 // AddDocument adds every uncovered pair of d to the currently
@@ -288,7 +376,7 @@ func (t *Table) AddDocument(d document.Document) {
 	}
 	pairs := d.Pairs()
 	for i, sp := range d.InternedPairs() {
-		if !t.coversSym(sp) {
+		if !t.CoversSym(sp) {
 			t.AddPair(target, pairs[i])
 		}
 	}
