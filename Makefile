@@ -21,10 +21,9 @@ race:
 # reliable transport (cluster level) and the full Fig. 2 pipeline with
 # heartbeat failure detection and checkpoint recovery (core level).
 # The seeds are fixed inside the tests, so a failure names the exact
-# reproducible fault sequence. The cluster suites matrix every seed
-# over both wire formats (wire=gob and wire=binary subtests), so the
-# binary data plane's replay/dedup/dictionary-reset behaviour is
-# covered by the same oracle checks as the gob path. The rescale
+# reproducible fault sequence. The cluster suites run every seed over
+# the binary data plane, checking its replay, dedup and
+# dictionary-reset-on-redial behaviour against an oracle. The rescale
 # matrix exercises elastic scale-out: grow + shrink mid-run with every
 # data link severed during the shrink migration, asserting exact
 # oracle parity, exactly-once results, and zero source replays.
@@ -42,9 +41,8 @@ chaos:
 	$(GO) test -race -count 1 ./internal/server/ -run 'TestServerSpillParity|TestServerSpillFaultsDegrade|TestServerShedsWith429' -v
 
 # bench runs the root benchmark suite once as JSON — the format the
-# perf trajectory files (BENCH_issue*_{before,after}.json) are kept in
-# — followed by the wire-format codec benches (gob vs binary
-# bytes/tuple and ns/op).
+# guard baseline (BENCH_issue26_after.json) is kept in — followed by the
+# wire codec benches (bytes/tuple and ns/op).
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem -benchtime 1x -count 1 -json .
 	$(GO) test -run '^$$' -bench 'BenchmarkWireEncode|BenchmarkWireDecode|BenchmarkFrameBatch' -benchmem -benchtime 200000x -count 3 -json ./internal/cluster/

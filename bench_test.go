@@ -357,11 +357,11 @@ func BenchmarkSystemEndToEnd(b *testing.B) {
 		b.Run(engine, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				_, err := core.Run(core.Config{
+				_, err := core.NewRunner(core.Config{
 					M: 4, Creators: 2, Assigners: 2,
 					WindowSize: 300, Windows: 3, Engine: engine,
 					Source: datagen.NewServerLog(int64(i)),
-				})
+				}).Run()
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -506,11 +506,11 @@ func BenchmarkAblationRouting(b *testing.B) {
 		b.Run(routing.String(), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				_, err := core.Run(core.Config{
+				_, err := core.NewRunner(core.Config{
 					M: 4, Creators: 2, Assigners: 2,
 					WindowSize: 300, Windows: 3, Routing: routing,
 					Source: datagen.NewServerLog(int64(i)),
-				})
+				}).Run()
 				if err != nil {
 					b.Fatal(err)
 				}

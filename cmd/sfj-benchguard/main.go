@@ -6,12 +6,12 @@
 // count does not depend on the machine, so any increase is a
 // regression (run those under GOGC=off — every GC cycle flushes the
 // runtime's own per-P caches, which costs a few allocations). Both
-// files are `go test -json` streams (the format the repo's
-// BENCH_issue*_{before,after}.json trajectory files use); plain
-// `go test -bench` text output is accepted too.
+// files are `go test -json` streams (the format of the repo's
+// BENCH_issue26_after.json baseline); plain `go test -bench` text
+// output is accepted too.
 //
 //	go test -run '^$' -bench Fig11aFPJServerLog -json . > current.json
-//	sfj-benchguard -baseline BENCH_issue2_after.json -current current.json
+//	sfj-benchguard -baseline BENCH_issue26_after.json -current current.json
 package main
 
 import (

@@ -267,12 +267,14 @@ func main() {
 		fmt.Printf("chaos schedule: seed=%d events=%d (re-run with the same seed to reproduce the fault sequence)\n",
 			*chaosSeed, len(sched.Events))
 	}
+	if (*metricsAddr != "" || *verbose) && !*processes {
+		// -v reads its per-component latency lines from the registry.
+		opts = append(opts, core.WithTelemetry(telemetry.NewRegistry()))
+	}
 	if *metricsAddr != "" && !*processes {
 		// With -processes, each spawned worker serves its own endpoint
 		// (the flag is re-issued to them) and prints its resolved port.
-		opts = append(opts,
-			core.WithTelemetry(telemetry.NewRegistry()),
-			core.WithMetricsAddr(*metricsAddr))
+		opts = append(opts, core.WithMetricsAddr(*metricsAddr))
 		fmt.Printf("scrape metrics during the run: curl http://%s/metrics\n", *metricsAddr)
 		if *clusterN > 0 && *rescaleAt == "" {
 			// A scrape endpoint on a cluster run also serves POST /rescale
@@ -316,8 +318,9 @@ func main() {
 			fmt.Printf("  window %d: %s\n", i, w)
 		}
 		for _, comp := range []string{"creator", "merger", "assigner", "joiner"} {
-			if lat, ok := report.Topology.Latency[comp]; ok {
-				fmt.Printf("  latency %-9s %s\n", comp, lat)
+			h, ok := report.Telemetry.Histograms[telemetry.Name("topology_execute_seconds", "component", comp)]
+			if ok && h.Count > 0 {
+				fmt.Printf("  latency %-9s n=%d avg=%s\n", comp, h.Count, time.Duration(h.SumNS/h.Count))
 			}
 		}
 		if snap := report.Telemetry; len(snap.Counters) > 0 {
@@ -484,7 +487,6 @@ func runWorker(spec string, cfg core.Config, metricsAddr string) error {
 	// The wire configuration must be uniform across the cluster; the
 	// spawner re-issues its own flags to every worker, so each process
 	// resolves the same values here.
-	w.WireFormat = cfg.WireFormat
 	w.FrameBatch = cfg.FrameBatch
 	w.FrameFlushInterval = cfg.FrameFlushInterval
 	w.FrameCompress = cfg.FrameCompress

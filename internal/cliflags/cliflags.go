@@ -11,23 +11,18 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/core"
 )
 
 // Transport is the cluster data-plane configuration shared by
-// sfj-serve and sfj-topology: wire encoding and frame coalescing.
+// sfj-serve and sfj-topology: frame coalescing and compression.
 type Transport struct {
-	// WireFormat is the data-plane encoding: binary (varint-packed
-	// batched frames, the default) or gob (one envelope per tuple, for
-	// A/B measurement).
-	WireFormat string
-	// FrameBatch caps how many tuples coalesce into one binary frame.
+	// FrameBatch caps how many tuples coalesce into one data frame.
 	FrameBatch int
 	// FrameFlushInterval is how long a peer sender waits to fill a
 	// frame before flushing (0 = send whatever is pending immediately).
 	FrameFlushInterval time.Duration
-	// FrameCompress DEFLATE-compresses binary frames when that shrinks
+	// FrameCompress DEFLATE-compresses data frames when that shrinks
 	// them.
 	FrameCompress bool
 }
@@ -37,23 +32,18 @@ type Transport struct {
 // fs.Parse.
 func RegisterTransport(fs *flag.FlagSet) *Transport {
 	t := &Transport{}
-	fs.StringVar(&t.WireFormat, "wire-format", cluster.WireBinary,
-		"cluster data-plane encoding: binary (varint-packed batched frames, the default) or gob (one envelope per tuple, for A/B measurement)")
 	fs.IntVar(&t.FrameBatch, "frame-batch", 32,
-		"max tuples coalesced into one binary data frame")
+		"max tuples coalesced into one cluster data frame")
 	fs.DurationVar(&t.FrameFlushInterval, "frame-flush-interval", 0,
 		"how long a peer sender waits to fill a frame before flushing (0 = send whatever is pending immediately)")
 	fs.BoolVar(&t.FrameCompress, "frame-compress", false,
-		"DEFLATE-compress binary data frames when that shrinks them")
+		"DEFLATE-compress cluster data frames when that shrinks them")
 	return t
 }
 
 // Validate checks the parsed values; the returned error is phrased for
 // direct printing to a command's stderr.
 func (t *Transport) Validate() error {
-	if !cluster.ValidWireFormat(t.WireFormat) {
-		return fmt.Errorf("unknown -wire-format %q (want %s or %s)", t.WireFormat, cluster.WireBinary, cluster.WireGob)
-	}
 	if t.FrameBatch <= 0 {
 		return fmt.Errorf("-frame-batch must be positive, got %d", t.FrameBatch)
 	}
@@ -65,7 +55,6 @@ func (t *Transport) Validate() error {
 
 // ApplyTo copies the transport configuration into a run config.
 func (t *Transport) ApplyTo(cfg *core.Config) {
-	cfg.WireFormat = t.WireFormat
 	cfg.FrameBatch = t.FrameBatch
 	cfg.FrameFlushInterval = t.FrameFlushInterval
 	cfg.FrameCompress = t.FrameCompress
@@ -74,8 +63,8 @@ func (t *Transport) ApplyTo(cfg *core.Config) {
 // String renders the configuration the way the commands print it at
 // startup.
 func (t *Transport) String() string {
-	return fmt.Sprintf("wire-format=%s frame-batch=%d frame-flush-interval=%s frame-compress=%v",
-		t.WireFormat, t.FrameBatch, t.FrameFlushInterval, t.FrameCompress)
+	return fmt.Sprintf("frame-batch=%d frame-flush-interval=%s frame-compress=%v",
+		t.FrameBatch, t.FrameFlushInterval, t.FrameCompress)
 }
 
 // ByteSize is a flag.Value for byte counts: a plain integer or one

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/cluster"
 	"repro/internal/core"
 )
 
@@ -15,7 +14,7 @@ func TestRegisterTransportDefaults(t *testing.T) {
 	if err := fs.Parse(nil); err != nil {
 		t.Fatal(err)
 	}
-	if tr.WireFormat != cluster.WireBinary || tr.FrameBatch != 32 ||
+	if tr.FrameBatch != 32 ||
 		tr.FrameFlushInterval != 0 || tr.FrameCompress {
 		t.Errorf("defaults = %+v", tr)
 	}
@@ -27,7 +26,7 @@ func TestRegisterTransportDefaults(t *testing.T) {
 func TestTransportParseAndApply(t *testing.T) {
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	tr := RegisterTransport(fs)
-	args := []string{"-wire-format", "gob", "-frame-batch", "64",
+	args := []string{"-frame-batch", "64",
 		"-frame-flush-interval", "5ms", "-frame-compress"}
 	if err := fs.Parse(args); err != nil {
 		t.Fatal(err)
@@ -37,11 +36,11 @@ func TestTransportParseAndApply(t *testing.T) {
 	}
 	var cfg core.Config
 	tr.ApplyTo(&cfg)
-	if cfg.WireFormat != cluster.WireGob || cfg.FrameBatch != 64 ||
+	if cfg.FrameBatch != 64 ||
 		cfg.FrameFlushInterval.Milliseconds() != 5 || !cfg.FrameCompress {
 		t.Errorf("applied = %+v", cfg)
 	}
-	for _, want := range []string{"wire-format=gob", "frame-batch=64", "frame-flush-interval=5ms", "frame-compress=true"} {
+	for _, want := range []string{"frame-batch=64", "frame-flush-interval=5ms", "frame-compress=true"} {
 		if !strings.Contains(tr.String(), want) {
 			t.Errorf("String() = %q missing %q", tr.String(), want)
 		}
@@ -99,9 +98,8 @@ func TestByteSizeFlag(t *testing.T) {
 
 func TestTransportValidate(t *testing.T) {
 	for _, bad := range []Transport{
-		{WireFormat: "nope", FrameBatch: 32},
-		{WireFormat: cluster.WireBinary, FrameBatch: 0},
-		{WireFormat: cluster.WireBinary, FrameBatch: 32, FrameFlushInterval: -1},
+		{FrameBatch: 0},
+		{FrameBatch: 32, FrameFlushInterval: -1},
 	} {
 		if err := bad.Validate(); err == nil {
 			t.Errorf("%+v validated", bad)

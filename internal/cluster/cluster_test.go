@@ -3,6 +3,7 @@ package cluster
 import (
 	"encoding/gob"
 	"net"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -78,32 +79,52 @@ func TestPlacementPanicsUnknownTask(t *testing.T) {
 	p.WorkerFor("zz", 0)
 }
 
+// TestFrameRoundTrip round-trips the richest control-plane envelopes
+// over the gob conn: a rescale order (moves, departing workers,
+// address book, placement table) and a worker's final statistics.
 func TestFrameRoundTrip(t *testing.T) {
 	a, b := net.Pipe()
 	ca, cb := newConn(a), newConn(b)
 	defer ca.close()
 	defer cb.close()
-	want := &envelope{
-		Kind:       frameTuple,
-		TargetComp: "sink",
-		TargetTask: 3,
-		Tuple: topology.Tuple{
-			Stream: "s",
-			Source: "src",
-			Values: topology.Values{"v": 42},
+	frames := []*envelope{
+		{
+			Kind:      frameRescale,
+			Epoch:     3,
+			Workers:   2,
+			Moves:     []Move{{Comp: "join", Task: 1, From: 2, To: 0}, {Comp: "sink", Task: 0, From: 2, To: 1}},
+			Departing: []int{2},
+			Addresses: map[int]string{0: "127.0.0.1:7001", 1: "127.0.0.1:7002"},
+			Table:     map[string][]int{"join": {0, 0, 1}, "sink": {1}},
+		},
+		{
+			Kind:     frameDone,
+			WorkerID: 1,
+			Stats: topology.Stats{
+				Emitted:    map[string]int64{"src": 40},
+				Executed:   map[string]int64{"sink": 40},
+				SentCopies: 40,
+				ExecCopies: 40,
+				Failures:   []string{"sink[0]@w1: boom"},
+			},
 		},
 	}
 	go func() {
-		if err := ca.send(want); err != nil {
-			t.Error(err)
+		for _, e := range frames {
+			if err := ca.send(e); err != nil {
+				t.Error(err)
+				return
+			}
 		}
 	}()
-	got, err := cb.recv()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.TargetComp != "sink" || got.TargetTask != 3 || got.Tuple.Values["v"].(int) != 42 {
-		t.Errorf("round trip mismatch: %+v", got)
+	for _, want := range frames {
+		got, err := cb.recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("round trip mismatch:\n got %+v\nwant %+v", got, want)
+		}
 	}
 }
 

@@ -8,10 +8,9 @@
 // Wire format: the control plane (coordinator handshake, probes,
 // heartbeats) carries a gob stream of envelope values — gob's
 // self-describing streams provide the framing, and every connection is
-// written by at most one mutex-guarded encoder. The data plane speaks
-// the length-prefixed binary batched format from wire.go by default,
-// with this gob encoding selectable per run (WireGob) for A/B
-// measurement; both implement wireConn.
+// written by at most one mutex-guarded encoder. The data plane
+// (worker-to-worker tuples, acks and migration state) speaks the
+// length-prefixed binary batched format from wire.go.
 package cluster
 
 import (
@@ -110,22 +109,19 @@ type envelope struct {
 	StateData []byte
 	StateLast bool
 
-	// frameTuple: data-plane delivery. Dict is the wire-dictionary
-	// delta: the attr/val strings first referenced by this frame's
-	// dictionary-encoded documents, in reference order (see dict.go).
+	// frameTuple: data-plane delivery of one tuple copy.
 	TargetComp string
 	TargetTask int
 	Tuple      topology.Tuple
-	Dict       []string
 
-	// Reliable delivery (frameTuple / frameAck). FromWorker names the
-	// sending worker (so the receiver keys its dedup cursor and routes
-	// piggybacked acks; -1 on frames that predate a worker identity).
-	// DataSeq is the per peer-pair monotonic data sequence number (1-
-	// based; 0 marks an unsequenced frame, delivered without dedup).
-	// AckSeq is the cumulative ack — on frameAck it is the payload, on
-	// frameTuple it piggybacks the sender's receive-side cursor for the
-	// destination worker.
+	// Reliable delivery (frameTuple / frameState / frameAck).
+	// FromWorker names the sending worker (so the receiver keys its
+	// dedup cursor and routes piggybacked acks). DataSeq is the per
+	// peer-pair monotonic data sequence number, 1-based: every data
+	// frame is sequenced, and the binary decoder rejects a frame whose
+	// first sequence number is 0. AckSeq is the cumulative ack — on
+	// frameAck it is the payload, on a data frame it piggybacks the
+	// sender's receive-side cursor for the destination worker.
 	FromWorker int
 	DataSeq    uint64
 	AckSeq     uint64
@@ -140,40 +136,13 @@ type envelope struct {
 	Stats topology.Stats
 }
 
-// wireConn is a data-plane connection: a codec over one socket. Both
-// the gob conn and the binary binConn implement it, so the reliable-
-// delivery machinery (resend buffers, ack loops, dedup cursors) is
-// format-agnostic. send/sendBatch are safe for concurrent use; recv is
-// owned by a single reading goroutine.
-type wireConn interface {
-	send(*envelope) error
-	// sendBatch writes a contiguous run of sequenced tuple envelopes —
-	// one wire frame on the binary format, a frame per member on gob.
-	// An error poisons the connection: the caller must evict it and
-	// replay on a successor.
-	sendBatch([]*envelope) error
-	recv() (*envelope, error)
-	close()
-}
-
-// conn wraps a net.Conn with a mutex-guarded gob encoder and a decoder,
-// plus the connection-scoped wire dictionaries (dict.go): sendDict maps
-// strings already shipped on this connection to their ids, recvDict is
-// the receiving mirror. Both start empty on every (re)dial.
+// conn is a control-plane connection: a net.Conn with a mutex-guarded
+// gob encoder and a decoder.
 type conn struct {
 	raw net.Conn
 	enc *gob.Encoder
 	dec *gob.Decoder
 	mu  sync.Mutex
-
-	sendDict map[string]uint32 // guarded by mu
-	recvDict []string          // owned by the single reading goroutine
-
-	// Optional wire-dictionary instruments (nil-safe no-ops): hits are
-	// strings resolved from the connection dictionary, misses are
-	// strings shipped in a frame's Dict delta.
-	dictHits   *telemetry.Counter
-	dictMisses *telemetry.Counter
 }
 
 func newConn(raw net.Conn) *conn {
@@ -200,44 +169,21 @@ func (c countingConn) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// send writes one envelope; safe for concurrent use. Tuple frames are
-// dictionary-encoded against this connection's dictionary on the way
-// out (the envelope itself is never mutated).
+// send writes one envelope; safe for concurrent use.
 func (c *conn) send(e *envelope) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if e.Kind == frameTuple {
-		e = c.encodeTupleLocked(e)
-	}
 	if err := c.enc.Encode(e); err != nil {
 		return fmt.Errorf("cluster: send %d: %w", e.Kind, err)
 	}
 	return nil
 }
 
-// sendBatch writes each envelope as its own gob frame; gob has no
-// multi-tuple framing, which is exactly the A/B difference the binary
-// format exists to measure.
-func (c *conn) sendBatch(es []*envelope) error {
-	for _, e := range es {
-		if err := c.send(e); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// recv reads one envelope; the caller owns the read side. Tuple frames
-// have their dictionary-encoded documents restored before delivery.
+// recv reads one envelope; the caller owns the read side.
 func (c *conn) recv() (*envelope, error) {
 	var e envelope
 	if err := c.dec.Decode(&e); err != nil {
 		return nil, err
-	}
-	if e.Kind == frameTuple {
-		if err := c.decodeTuple(&e); err != nil {
-			return nil, err
-		}
 	}
 	return &e, nil
 }

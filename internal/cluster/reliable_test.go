@@ -63,100 +63,94 @@ func joinOracle(n int) map[string]bool {
 // the stream paced so the guaranteed mid-stream sever finds frames in
 // the resend buffers: the run must survive on replay, not luck.
 //
-// The full matrix runs under both wire formats: the binary data plane
-// must uphold exactly the guarantees the gob path established —
-// exact oracle multiset, zero drops, provable resends — with its
-// per-connection dictionaries reset and replayed batches re-encoded
-// after every sever.
+// Every sever also resets the data plane's per-connection
+// dictionaries, so the replayed batches re-encode against fresh ones.
 func TestScheduledChaosParity(t *testing.T) {
-	for _, format := range []string{WireGob, WireBinary} {
-		for _, seed := range []int64{1, 7, 42} {
-			format, seed := format, seed
-			t.Run(fmt.Sprintf("wire=%s/seed=%d", format, seed), func(t *testing.T) {
-				const n, workers = 240, 4
-				mu := &sync.Mutex{}
-				pairs := make(map[string]bool)
-				execs := 0
-				makeBuilder := func() *topology.Builder {
-					b := topology.NewBuilder()
-					b.MaxPending(8)
-					b.SetSpout("src", func(int) topology.Spout {
-						return &pacedSpout{Spout: &twoStreamSpout{n: n}, every: 200 * time.Microsecond}
-					}, 1)
-					b.SetBolt("join", func(int) topology.Bolt {
-						return &countingJoinBolt{hashJoinBolt: newHashJoinBolt(mu, pairs), execs: &execs}
-					}, 4).
-						FieldsGroupingOn("src", "left", "key").
-						FieldsGroupingOn("src", "right", "key")
-					return b
-				}
-				regs := make([]*telemetry.Registry, workers)
-				inst := instrument(regs)
-				ws, proxies, result := startChaosCluster(t, makeBuilder, workers, func(w *Worker) {
-					inst(w)
-					w.WireFormat = format
-					// Slow acks: sequenced frames linger unacknowledged, so the
-					// severs below replay real traffic instead of empty buffers.
-					w.AckEvery = 1 << 30
-					w.AckInterval = 25 * time.Millisecond
-				})
-
-				sched := RandomSchedule(seed, 6, workers, n/2)
-				// A guaranteed all-links sever a third of the way in, on top of
-				// whatever the seed drew. Out-of-threshold order is fine: Run
-				// fires an event as soon as its threshold is already met.
-				sched.Events = append(sched.Events, ChaosEvent{AtCopies: n / 3, Worker: -1, Action: ChaosSever})
-				stop := make(chan struct{})
-				schedDone := make(chan struct{})
-				go func() {
-					defer close(schedDone)
-					sched.Run(proxies, func() int64 {
-						var sent int64
-						for _, w := range ws {
-							s, _ := w.Counters()
-							sent += s
-						}
-						return sent
-					}, stop)
-				}()
-
-				stats := awaitResult(t, result)
-				close(stop)
-				<-schedDone
-
-				if len(stats.Failures) != 0 {
-					t.Fatalf("failures: %v", stats.Failures)
-				}
-				if stats.SentCopies == 0 || stats.SentCopies != stats.ExecCopies {
-					t.Errorf("copies sent = %d, executed = %d", stats.SentCopies, stats.ExecCopies)
-				}
-				if dropped := sumTel(regs, "cluster_copies_dropped_total"); dropped != 0 {
-					t.Errorf("cluster_copies_dropped_total = %d, want 0", dropped)
-				}
-				mu.Lock()
-				defer mu.Unlock()
-				if execs != n {
-					t.Errorf("join executed %d tuples, want exactly %d (drops or duplicates)", execs, n)
-				}
-				want := joinOracle(n)
-				if len(pairs) != len(want) {
-					t.Errorf("join produced %d pairs, oracle has %d", len(pairs), len(want))
-				}
-				for p := range want {
-					if !pairs[p] {
-						t.Errorf("missing pair %s", p)
-					}
-				}
-				resent := sumTel(regs, "cluster_resent_frames_total")
-				if resent == 0 {
-					t.Error("schedule severed live traffic but nothing was resent")
-				}
-				t.Logf("seed %d: resent=%d dedup=%d acks=%d",
-					seed, resent,
-					sumTel(regs, "cluster_dedup_dropped_total"),
-					sumTel(regs, "cluster_acks_sent_total"))
+	for _, seed := range []int64{1, 7, 42} {
+		seed := seed
+		t.Run(fmt.Sprintf("wire=binary/seed=%d", seed), func(t *testing.T) {
+			const n, workers = 240, 4
+			mu := &sync.Mutex{}
+			pairs := make(map[string]bool)
+			execs := 0
+			makeBuilder := func() *topology.Builder {
+				b := topology.NewBuilder()
+				b.MaxPending(8)
+				b.SetSpout("src", func(int) topology.Spout {
+					return &pacedSpout{Spout: &twoStreamSpout{n: n}, every: 200 * time.Microsecond}
+				}, 1)
+				b.SetBolt("join", func(int) topology.Bolt {
+					return &countingJoinBolt{hashJoinBolt: newHashJoinBolt(mu, pairs), execs: &execs}
+				}, 4).
+					FieldsGroupingOn("src", "left", "key").
+					FieldsGroupingOn("src", "right", "key")
+				return b
+			}
+			regs := make([]*telemetry.Registry, workers)
+			inst := instrument(regs)
+			ws, proxies, result := startChaosCluster(t, makeBuilder, workers, func(w *Worker) {
+				inst(w)
+				// Slow acks: sequenced frames linger unacknowledged, so the
+				// severs below replay real traffic instead of empty buffers.
+				w.AckEvery = 1 << 30
+				w.AckInterval = 25 * time.Millisecond
 			})
-		}
+
+			sched := RandomSchedule(seed, 6, workers, n/2)
+			// A guaranteed all-links sever a third of the way in, on top of
+			// whatever the seed drew. Out-of-threshold order is fine: Run
+			// fires an event as soon as its threshold is already met.
+			sched.Events = append(sched.Events, ChaosEvent{AtCopies: n / 3, Worker: -1, Action: ChaosSever})
+			stop := make(chan struct{})
+			schedDone := make(chan struct{})
+			go func() {
+				defer close(schedDone)
+				sched.Run(proxies, func() int64 {
+					var sent int64
+					for _, w := range ws {
+						s, _ := w.Counters()
+						sent += s
+					}
+					return sent
+				}, stop)
+			}()
+
+			stats := awaitResult(t, result)
+			close(stop)
+			<-schedDone
+
+			if len(stats.Failures) != 0 {
+				t.Fatalf("failures: %v", stats.Failures)
+			}
+			if stats.SentCopies == 0 || stats.SentCopies != stats.ExecCopies {
+				t.Errorf("copies sent = %d, executed = %d", stats.SentCopies, stats.ExecCopies)
+			}
+			if dropped := sumTel(regs, "cluster_copies_dropped_total"); dropped != 0 {
+				t.Errorf("cluster_copies_dropped_total = %d, want 0", dropped)
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			if execs != n {
+				t.Errorf("join executed %d tuples, want exactly %d (drops or duplicates)", execs, n)
+			}
+			want := joinOracle(n)
+			if len(pairs) != len(want) {
+				t.Errorf("join produced %d pairs, oracle has %d", len(pairs), len(want))
+			}
+			for p := range want {
+				if !pairs[p] {
+					t.Errorf("missing pair %s", p)
+				}
+			}
+			resent := sumTel(regs, "cluster_resent_frames_total")
+			if resent == 0 {
+				t.Error("schedule severed live traffic but nothing was resent")
+			}
+			t.Logf("seed %d: resent=%d dedup=%d acks=%d",
+				seed, resent,
+				sumTel(regs, "cluster_dedup_dropped_total"),
+				sumTel(regs, "cluster_acks_sent_total"))
+		})
 	}
 }
 
@@ -193,87 +187,82 @@ func (b *countingJoinBolt) Execute(t topology.Tuple, c topology.Collector) {
 // delivers everything exactly once: the sum is exact, frames were
 // provably resent, and the receiver deduplicated rather than
 // double-executing. The gate guarantees the run cannot complete before
-// the sever lands. Runs under both wire formats: the binary path must
-// re-encode replayed batches against the fresh connection's empty
-// dictionary, not the severed one's.
+// the sever lands. Replayed batches must re-encode against the fresh
+// connection's empty dictionary, not the severed one's.
 func TestResendAfterSever(t *testing.T) {
-	for _, format := range []string{WireGob, WireBinary} {
-		format := format
-		t.Run("wire="+format, func(t *testing.T) {
-			const n1, n2 = 150, 150
-			const n = n1 + n2
-			gate := make(chan struct{})
-			mu := &sync.Mutex{}
-			sum, cnt := 0, 0
-			makeBuilder := func() *topology.Builder {
-				b := topology.NewBuilder()
-				b.SetSpout("src", func(int) topology.Spout { return &gatedSpout{n1: n1, n2: n2, gate: gate} }, 1)
-				b.SetBolt("sink", func(int) topology.Bolt {
-					return &sumBolt{mu: mu, sum: &sum, cnt: &cnt}
-				}, 2).ShuffleGrouping("src")
-				return b
-			}
-			regs := make([]*telemetry.Registry, 2)
-			inst := instrument(regs)
-			ws, proxies, result := startChaosCluster(t, makeBuilder, 2, func(w *Worker) {
-				inst(w)
-				w.WireFormat = format
-				// No acks: every sequenced frame stays buffered, so the sever
-				// below is guaranteed to trigger a replay.
-				w.AckEvery = 1 << 30
-				w.AckInterval = time.Hour
-			})
+	t.Run("wire=binary", func(t *testing.T) {
+		const n1, n2 = 150, 150
+		const n = n1 + n2
+		gate := make(chan struct{})
+		mu := &sync.Mutex{}
+		sum, cnt := 0, 0
+		makeBuilder := func() *topology.Builder {
+			b := topology.NewBuilder()
+			b.SetSpout("src", func(int) topology.Spout { return &gatedSpout{n1: n1, n2: n2, gate: gate} }, 1)
+			b.SetBolt("sink", func(int) topology.Bolt {
+				return &sumBolt{mu: mu, sum: &sum, cnt: &cnt}
+			}, 2).ShuffleGrouping("src")
+			return b
+		}
+		regs := make([]*telemetry.Registry, 2)
+		inst := instrument(regs)
+		ws, proxies, result := startChaosCluster(t, makeBuilder, 2, func(w *Worker) {
+			inst(w)
+			// No acks: every sequenced frame stays buffered, so the sever
+			// below is guaranteed to trigger a replay.
+			w.AckEvery = 1 << 30
+			w.AckInterval = time.Hour
+		})
 
-			deadline := time.Now().Add(10 * time.Second)
-			for {
-				unacked, links := 0, 0
-				for _, w := range ws {
-					unacked += w.UnackedFrames()
-				}
-				for _, p := range proxies {
-					links += p.Links()
-				}
-				// Wait for the proxy to register the link: a sever that lands
-				// between the peer's kernel-level connect and the proxy's accept
-				// cuts nothing.
-				if unacked > 0 && links > 0 && sumTel(regs, "cluster_frames_sent_total") > 0 {
-					break
-				}
-				if time.Now().After(deadline) {
-					t.Fatal("no unacked sent frames ever observed")
-				}
-				time.Sleep(time.Millisecond)
+		deadline := time.Now().Add(10 * time.Second)
+		for {
+			unacked, links := 0, 0
+			for _, w := range ws {
+				unacked += w.UnackedFrames()
 			}
 			for _, p := range proxies {
-				p.SeverAll()
+				links += p.Links()
 			}
-			close(gate)
+			// Wait for the proxy to register the link: a sever that lands
+			// between the peer's kernel-level connect and the proxy's accept
+			// cuts nothing.
+			if unacked > 0 && links > 0 && sumTel(regs, "cluster_frames_sent_total") > 0 {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatal("no unacked sent frames ever observed")
+			}
+			time.Sleep(time.Millisecond)
+		}
+		for _, p := range proxies {
+			p.SeverAll()
+		}
+		close(gate)
 
-			stats := awaitResult(t, result)
-			mu.Lock()
-			defer mu.Unlock()
-			if cnt != n {
-				t.Errorf("received %d tuples, want %d", cnt, n)
-			}
-			if want := n * (n - 1) / 2; sum != want {
-				t.Errorf("sum = %d, want %d", sum, want)
-			}
-			if len(stats.Failures) != 0 {
-				t.Errorf("failures: %v", stats.Failures)
-			}
-			if resent := sumTel(regs, "cluster_resent_frames_total"); resent == 0 {
-				t.Errorf("sever of unacked frames did not trigger a resend (sent=%d redials=%d dedup=%d acksSent=%d acksRecv=%d)",
-					sumTel(regs, "cluster_frames_sent_total"),
-					sumTel(regs, "cluster_peer_redials_total"),
-					sumTel(regs, "cluster_dedup_dropped_total"),
-					sumTel(regs, "cluster_acks_sent_total"),
-					sumTel(regs, "cluster_acks_received_total"))
-			}
-			if dropped := sumTel(regs, "cluster_copies_dropped_total"); dropped != 0 {
-				t.Errorf("cluster_copies_dropped_total = %d, want 0", dropped)
-			}
-		})
-	}
+		stats := awaitResult(t, result)
+		mu.Lock()
+		defer mu.Unlock()
+		if cnt != n {
+			t.Errorf("received %d tuples, want %d", cnt, n)
+		}
+		if want := n * (n - 1) / 2; sum != want {
+			t.Errorf("sum = %d, want %d", sum, want)
+		}
+		if len(stats.Failures) != 0 {
+			t.Errorf("failures: %v", stats.Failures)
+		}
+		if resent := sumTel(regs, "cluster_resent_frames_total"); resent == 0 {
+			t.Errorf("sever of unacked frames did not trigger a resend (sent=%d redials=%d dedup=%d acksSent=%d acksRecv=%d)",
+				sumTel(regs, "cluster_frames_sent_total"),
+				sumTel(regs, "cluster_peer_redials_total"),
+				sumTel(regs, "cluster_dedup_dropped_total"),
+				sumTel(regs, "cluster_acks_sent_total"),
+				sumTel(regs, "cluster_acks_received_total"))
+		}
+		if dropped := sumTel(regs, "cluster_copies_dropped_total"); dropped != 0 {
+			t.Errorf("cluster_copies_dropped_total = %d, want 0", dropped)
+		}
+	})
 }
 
 // TestResendBufferBackpressure shrinks the resend buffer to a handful

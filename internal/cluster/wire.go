@@ -28,7 +28,7 @@ package cluster
 //	uvarint nDict               // dictionary delta: first-use strings,
 //	nDict × { uvarint len, bytes }  // in reference order
 //	uvarint nTuples
-//	uvarint firstSeq            // member i carries DataSeq firstSeq+i
+//	uvarint firstSeq            // member i carries DataSeq firstSeq+i; never 0
 //	nTuples × member
 //
 // Member:
@@ -47,11 +47,10 @@ package cluster
 //
 // Ack payload: varint workerID | uvarint ackSeq.
 //
-// Reliable-delivery semantics are untouched: a batch is a contiguous
-// slice of one peer's resend buffer, so member sequence numbers are
-// implicit (firstSeq+i), the receiver dedups per member on DataSeq, and
-// replays after a sever re-encode against the fresh connection's empty
-// dictionary exactly as on the gob path.
+// Reliable delivery: a batch is a contiguous slice of one peer's resend
+// buffer, so member sequence numbers are implicit (firstSeq+i), the
+// receiver dedups per member on DataSeq, and replays after a sever
+// re-encode against the fresh connection's empty dictionary.
 
 import (
 	"bufio"
@@ -70,22 +69,6 @@ import (
 	"repro/internal/telemetry"
 	"repro/internal/topology"
 )
-
-// Wire format names accepted by Worker.WireFormat and core.Config.
-const (
-	// WireGob keeps the data plane on gob envelopes — the pre-binary
-	// encoding, retained for A/B measurement.
-	WireGob = "gob"
-	// WireBinary is the length-prefixed varint-packed batched format
-	// described above (the default).
-	WireBinary = "binary"
-)
-
-// ValidWireFormat reports whether s names a known wire format ("" means
-// the default and is valid).
-func ValidWireFormat(s string) bool {
-	return s == "" || s == WireGob || s == WireBinary
-}
 
 const (
 	binWireMagic   = "SFJW"
@@ -128,11 +111,11 @@ const (
 	tagGob      = 10
 )
 
-// binConn is the binary-format data-plane connection. Like the gob
-// conn it owns a per-connection wire dictionary on each side (empty on
-// every (re)dial), a mutex-guarded write path, and a single-goroutine
-// read path; unlike gob it writes one socket frame per batch and hands
-// decoded batch members to recv one at a time.
+// binConn is a data-plane connection. It owns a per-connection wire
+// dictionary on each side (empty on every (re)dial), a mutex-guarded
+// write path safe for concurrent use, and a read path owned by a single
+// goroutine; it writes one socket frame per batch and hands decoded
+// batch members to recv one at a time.
 type binConn struct {
 	raw net.Conn
 	br  *bufio.Reader
@@ -190,7 +173,7 @@ func newBinConn(raw net.Conn, dialer, compress bool) *binConn {
 func (c *binConn) close() { _ = c.raw.Close() }
 
 // send writes one envelope as its own frame. Only data-plane kinds
-// travel on a binary connection; the control plane stays on gob.
+// travel on a binConn; the control plane stays on gob.
 func (c *binConn) send(e *envelope) error {
 	switch e.Kind {
 	case frameTuple:
@@ -215,7 +198,8 @@ func (c *binConn) send(e *envelope) error {
 // (the resend buffer guarantees this); their sequence travels as a
 // single firstSeq. Envelopes are never mutated — the dictionary encode
 // emits fresh bytes, so the resend buffer's raw strings re-encode
-// cleanly against a fresh connection after a sever.
+// cleanly against a fresh connection after a sever. An error poisons
+// the connection: the caller must evict it and replay on a successor.
 func (c *binConn) sendBatch(es []*envelope) error {
 	if len(es) == 0 {
 		return nil
@@ -382,9 +366,9 @@ func (c *binConn) appendMember(m []byte, e *envelope, delta *[]string) ([]byte, 
 }
 
 // refLocked resolves a string to its dictionary id, assigning the next
-// dense id and recording it in the frame's delta on first use. Same
-// contract as the gob path's refLocked: state advances only with the
-// connection, and a failed send evicts the whole connection.
+// dense id and recording it in the frame's delta on first use. State
+// advances only with the connection, and a failed send evicts the whole
+// connection, so sender and receiver can never disagree.
 func (c *binConn) refLocked(s string, delta *[]string) uint32 {
 	if id, ok := c.sendDict[s]; ok {
 		c.dictHits.Inc()
@@ -443,8 +427,8 @@ func (c *binConn) appendValue(m []byte, v any, delta *[]string) ([]byte, error) 
 		return m, nil
 	default:
 		// Anything else rides as a self-contained gob blob, so every
-		// payload type the gob format carried still travels (the type
-		// must be Register-ed, exactly as before).
+		// gob-encodable payload type still travels (the type must be
+		// Register-ed).
 		var buf bytes.Buffer
 		if err := gob.NewEncoder(&buf).Encode(&v); err != nil {
 			return nil, fmt.Errorf("cluster: wire value encode: %w", err)
@@ -573,6 +557,9 @@ func (c *binConn) readState(payload []byte) error {
 	if err != nil {
 		return err
 	}
+	if dataSeq == 0 {
+		return errors.New("cluster: wire state frame without sequence")
+	}
 	epoch, err := r.uvarint()
 	if err != nil {
 		return err
@@ -662,8 +649,8 @@ func (c *binConn) readData(payload []byte) error {
 	if err != nil {
 		return err
 	}
-	if ntuples > 1 && firstSeq == 0 {
-		return errors.New("cluster: multi-tuple wire frame without sequence")
+	if firstSeq == 0 {
+		return errors.New("cluster: wire frame without sequence")
 	}
 	for i := uint64(0); i < ntuples; i++ {
 		e, err := c.readMember(&r)
@@ -671,9 +658,7 @@ func (c *binConn) readData(payload []byte) error {
 			return err
 		}
 		e.FromWorker = int(from)
-		if firstSeq > 0 {
-			e.DataSeq = firstSeq + i
-		}
+		e.DataSeq = firstSeq + i
 		if i == 0 {
 			e.AckSeq = ackSeq
 		}

@@ -17,8 +17,8 @@ func (w *countWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// benchEnvelopes builds the Fig. 7-style payload both formats carry in
-// a real run: Assigner→Joiner tuples holding interned server-log
+// benchEnvelopes builds the Fig. 7-style payload the data plane carries
+// in a real run: Assigner→Joiner tuples holding interned server-log
 // documents plus a window number.
 func benchEnvelopes(n int) []*envelope {
 	gen := datagen.NewServerLog(59)
@@ -30,24 +30,76 @@ func benchEnvelopes(n int) []*envelope {
 	return es
 }
 
-// benchSender builds a send-only connection of the given format.
-func benchSender(format string, w *countWriter) wireConn {
-	raw := bufConn{w: w}
-	if format == WireGob {
-		return newConn(raw)
-	}
-	return newBinConn(raw, true, false)
+// BenchmarkWireEncode measures single-tuple encoding on a long-lived
+// connection (dictionary in steady state).
+func BenchmarkWireEncode(b *testing.B) {
+	b.Run("format=binary", func(b *testing.B) {
+		es := benchEnvelopes(512)
+		w := &countWriter{}
+		c := newBinConn(bufConn{w: w}, true, false)
+		// Warm the dictionary so the loop measures steady state.
+		for _, e := range es {
+			if err := c.send(e); err != nil {
+				b.Fatal(err)
+			}
+		}
+		w.n = 0
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := c.send(es[i%len(es)]); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StopTimer()
+		b.ReportMetric(float64(w.n)/float64(b.N), "bytes/tuple")
+	})
 }
 
-// BenchmarkWireEncode measures single-tuple encoding on a long-lived
-// connection (dictionary in steady state), per format.
-func BenchmarkWireEncode(b *testing.B) {
-	for _, format := range []string{WireGob, WireBinary} {
-		b.Run("format="+format, func(b *testing.B) {
+// BenchmarkWireDecode measures single-tuple decoding of a steady-state
+// stream.
+func BenchmarkWireDecode(b *testing.B) {
+	b.Run("format=binary", func(b *testing.B) {
+		es := benchEnvelopes(512)
+		var buf bytes.Buffer
+		enc := newBinConn(bufConn{w: &buf}, true, false)
+		for _, e := range es {
+			if err := enc.send(e); err != nil {
+				b.Fatal(err)
+			}
+		}
+		stream := buf.Bytes()
+		mkReceiver := func() *binConn {
+			return newBinConn(bufConn{r: bytes.NewReader(stream)}, false, false)
+		}
+		dec := mkReceiver()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if i%len(es) == 0 && i > 0 {
+				// Rewinding the stream (and the per-connection dictionary)
+				// is harness bookkeeping, not decode cost.
+				b.StopTimer()
+				dec = mkReceiver()
+				b.StartTimer()
+			}
+			if _, err := dec.recv(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// BenchmarkFrameBatch measures the full per-tuple cost of batched
+// sends — the shape the peer sender actually uses — across batch sizes.
+// bytes/tuple here is the headline wire-density number: the format
+// amortises the frame header and dictionary over the whole batch.
+func BenchmarkFrameBatch(b *testing.B) {
+	for _, batch := range []int{1, 16, 64} {
+		b.Run(fmt.Sprintf("format=binary/batch=%d", batch), func(b *testing.B) {
 			es := benchEnvelopes(512)
 			w := &countWriter{}
-			c := benchSender(format, w)
-			// Warm the dictionary so the loop measures steady state.
+			c := newBinConn(bufConn{w: w}, true, false)
 			for _, e := range es {
 				if err := c.send(e); err != nil {
 					b.Fatal(err)
@@ -56,94 +108,16 @@ func BenchmarkWireEncode(b *testing.B) {
 			w.n = 0
 			b.ReportAllocs()
 			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := c.send(es[i%len(es)]); err != nil {
+			sent := 0
+			for sent < b.N {
+				lo := sent % (len(es) - batch + 1)
+				if err := c.sendBatch(es[lo : lo+batch]); err != nil {
 					b.Fatal(err)
 				}
+				sent += batch
 			}
 			b.StopTimer()
-			b.ReportMetric(float64(w.n)/float64(b.N), "bytes/tuple")
+			b.ReportMetric(float64(w.n)/float64(sent), "bytes/tuple")
 		})
-	}
-}
-
-// BenchmarkWireDecode measures single-tuple decoding of a steady-state
-// stream, per format.
-func BenchmarkWireDecode(b *testing.B) {
-	for _, format := range []string{WireGob, WireBinary} {
-		b.Run("format="+format, func(b *testing.B) {
-			es := benchEnvelopes(512)
-			var buf bytes.Buffer
-			enc := benchSender(format, &countWriter{})
-			switch format {
-			case WireGob:
-				enc = newConn(bufConn{w: &buf})
-			default:
-				enc = newBinConn(bufConn{w: &buf}, true, false)
-			}
-			for _, e := range es {
-				if err := enc.send(e); err != nil {
-					b.Fatal(err)
-				}
-			}
-			stream := buf.Bytes()
-			mkReceiver := func() wireConn {
-				r := bufConn{r: bytes.NewReader(stream)}
-				if format == WireGob {
-					return newConn(r)
-				}
-				return newBinConn(r, false, false)
-			}
-			dec := mkReceiver()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if i%len(es) == 0 && i > 0 {
-					// Rewinding the stream (and the per-connection dictionary)
-					// is harness bookkeeping, not decode cost.
-					b.StopTimer()
-					dec = mkReceiver()
-					b.StartTimer()
-				}
-				if _, err := dec.recv(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkFrameBatch measures the full per-tuple cost of batched
-// sends — the shape the peer sender actually uses — across formats and
-// batch sizes. bytes/tuple here is the headline wire-density number:
-// the binary format amortises the frame header and dictionary over the
-// whole batch, gob pays per envelope.
-func BenchmarkFrameBatch(b *testing.B) {
-	for _, format := range []string{WireGob, WireBinary} {
-		for _, batch := range []int{1, 16, 64} {
-			b.Run(fmt.Sprintf("format=%s/batch=%d", format, batch), func(b *testing.B) {
-				es := benchEnvelopes(512)
-				w := &countWriter{}
-				c := benchSender(format, w)
-				for _, e := range es {
-					if err := c.send(e); err != nil {
-						b.Fatal(err)
-					}
-				}
-				w.n = 0
-				b.ReportAllocs()
-				b.ResetTimer()
-				sent := 0
-				for sent < b.N {
-					lo := sent % (len(es) - batch + 1)
-					if err := c.sendBatch(es[lo : lo+batch]); err != nil {
-						b.Fatal(err)
-					}
-					sent += batch
-				}
-				b.StopTimer()
-				b.ReportMetric(float64(w.n)/float64(sent), "bytes/tuple")
-			})
-		}
 	}
 }

@@ -44,12 +44,24 @@ func (bufConn) SetDeadline(t time.Time) error      { return nil }
 func (bufConn) SetReadDeadline(t time.Time) error  { return nil }
 func (bufConn) SetWriteDeadline(t time.Time) error { return nil }
 
+func dictDoc(id uint64, pairs ...string) document.Document {
+	ps := make([]document.Pair, 0, len(pairs)/2)
+	for i := 0; i+1 < len(pairs); i += 2 {
+		ps = append(ps, document.Pair{Attr: pairs[i], Val: document.EncodeString(pairs[i+1])})
+	}
+	return document.New(id, ps)
+}
+
 // seqTuple builds a sequenced data-plane envelope as sendToPeer would.
 func seqTuple(seq uint64, vals topology.Values) *envelope {
-	e := tupleFrame(vals)
-	e.FromWorker = 1
-	e.DataSeq = seq
-	return e
+	return &envelope{
+		Kind:       frameTuple,
+		TargetComp: "join",
+		TargetTask: 1,
+		Tuple:      topology.Tuple{Stream: "docs", Source: "reader", Values: vals},
+		FromWorker: 1,
+		DataSeq:    seq,
+	}
 }
 
 // sameValues compares decoded tuple values against the originals,
@@ -180,8 +192,8 @@ func TestBinaryWireDictDelta(t *testing.T) {
 }
 
 // TestBinaryWireEnvelopeNotMutated checks the resend contract: encoding
-// must leave the buffered envelope untouched (raw strings, no Dict), so
-// a replay after a sever re-encodes against the fresh connection.
+// must leave the buffered envelope untouched (raw strings), so a replay
+// after a sever re-encodes against the fresh connection.
 func TestBinaryWireEnvelopeNotMutated(t *testing.T) {
 	sender := newBinConn(bufConn{}, true, false)
 	d := dictDoc(1, "a", "x")
@@ -191,9 +203,6 @@ func TestBinaryWireEnvelopeNotMutated(t *testing.T) {
 	}
 	if _, ok := e.Tuple.Values["doc"].(document.Document); !ok {
 		t.Fatalf("envelope mutated: doc became %T", e.Tuple.Values["doc"])
-	}
-	if e.Dict != nil {
-		t.Fatalf("envelope mutated: Dict = %v", e.Dict)
 	}
 	if e.DataSeq != 5 || e.Tuple.Values["n"] != 3 {
 		t.Fatalf("envelope mutated: %+v", e)
@@ -239,6 +248,40 @@ func TestBinaryWireBatchSeqGap(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("sequence-gapped batch must fail")
+	}
+}
+
+// TestBinaryWireUnsequencedRejected checks that every data-plane frame
+// must carry a sequence number: a data or state frame encoded with
+// DataSeq 0 would bypass the receiver's dedup cursor, so the decoder
+// refuses it, while the same frame with DataSeq 1 decodes.
+func TestBinaryWireUnsequencedRejected(t *testing.T) {
+	state := func(seq uint64) *envelope {
+		return &envelope{Kind: frameState, FromWorker: 1, DataSeq: seq, Epoch: 2,
+			TargetComp: "join", TargetTask: 1, StateData: []byte("snap"), StateLast: true}
+	}
+	for _, tc := range []struct {
+		name  string
+		frame func(seq uint64) *envelope
+	}{
+		{"data", func(seq uint64) *envelope { return seqTuple(seq, topology.Values{"doc": dictDoc(1, "user", "alice")}) }},
+		{"state", state},
+	} {
+		for _, seq := range []uint64{0, 1} {
+			var buf bytes.Buffer
+			if err := newBinConn(bufConn{w: &buf}, true, false).sendBatch([]*envelope{tc.frame(seq)}); err != nil {
+				t.Fatal(err)
+			}
+			e, err := newBinConn(bufConn{r: bytes.NewReader(buf.Bytes())}, false, false).recv()
+			switch {
+			case seq == 0 && err == nil:
+				t.Errorf("%s frame with DataSeq 0 decoded: %+v", tc.name, e)
+			case seq == 0 && !strings.Contains(err.Error(), "without sequence"):
+				t.Errorf("%s frame with DataSeq 0: err = %v, want a missing-sequence error", tc.name, err)
+			case seq > 0 && err != nil:
+				t.Errorf("%s frame with DataSeq %d: %v", tc.name, seq, err)
+			}
+		}
 	}
 }
 
@@ -445,6 +488,9 @@ func FuzzFrameRoundTrip(f *testing.F) {
 	f.Add("a", strings.Repeat("x", 300), "b", "y", uint8(7), uint16(40), []byte{0x05, 1, 0, 0xff})
 	f.Fuzz(func(t *testing.T, a1, v1, a2, v2 string, n uint8, cut uint16, raw []byte) {
 		nTuples := int(n%4) + 1
+		// Every data frame is sequenced: the first DataSeq is drawn from
+		// [1, 2^24], spanning one- to four-byte varints.
+		first := 1 + (uint64(n)<<16 | uint64(cut))
 		batch := make([]*envelope, nTuples)
 		for i := range batch {
 			vals := topology.Values{
@@ -456,7 +502,7 @@ func FuzzFrameRoundTrip(f *testing.F) {
 				vals["ids"] = []int{i, -i}
 				vals["f"] = float64(n) / 3
 			}
-			batch[i] = seqTuple(uint64(100+i), vals)
+			batch[i] = seqTuple(first+uint64(i), vals)
 		}
 		batch[0].AckSeq = uint64(n)
 
@@ -467,7 +513,7 @@ func FuzzFrameRoundTrip(f *testing.F) {
 		}
 		cutAt := buf.Len()
 		// Second frame reusing the first frame's dictionary.
-		second := seqTuple(uint64(100+nTuples), topology.Values{"doc": dictDoc(99, a1, v1)})
+		second := seqTuple(first+uint64(nTuples), topology.Values{"doc": dictDoc(99, a1, v1)})
 		if err := sender.sendBatch([]*envelope{second}); err != nil {
 			t.Fatal(err)
 		}
@@ -523,61 +569,46 @@ func FuzzFrameRoundTrip(f *testing.F) {
 	})
 }
 
-// TestWireTelemetryByFormat runs the same two-worker topology under
-// each wire format and checks the transport instruments tell them
-// apart: binary moves the cluster_wire_bytes_* counters and the frame
-// batch histogram, gob leaves them at zero — exactly what an A/B
-// operator will look at in /debug/stats.
+// TestWireTelemetryByFormat runs a two-worker topology and checks the
+// wire instruments an operator reads in /debug/stats: the framed
+// cluster_wire_bytes_* counters, the frame batch histogram and the raw
+// socket byte counters all move.
 func TestWireTelemetryByFormat(t *testing.T) {
-	for _, format := range []string{WireGob, WireBinary} {
-		format := format
-		t.Run("wire="+format, func(t *testing.T) {
-			const n = 200
-			mu := &sync.Mutex{}
-			sum, cnt := 0, 0
-			makeBuilder := func() *topology.Builder {
-				b := topology.NewBuilder()
-				b.SetSpout("src", func(int) topology.Spout { return &countSpout{n: n} }, 1)
-				b.SetBolt("sink", func(int) topology.Bolt {
-					return &sumBolt{mu: mu, sum: &sum, cnt: &cnt}
-				}, 2).ShuffleGrouping("src")
-				return b
-			}
-			regs := make([]*telemetry.Registry, 2)
-			inst := instrument(regs)
-			_, _, result := startChaosCluster(t, makeBuilder, 2, func(w *Worker) {
-				inst(w)
-				w.WireFormat = format
-			})
-			awaitResult(t, result)
-			mu.Lock()
-			if cnt != n {
-				t.Errorf("received %d tuples, want %d", cnt, n)
-			}
-			mu.Unlock()
+	t.Run("wire=binary", func(t *testing.T) {
+		const n = 200
+		mu := &sync.Mutex{}
+		sum, cnt := 0, 0
+		makeBuilder := func() *topology.Builder {
+			b := topology.NewBuilder()
+			b.SetSpout("src", func(int) topology.Spout { return &countSpout{n: n} }, 1)
+			b.SetBolt("sink", func(int) topology.Bolt {
+				return &sumBolt{mu: mu, sum: &sum, cnt: &cnt}
+			}, 2).ShuffleGrouping("src")
+			return b
+		}
+		regs := make([]*telemetry.Registry, 2)
+		_, _, result := startChaosCluster(t, makeBuilder, 2, instrument(regs))
+		awaitResult(t, result)
+		mu.Lock()
+		if cnt != n {
+			t.Errorf("received %d tuples, want %d", cnt, n)
+		}
+		mu.Unlock()
 
-			var wireData, wireRecv, batches int64
-			for id, reg := range regs {
-				wireData += reg.Counter(telemetry.Name("cluster_wire_bytes_sent_total", "kind", "data", "worker", fmt.Sprint(id))).Value()
-				wireRecv += reg.Counter(telemetry.Name("cluster_wire_bytes_received_total", "kind", "data", "worker", fmt.Sprint(id))).Value()
-				batches += reg.Histogram(telemetry.Name("cluster_frame_batch_docs", "worker", fmt.Sprint(id))).Count()
-			}
-			if format == WireBinary {
-				if wireData == 0 || wireRecv == 0 {
-					t.Errorf("binary run moved no wire byte counters: sent=%d received=%d", wireData, wireRecv)
-				}
-				if batches == 0 {
-					t.Error("binary run recorded no frame batches")
-				}
-			} else {
-				if wireData != 0 || wireRecv != 0 || batches != 0 {
-					t.Errorf("gob run moved binary-wire instruments: sent=%d received=%d batches=%d", wireData, wireRecv, batches)
-				}
-				// The gob byte counters still account for the traffic.
-				if sumTel(regs, "cluster_bytes_sent_total") == 0 {
-					t.Error("gob run moved no byte counters at all")
-				}
-			}
-		})
-	}
+		var wireData, wireRecv, batches int64
+		for id, reg := range regs {
+			wireData += reg.Counter(telemetry.Name("cluster_wire_bytes_sent_total", "kind", "data", "worker", fmt.Sprint(id))).Value()
+			wireRecv += reg.Counter(telemetry.Name("cluster_wire_bytes_received_total", "kind", "data", "worker", fmt.Sprint(id))).Value()
+			batches += reg.Histogram(telemetry.Name("cluster_frame_batch_docs", "worker", fmt.Sprint(id))).Count()
+		}
+		if wireData == 0 || wireRecv == 0 {
+			t.Errorf("run moved no wire byte counters: sent=%d received=%d", wireData, wireRecv)
+		}
+		if batches == 0 {
+			t.Error("run recorded no frame batches")
+		}
+		if sumTel(regs, "cluster_bytes_sent_total") == 0 {
+			t.Error("run moved no socket byte counters")
+		}
+	})
 }

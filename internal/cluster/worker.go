@@ -142,7 +142,7 @@ type peer struct {
 	mu      sync.Mutex
 	notFull *sync.Cond // dispatchers wait here while buf is at capacity
 	work    *sync.Cond // the sender goroutine waits here for frames
-	c       wireConn
+	c       *binConn
 	// dialled counts successful dials on this slot; dials after the
 	// first are redials of a broken link.
 	dialled int
@@ -181,7 +181,7 @@ type peer struct {
 // reorder one sender's frames.
 type inbound struct {
 	mu        sync.Mutex
-	c         wireConn
+	c         *binConn
 	delivered uint64
 	acked     uint64
 	// needAck forces a re-ack even when delivered == acked: set when a
@@ -261,13 +261,6 @@ type Worker struct {
 	// deterministic chaos schedules rely on.
 	RandSeed int64
 
-	// WireFormat selects the data-plane encoding: WireBinary (the
-	// default; length-prefixed varint-packed frames with multi-tuple
-	// batching, see wire.go) or WireGob (one gob envelope per frame,
-	// kept for A/B measurement). Every worker in a run must use the
-	// same format — the same uniformity the shared builder code already
-	// requires.
-	WireFormat string
 	// FrameBatch caps how many tuples one binary data frame coalesces
 	// (NewWorker defaults it to 32; <= 0 means no batching). Batching
 	// is natural/greedy: whatever is pending when the sender drains the
@@ -401,7 +394,7 @@ type Worker struct {
 		dedup       *telemetry.Counter
 		heartbeats  *telemetry.Counter
 		buffered    *telemetry.Gauge
-		// Binary wire-format instruments: framed bytes by frame kind,
+		// Wire-format instruments: framed bytes by frame kind,
 		// the per-frame batch-size histogram, and compression totals.
 		wireSentData *telemetry.Counter
 		wireSentAck  *telemetry.Counter
@@ -488,7 +481,6 @@ func newWorker(id int, b *topology.Builder, coordAddr string) (*Worker, error) {
 		AckInterval:       2 * time.Millisecond,
 		AckEvery:          64,
 		HeartbeatInterval: 250 * time.Millisecond,
-		WireFormat:        WireBinary,
 		FrameBatch:        32,
 	}
 	w.pauseCond = sync.NewCond(&w.pauseMu)
@@ -680,12 +672,12 @@ func (w *Worker) initTelemetry() {
 	w.tel.dedup = reg.Counter(telemetry.Name("cluster_dedup_dropped_total", "worker", id))
 	w.tel.heartbeats = reg.Counter(telemetry.Name("cluster_heartbeats_sent_total", "worker", id))
 	w.tel.buffered = reg.Gauge(telemetry.Name("cluster_resend_buffered", "worker", id))
-	// Binary framing layer: bytes as framed on the wire split by frame
-	// kind (cluster_bytes_* above counts raw socket bytes regardless of
-	// format), tuples per data frame, and DEFLATE totals + ratio when
-	// FrameCompress is on. cluster_frames_sent_total keeps counting per
-	// batch *member* on both formats, so the frames−retries == remote
-	// copies invariant holds independent of batching.
+	// Framing layer: bytes as framed on the wire split by frame kind
+	// (cluster_bytes_* above counts raw socket bytes), tuples per data
+	// frame, and DEFLATE totals + ratio when FrameCompress is on.
+	// cluster_frames_sent_total counts per batch *member*, so the
+	// frames−retries == remote copies invariant holds independent of
+	// batching.
 	w.tel.wireSentData = reg.Counter(telemetry.Name("cluster_wire_bytes_sent_total", "kind", "data", "worker", id))
 	w.tel.wireSentAck = reg.Counter(telemetry.Name("cluster_wire_bytes_sent_total", "kind", "ack", "worker", id))
 	w.tel.wireRecvData = reg.Counter(telemetry.Name("cluster_wire_bytes_received_total", "kind", "data", "worker", id))
@@ -735,9 +727,6 @@ func (w *Worker) ScrapeAddr() string { return w.metricsSrv.Load().Addr() }
 // the local tasks until the coordinator signals stop. It blocks for the
 // whole run.
 func (w *Worker) Run() error {
-	if !ValidWireFormat(w.WireFormat) {
-		return fmt.Errorf("cluster: unknown wire format %q (want %q or %q)", w.WireFormat, WireBinary, WireGob)
-	}
 	w.initTelemetry()
 	if w.MetricsAddr != "" {
 		srv, err := telemetry.Serve(w.MetricsAddr, w.Telemetry)
@@ -1028,14 +1017,6 @@ func (w *Worker) recordFailure(comp string, task int, v any) {
 	w.failMu.Unlock()
 }
 
-// wireFormat resolves the data-plane encoding ("" means the default).
-func (w *Worker) wireFormat() string {
-	if w.WireFormat == "" {
-		return WireBinary
-	}
-	return w.WireFormat
-}
-
 // frameBatch resolves the per-frame tuple cap (<= 0 disables batching).
 func (w *Worker) frameBatch() int {
 	if w.FrameBatch <= 0 {
@@ -1044,17 +1025,11 @@ func (w *Worker) frameBatch() int {
 	return w.FrameBatch
 }
 
-// newDataConn wraps a data-plane socket in the configured codec, with
-// byte counting underneath and the codec's instruments attached. The
-// dialer side of a binary connection announces itself with the wire
-// preamble; dial direction is irrelevant to gob.
-func (w *Worker) newDataConn(raw net.Conn, dialer bool) wireConn {
+// newDataConn wraps a data-plane socket in the binary codec, with byte
+// counting underneath and the codec's instruments attached. The dialer
+// side announces itself with the wire preamble.
+func (w *Worker) newDataConn(raw net.Conn, dialer bool) *binConn {
 	cc := countingConn{Conn: raw, sent: w.tel.bytesSent, recvd: w.tel.bytesRecv}
-	if w.wireFormat() == WireGob {
-		c := newConn(cc)
-		c.dictHits, c.dictMisses = w.tel.dictHits, w.tel.dictMisses
-		return c
-	}
 	c := newBinConn(cc, dialer, w.FrameCompress)
 	c.dictHits, c.dictMisses = w.tel.dictHits, w.tel.dictMisses
 	c.wireSentData, c.wireSentAck = w.tel.wireSentData, w.tel.wireSentAck
@@ -1075,7 +1050,7 @@ func (w *Worker) acceptLoop() {
 	}
 }
 
-func (w *Worker) readLoop(c wireConn) {
+func (w *Worker) readLoop(c *binConn) {
 	defer c.close()
 	select {
 	case <-w.tasksUp:
@@ -1097,14 +1072,6 @@ func (w *Worker) readLoop(c wireConn) {
 			if p := w.peerIfAny(e.FromWorker); p != nil {
 				w.advanceAcked(p, e.AckSeq)
 			}
-		}
-		if e.DataSeq == 0 {
-			// Unsequenced frame (no reliable-delivery state): deliver as
-			// is. Kept for robustness; every current sender sequences.
-			if e.Kind == frameTuple {
-				w.deliverLocal(e.TargetComp, e.TargetTask, e.Tuple)
-			}
-			continue
 		}
 		in := w.inboundFor(e.FromWorker)
 		in.mu.Lock()
@@ -1530,7 +1497,7 @@ func (w *Worker) retryPause(p *peer, backoff time.Duration) time.Duration {
 // prefix of the resend buffer; a read error means the link died, so
 // the loop evicts it and wakes the sender to redial and replay — even
 // when no new dispatch would have touched the peer again.
-func (w *Worker) ackLoop(p *peer, c wireConn) {
+func (w *Worker) ackLoop(p *peer, c *binConn) {
 	for {
 		e, err := c.recv()
 		if err != nil {

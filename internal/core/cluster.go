@@ -90,20 +90,3 @@ func buildTopology(cfg Config, report *Report) *topology.Builder {
 
 	return b
 }
-
-// ClusterRun executes the system topology across the given number of
-// TCP-connected workers on this host. Every tuple between components
-// placed on different workers crosses a real socket; the run produces
-// the same join results and statistics as the in-process Run.
-//
-// Note for multi-worker runs: the reader spout, the merger and the
-// collector are single-task components placed by the deterministic
-// round-robin placement; the collector's Report is shared because the
-// workers run in this process. A multi-process deployment would ship
-// the report through a sink instead (see cmd/sfj-topology).
-//
-// Deprecated: ClusterRun is a thin wrapper kept for compatibility; use
-// NewRunner(cfg, WithWorkers(workers)).Run().
-func ClusterRun(cfg Config, workers int) (*Report, error) {
-	return NewRunner(cfg, WithWorkers(workers)).Run()
-}

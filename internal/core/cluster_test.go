@@ -37,7 +37,7 @@ func TestClusterRunMatchesOracle(t *testing.T) {
 			mu.Unlock()
 		},
 	}
-	report, err := ClusterRun(cfg, 3)
+	report, err := NewRunner(cfg, WithWorkers(3)).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestClusterRunMatchesOracle(t *testing.T) {
 // in-process runtime.
 func TestClusterRunSingleWorker(t *testing.T) {
 	cfg := Config{M: 3, Creators: 1, Assigners: 2, WindowSize: 60, Windows: 2, Source: datagen.NewNoBench(9)}
-	report, err := ClusterRun(cfg, 1)
+	report, err := NewRunner(cfg, WithWorkers(1)).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,11 +82,11 @@ func TestClusterAndLocalAgree(t *testing.T) {
 	baseCfg := func(docs []document.Document) Config {
 		return Config{M: 4, Creators: 2, Assigners: 2, WindowSize: 100, Windows: 2, Source: &replaySource{docs: docs}}
 	}
-	local, err := Run(baseCfg(mkDocs()))
+	local, err := NewRunner(baseCfg(mkDocs())).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	clustered, err := ClusterRun(baseCfg(mkDocs()), 2)
+	clustered, err := NewRunner(baseCfg(mkDocs()), WithWorkers(2)).Run()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/datagen"
 	"repro/internal/join"
 	"repro/internal/metrics"
@@ -162,22 +161,17 @@ type Config struct {
 	// and the final Report carries its snapshot. Nil (the default) keeps
 	// every instrument a no-op.
 	Telemetry *telemetry.Registry
-	// WireFormat selects the cluster data-plane encoding:
-	// cluster.WireBinary (the default; length-prefixed varint-packed
-	// frames with multi-tuple batching) or cluster.WireGob (one gob
-	// envelope per tuple copy, kept for A/B measurement). Local runs
-	// ignore it.
-	WireFormat string
-	// FrameBatch caps how many tuples one binary data frame coalesces
-	// (default 32). Batching is greedy — whatever is pending travels
-	// together — so it adds no latency by itself.
+	// FrameBatch caps how many tuples one cluster data frame coalesces
+	// (default 32; local runs ignore the Frame* settings). Batching is
+	// greedy — whatever is pending travels together — so it adds no
+	// latency by itself.
 	FrameBatch int
 	// FrameFlushInterval > 0 makes a peer sender with a non-full batch
 	// wait up to this long for more tuples before flushing the frame,
 	// trading bounded latency for wire density. 0 (the default) sends
 	// immediately.
 	FrameFlushInterval time.Duration
-	// FrameCompress DEFLATE-compresses binary data frames when that
+	// FrameCompress DEFLATE-compresses cluster data frames when that
 	// shrinks them; off by default.
 	FrameCompress bool
 
@@ -236,13 +230,6 @@ func (c Config) withDefaults() (Config, error) {
 		} else {
 			c.ProbeBatch = 1
 		}
-	}
-	if c.WireFormat == "" {
-		c.WireFormat = cluster.WireBinary
-	}
-	if !cluster.ValidWireFormat(c.WireFormat) {
-		return c, fmt.Errorf("core: unknown wire format %q (want %q or %q)",
-			c.WireFormat, cluster.WireBinary, cluster.WireGob)
 	}
 	if c.FrameBatch <= 0 {
 		c.FrameBatch = 32

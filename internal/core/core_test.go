@@ -72,7 +72,7 @@ func runAndCollect(t *testing.T, cfg Config, docs []document.Document) (map[join
 		got[p] = true
 		mu.Unlock()
 	}
-	report, err := Run(cfg)
+	report, err := NewRunner(cfg).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestSystemEnginesAgree(t *testing.T) {
 
 func TestRunStatsShape(t *testing.T) {
 	cfg := Config{M: 4, WindowSize: 150, Windows: 3, Source: datagen.NewServerLog(2)}
-	report, err := Run(cfg)
+	report, err := NewRunner(cfg).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,10 +197,10 @@ func TestRunStatsShape(t *testing.T) {
 }
 
 func TestConfigValidation(t *testing.T) {
-	if _, err := Run(Config{}); err == nil {
+	if _, err := NewRunner(Config{}).Run(); err == nil {
 		t.Error("missing Source must error")
 	}
-	if _, err := Run(Config{Source: datagen.NewServerLog(1), Engine: "nope"}); err == nil {
+	if _, err := NewRunner(Config{Source: datagen.NewServerLog(1), Engine: "nope"}).Run(); err == nil {
 		t.Error("bad engine must error")
 	}
 }
@@ -216,7 +216,7 @@ func TestExpansionModeString(t *testing.T) {
 
 func TestReportString(t *testing.T) {
 	cfg := Config{M: 2, WindowSize: 50, Windows: 1, Source: datagen.NewServerLog(3)}
-	report, err := Run(cfg)
+	report, err := NewRunner(cfg).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +234,7 @@ func TestDeltaUpdatesReduceBroadcasts(t *testing.T) {
 	// deterministic rather than dependent on which assigner sees the
 	// recurring pair.
 	cfg := Config{M: 4, Creators: 2, Assigners: 1, WindowSize: 300, Windows: 6, Delta: 2, Source: gen}
-	report, err := Run(cfg)
+	report, err := NewRunner(cfg).Run()
 	if err != nil {
 		t.Fatal(err)
 	}

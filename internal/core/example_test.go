@@ -30,17 +30,17 @@ func ExamplePipeline() {
 	// 2 documents, 1 pairs
 }
 
-// ExampleRun streams two windows of synthetic server logs through the
-// full scale-out topology.
-func ExampleRun() {
-	report, err := core.Run(core.Config{
+// ExampleRunner_Run streams two windows of synthetic server logs
+// through the full scale-out topology.
+func ExampleRunner_Run() {
+	report, err := core.NewRunner(core.Config{
 		M:           4,
 		WindowSize:  200,
 		Windows:     2,
 		Partitioner: partition.AssociationGroups{},
 		Source:      datagen.NewServerLog(1),
 		OnResult:    func(join.Result) {}, // receives every joined pair
-	})
+	}).Run()
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -201,48 +201,3 @@ func TestReaderReplaySkip(t *testing.T) {
 		t.Errorf("punctuation checkpoint id = %d/%v, want 2", id, ok)
 	}
 }
-
-// TestRunnerWrapperEquivalence pins the deprecated Run/ClusterRun
-// wrappers to the Runner they delegate to: same stream, same report
-// numbers.
-func TestRunnerWrapperEquivalence(t *testing.T) {
-	mkDocs := func() []document.Document {
-		gen := datagen.NewServerLog(59)
-		var docs []document.Document
-		for w := 0; w < 2; w++ {
-			docs = append(docs, gen.Window(90)...)
-		}
-		return docs
-	}
-	mkCfg := func() Config {
-		return Config{M: 3, Creators: 2, Assigners: 2, WindowSize: 90, Windows: 2,
-			Source: &replaySource{docs: mkDocs()}}
-	}
-	wrapped, err := Run(mkCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	direct, err := NewRunner(mkCfg()).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wrapped.JoinPairs != direct.JoinPairs || wrapped.DocsJoined != direct.DocsJoined {
-		t.Errorf("Run wrapper diverges from NewRunner: pairs %d/%d docs %d/%d",
-			wrapped.JoinPairs, direct.JoinPairs, wrapped.DocsJoined, direct.DocsJoined)
-	}
-	cwrapped, err := ClusterRun(mkCfg(), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cdirect, err := NewRunner(mkCfg(), WithWorkers(2)).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cwrapped.JoinPairs != cdirect.JoinPairs {
-		t.Errorf("ClusterRun wrapper diverges from NewRunner: pairs %d/%d",
-			cwrapped.JoinPairs, cdirect.JoinPairs)
-	}
-	if wrapped.JoinPairs != cwrapped.JoinPairs {
-		t.Errorf("local/cluster disagree: %d/%d", wrapped.JoinPairs, cwrapped.JoinPairs)
-	}
-}

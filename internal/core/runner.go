@@ -24,8 +24,6 @@ import (
 //		core.WithTelemetry(reg),
 //		core.WithChaos(&core.Chaos{Delay: time.Millisecond}),
 //	).Run()
-//
-// The legacy Run and ClusterRun helpers are thin wrappers over Runner.
 type Runner struct {
 	cfg         Config
 	workers     int
@@ -71,14 +69,6 @@ func WithTelemetry(reg *telemetry.Registry) Option {
 // Config.ProbeParallelism. n <= 1 keeps the serial probe loop.
 func WithProbeParallelism(n int) Option {
 	return func(r *Runner) { r.cfg.ProbeParallelism = n }
-}
-
-// WithWireFormat selects the cluster data-plane encoding —
-// cluster.WireBinary (the default batched binary format) or
-// cluster.WireGob (for A/B measurement). Equivalent to setting
-// Config.WireFormat; local runs ignore it.
-func WithWireFormat(format string) Option {
-	return func(r *Runner) { r.cfg.WireFormat = format }
 }
 
 // WithMemoryBudget bounds each Joiner's accounted window-state bytes,

@@ -120,39 +120,3 @@ func WithSpillStore(st state.Store) Option {
 func WithSpillDir(dir string) Option {
 	return func(s *settings) { s.spillDir = dir }
 }
-
-// Config is the legacy construction parameter set.
-//
-// Deprecated: use New with functional options (WithEngine, WithWindow,
-// WithTelemetry, WithMaxBodyBytes). Config remains as a shim for
-// existing callers; Options converts it.
-type Config struct {
-	// Engine is the local join engine ("FPJ" default).
-	Engine string
-	// WindowSize > 0 tumbles the window automatically after that many
-	// documents; 0 means windows tumble only via POST /tumble.
-	WindowSize int
-	// MaxBodyBytes caps request bodies (default 8 MiB).
-	MaxBodyBytes int64
-	// Telemetry, when non-nil, receives the service counters and join
-	// instruments, and Handler additionally mounts the registry's
-	// /metrics and /debug/stats scrape routes.
-	Telemetry *telemetry.Registry
-}
-
-// Options converts the legacy Config to the equivalent option list.
-func (c Config) Options() []Option {
-	return []Option{
-		WithEngine(c.Engine),
-		WithWindow(c.WindowSize),
-		WithMaxBodyBytes(c.MaxBodyBytes),
-		WithTelemetry(c.Telemetry),
-	}
-}
-
-// NewFromConfig builds the service from the legacy Config.
-//
-// Deprecated: use New with functional options.
-func NewFromConfig(c Config) (*Server, error) {
-	return New(c.Options()...)
-}

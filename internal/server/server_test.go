@@ -345,41 +345,3 @@ func TestTelemetryOffNoEndpoints(t *testing.T) {
 		t.Errorf("GET /metrics without telemetry = %d, want 404", resp.StatusCode)
 	}
 }
-
-// TestConfigShimEquivalence: a server built through the deprecated
-// Config shim behaves identically to one built with the equivalent
-// functional options.
-func TestConfigShimEquivalence(t *testing.T) {
-	regA, regB := telemetry.NewRegistry(), telemetry.NewRegistry()
-	a, err := NewFromConfig(Config{Engine: "NLJ", WindowSize: 2, MaxBodyBytes: 1 << 20, Telemetry: regA})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := New(WithEngine("NLJ"), WithWindow(2), WithMaxBodyBytes(1<<20), WithTelemetry(regB))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tsA, tsB := httptest.NewServer(a.Handler()), httptest.NewServer(b.Handler())
-	t.Cleanup(tsA.Close)
-	t.Cleanup(tsB.Close)
-
-	batch := `{"a":1}` + "\n" + `{"a":1,"b":2}` + "\n" + `{"a":1,"c":3}` + "\n"
-	_, bodyA := post(t, tsA.URL+"/documents", batch)
-	_, bodyB := post(t, tsB.URL+"/documents", batch)
-	if string(bodyA) != string(bodyB) {
-		t.Errorf("ingest responses diverge:\n%s\n%s", bodyA, bodyB)
-	}
-	stA, stB := getStats(t, tsA.URL), getStats(t, tsB.URL)
-	if stA != stB {
-		t.Errorf("stats diverge: %+v vs %+v", stA, stB)
-	}
-	cA, cB := regA.Snapshot().Counters, regB.Snapshot().Counters
-	if len(cA) != len(cB) {
-		t.Errorf("telemetry series diverge: %d vs %d", len(cA), len(cB))
-	}
-	for name, v := range cA {
-		if cB[name] != v {
-			t.Errorf("counter %s: %d vs %d", name, v, cB[name])
-		}
-	}
-}

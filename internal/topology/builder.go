@@ -41,10 +41,6 @@ type Builder struct {
 	components map[string]*componentDecl
 	err        error
 
-	// ackTimeout > 0 enables guaranteed message processing (see
-	// EnableAcking).
-	ackTimeout time.Duration
-
 	// maxPending is the default mailbox capacity (0 = unbounded).
 	maxPending int
 

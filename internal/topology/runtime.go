@@ -146,8 +146,6 @@ type Stats struct {
 	// ("component[task]: message"). A failed tuple is dropped and the
 	// task keeps running; a failed spout stops emitting.
 	Failures []string
-	// Latency profiles each bolt component's Execute durations.
-	Latency map[string]LatencySummary
 }
 
 // runtime executes a built topology.
@@ -158,9 +156,6 @@ type runtime struct {
 	pending  atomic.Int64 // tuples queued or executing
 	emitted  map[string]*atomic.Int64
 	executed map[string]*atomic.Int64
-
-	acker   *acker // nil unless Builder.EnableAcking was called
-	latency *latencyRecorder
 
 	failMu   sync.Mutex
 	failures []string
@@ -189,10 +184,6 @@ func (b *Builder) Build() (*Topology, error) {
 		emitted:    make(map[string]*atomic.Int64),
 		executed:   make(map[string]*atomic.Int64),
 	}
-	if b.ackTimeout > 0 {
-		rt.acker = newAcker(b.ackTimeout)
-	}
-	rt.latency = newLatencyRecorder()
 	capacities := b.resolvedCapacities()
 	for _, id := range b.order {
 		decl := b.components[id]
@@ -237,50 +228,21 @@ func (b *Builder) Build() (*Topology, error) {
 	return &Topology{rt: rt}, nil
 }
 
-// collector routes emissions of one task. roots holds the acking
-// anchors of the tuple currently being executed (bolts) or of the
-// reliable emission in progress (spouts); ackQ is set for reliable
-// spout tasks.
+// collector routes emissions of one task.
 type collector struct {
 	rt   *runtime
 	comp *component
 	task int
-
-	roots []uint64
-	ackQ  *spoutAckQueue
 }
 
 func (c *collector) Emit(v Values) { c.EmitTo(DefaultStream, v) }
 
 func (c *collector) EmitTo(stream string, v Values) {
-	c.emitAnchored(stream, v, c.roots)
-}
-
-// EmitReliable implements ReliableCollector for spout tasks.
-func (c *collector) EmitReliable(msgID uint64, v Values) {
-	c.EmitReliableTo(DefaultStream, msgID, v)
-}
-
-// EmitReliableTo implements ReliableCollector for spout tasks.
-func (c *collector) EmitReliableTo(stream string, msgID uint64, v Values) {
-	if c.rt.acker == nil || c.ackQ == nil {
-		c.EmitTo(stream, v)
-		return
-	}
-	root := c.rt.acker.newRoot(c.ackQ, msgID)
-	c.emitAnchored(stream, v, []uint64{root})
-	// A stream without subscribers delivers no copies: the tuple tree
-	// is vacuously complete and must ack immediately rather than stall
-	// into a timeout Fail.
-	c.rt.acker.completeIfEmpty(root)
-}
-
-func (c *collector) emitAnchored(stream string, v Values, roots []uint64) {
 	t := Tuple{Stream: stream, Source: c.comp.id, SourceTask: c.task, Values: v}
 	var delivered int64
 	for _, e := range c.comp.edges[stream] {
 		for _, i := range TargetTasks(e.grouping, e.fields, v, len(e.boxes), &e.rr) {
-			if c.deliver(e.boxes[i], t, roots) {
+			if c.deliver(e.boxes[i], t) {
 				delivered++
 			}
 		}
@@ -299,7 +261,7 @@ func (c *collector) EmitDirect(stream string, task int, v Values) {
 		if task < 0 || task >= len(e.boxes) {
 			panic(fmt.Sprintf("topology: EmitDirect task %d out of range for %s (%d tasks)", task, e.target, len(e.boxes)))
 		}
-		if c.deliver(e.boxes[task], t, c.roots) {
+		if c.deliver(e.boxes[task], t) {
 			delivered++
 		}
 	}
@@ -309,20 +271,10 @@ func (c *collector) EmitDirect(stream string, task int, v Values) {
 
 // deliver routes one tuple copy into a mailbox (blocking while the
 // target is at capacity) and reports whether the copy was accepted.
-func (c *collector) deliver(box *mailbox, t Tuple, roots []uint64) bool {
-	if a := c.rt.acker; a != nil && len(roots) > 0 {
-		t.anchors = roots
-		t.ackID = a.tupleID()
-		a.anchor(roots, t.ackID)
-	}
+func (c *collector) deliver(box *mailbox, t Tuple) bool {
 	c.rt.pending.Add(1)
 	if !box.put(t) {
 		c.rt.pending.Add(-1)
-		if a := c.rt.acker; a != nil && t.ackID != 0 {
-			// Delivery to a closed mailbox: balance the anchor so the
-			// tree can still complete.
-			a.ack(t.anchors, t.ackID)
-		}
 		return false
 	}
 	return true
@@ -352,22 +304,21 @@ func (t *Topology) Run() Stats {
 				if rec, ok := bolt.(Recoverer); ok {
 					rec.Recover(col)
 				}
+				lat := comp.telLat // nil without a registry: no clock reads
 				for {
 					tuple, ok := comp.boxes[task].get()
 					if !ok {
 						break
 					}
-					col.roots = tuple.anchors
-					start := time.Now()
-					execute(rt, comp, task, bolt, tuple, col)
-					elapsed := time.Since(start)
-					rt.latency.observe(comp.id, elapsed)
-					comp.telLat.Observe(elapsed)
-					comp.telExec.Inc()
-					col.roots = nil
-					if rt.acker != nil && tuple.ackID != 0 {
-						rt.acker.ack(tuple.anchors, tuple.ackID)
+					var start time.Time
+					if lat != nil {
+						start = time.Now()
 					}
+					execute(rt, comp, task, bolt, tuple, col)
+					if lat != nil {
+						lat.Observe(time.Since(start))
+					}
+					comp.telExec.Inc()
 					rt.executed[comp.id].Add(1)
 					rt.pending.Add(-1)
 				}
@@ -389,14 +340,8 @@ func (t *Topology) Run() Stats {
 				ctx := &TaskContext{Component: comp.id, Task: task, NumTasks: comp.parallelism, topo: rt}
 				spout.Open(ctx)
 				col := &collector{rt: rt, comp: comp, task: task}
-				reliable, isReliable := spout.(ReliableSpout)
-				if rt.acker != nil && isReliable {
-					col.ackQ = &spoutAckQueue{}
-					runReliableSpout(rt, comp, task, reliable, col)
-				} else {
-					for nextTuple(rt, comp, task, spout, col) {
-						rt.pace()
-					}
+				for nextTuple(rt, comp, task, spout, col) {
+					rt.pace()
 				}
 				spout.Close()
 			}(comp, i)
@@ -423,9 +368,6 @@ func (t *Topology) Run() Stats {
 		}
 	}
 	boltWG.Wait()
-	if rt.acker != nil {
-		rt.acker.close()
-	}
 
 	stats := Stats{Emitted: make(map[string]int64), Executed: make(map[string]int64)}
 	for id := range rt.components {
@@ -433,7 +375,6 @@ func (t *Topology) Run() Stats {
 		stats.Executed[id] = rt.executed[id].Load()
 	}
 	stats.Failures = rt.failures
-	stats.Latency = rt.latency.summaries()
 	return stats
 }
 
@@ -465,32 +406,6 @@ func execute(rt *runtime, comp *component, task int, bolt Bolt, tuple Tuple, col
 		}
 	}()
 	bolt.Execute(tuple, col)
-}
-
-// runReliableSpout drives a reliable spout: Ack/Fail callbacks are
-// delivered between NextTuple calls in the spout's own goroutine, and
-// the task stays alive — even after the source is exhausted — until
-// every emitted tuple tree has completed or failed.
-func runReliableSpout(rt *runtime, comp *component, task int, spout ReliableSpout, col *collector) {
-	exhausted := false
-	for {
-		outstanding, failed := col.ackQ.drain(spout)
-		if failed > 0 {
-			// A failed tuple tree may be replayed: give NextTuple
-			// another chance even after the source reported exhaustion.
-			exhausted = false
-		}
-		if exhausted {
-			if outstanding == 0 {
-				return
-			}
-			time.Sleep(500 * time.Microsecond)
-			continue
-		}
-		if !nextTuple(rt, comp, task, spout, col) {
-			exhausted = true
-		}
-	}
 }
 
 // nextTuple runs one spout invocation; a panicking spout stops

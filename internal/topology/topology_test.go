@@ -499,31 +499,6 @@ func ExampleBuilder() {
 	// 2
 }
 
-func TestStatsLatency(t *testing.T) {
-	b := NewBuilder()
-	b.SetSpout("src", func(int) Spout { return &intSpout{n: 40} }, 1)
-	sink, _, _ := newSinkFactory()
-	b.SetBolt("sink", sink, 2).ShuffleGrouping("src")
-	topo, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	stats := topo.Run()
-	lat, ok := stats.Latency["sink"]
-	if !ok {
-		t.Fatal("no latency summary for sink")
-	}
-	if lat.Count != 40 {
-		t.Errorf("latency count = %d, want 40", lat.Count)
-	}
-	if lat.Avg < 0 || lat.Max < lat.P50 {
-		t.Errorf("inconsistent summary: %+v", lat)
-	}
-	if lat.String() == "" {
-		t.Error("empty summary string")
-	}
-}
-
 func TestTickTuplesDelivered(t *testing.T) {
 	b := NewBuilder()
 	// A slow spout keeps the topology alive long enough for ticks.

@@ -41,12 +41,6 @@ type Tuple struct {
 	SourceTask int
 	// Values carries the payload.
 	Values Values
-
-	// anchors/ackID implement guaranteed message processing (see
-	// acking.go); unset when acking is disabled. Unexported: the TCP
-	// cluster transport deliberately does not ship them.
-	anchors []uint64
-	ackID   uint64
 }
 
 // String renders the tuple for debugging.
