@@ -69,7 +69,6 @@ bench-all:
 bench-guard:
 	$(GO) test -run '^$$' -bench '^(BenchmarkFig11aFPJServerLog|BenchmarkFig11bFPJNoBench|BenchmarkTelemetryOverhead)$$' -benchtime 2x -count 2 -json . > bench_guard_current.json
 	$(GO) test -run '^$$' -bench '^BenchmarkJoinableClassify$$' -benchtime 2000x -count 2 -json . >> bench_guard_current.json
-	$(GO) test -run '^$$' -bench '^BenchmarkParallelBatchProbe$$' -benchtime 2x -count 2 -json . >> bench_guard_current.json
 	GOGC=off $(GO) test -run '^$$' -bench '^BenchmarkJoinerResultPath$$' -benchtime 5x -count 3 -json . >> bench_guard_current.json
 	GOGC=off $(GO) test -run '^$$' -bench '^BenchmarkServeResultPath$$' -benchtime 5x -count 3 -cpu 1 -json . >> bench_guard_current.json
 	GOGC=off $(GO) test -run '^$$' -bench '^(BenchmarkDocumentParse|BenchmarkExpansionApply|BenchmarkAssignerRoute|BenchmarkFPTreeInsert)$$' -benchtime 200000x -count 3 -cpu 1 -json . >> bench_guard_current.json

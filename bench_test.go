@@ -102,35 +102,6 @@ func BenchmarkFig11cHBJServerLog(b *testing.B) { benchJoinEngine(b, "rwData", "H
 func BenchmarkFig11dNLJNoBench(b *testing.B)   { benchJoinEngine(b, "nbData", "NLJ", 1000) }
 func BenchmarkFig11dHBJNoBench(b *testing.B)   { benchJoinEngine(b, "nbData", "HBJ", 1000) }
 
-// BenchmarkParallelBatchProbe measures the FPJ probe worker pool over
-// the windowed batch path: documents stream through ProcessBatch in
-// micro-batches of 64 with the pool at 1 (serial engine loop), 2, 4 and
-// 8 workers. The probe phase is read-only and embarrassingly parallel,
-// so on a multicore host the pooled variants approach linear scaling;
-// on a single-core host the pool only adds goroutine handoff, which is
-// exactly what this bench then quantifies.
-func BenchmarkParallelBatchProbe(b *testing.B) {
-	gen, _ := datagen.ByName("rwData", 42)
-	docs := gen.Window(5000)
-	for _, pool := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("pool=%d", pool), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				eng := join.NewFPJ()
-				eng.SetProbeParallelism(pool)
-				w := join.NewWindowed(eng)
-				for start := 0; start < len(docs); start += 64 {
-					end := start + 64
-					if end > len(docs) {
-						end = len(docs)
-					}
-					w.ProcessBatch(docs[start:end])
-				}
-			}
-		})
-	}
-}
-
 // --- Ablations -------------------------------------------------------
 
 // BenchmarkJoinerResultPath measures what one scale-out Joiner does per

@@ -96,7 +96,7 @@ func main() {
 		// hold a tight ns/op band; WireDecode allocates per tuple and its
 		// GC-driven variance exceeds the tolerance on shared machines, so
 		// it is benched and tracked in the trajectory files but not gated.
-		benches = flag.String("bench", "Fig11aFPJServerLog,Fig11bFPJNoBench,FPTreeInsert,JoinableClassify,ParallelBatchProbe/pool=4,JoinerResultPath,ServeResultPath,DocumentParse/nbData,DocumentParse/rwData,ExpansionApply/nbData,PartitionCreate/nbData,PartitionCreate/rwData,AssignerRoute/nbData,WireEncode/format=binary,FrameBatch/format=binary/batch=16",
+		benches = flag.String("bench", "Fig11aFPJServerLog,Fig11bFPJNoBench,FPTreeInsert,JoinableClassify,JoinerResultPath,ServeResultPath,DocumentParse/nbData,DocumentParse/rwData,ExpansionApply/nbData,PartitionCreate/nbData,PartitionCreate/rwData,AssignerRoute/nbData,WireEncode/format=binary,FrameBatch/format=binary/batch=16",
 			"comma-separated guarded benchmark names (without the Benchmark prefix)")
 		allocBenches = flag.String("allocs", "JoinerResultPath,ServeResultPath,DocumentParse/nbData,DocumentParse/rwData,ExpansionApply/nbData,PartitionCreate/nbData,PartitionCreate/rwData,AssignerRoute/nbData,FPTreeInsert",
 			"comma-separated benchmark names whose allocs/op must not exceed the baseline at all")

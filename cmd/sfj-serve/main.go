@@ -44,18 +44,8 @@ func main() {
 	)
 	var memoryBudget cliflags.ByteSize
 	flag.Var(&memoryBudget, "memory-budget", "bound on resident window-state bytes, K/M/G suffixes accepted (e.g. 256M); over it the service spills window groups to -spill-dir, compresses spill files, force-tumbles the largest group, and finally answers 429 on /documents (0 = ungoverned)")
-	// Transport knobs, shared verbatim with sfj-topology so deployment
-	// scripts carry one flag set: they configure the cluster data plane
-	// when the service fronts a distributed run. The in-process query
-	// set this binary currently hosts has no transport, so here they
-	// are validated and recorded only.
-	transport := cliflags.RegisterTransport(flag.CommandLine)
 	flag.Parse()
 
-	if err := transport.Validate(); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
 	if *window == 0 && *maxWindowDocs == 0 {
 		fmt.Fprintln(os.Stderr, "-window 0 with -max-window-docs 0 grows window state without bound; set one of them")
 		os.Exit(2)
@@ -96,7 +86,6 @@ func main() {
 	if memoryBudget > 0 {
 		fmt.Printf("memory governor: budget=%s spill-dir=%q\n", memoryBudget.String(), *spillDir)
 	}
-	fmt.Printf("transport: %s\n", transport)
 	if *telemOn {
 		fmt.Printf("scrape metrics: curl http://%s/metrics\n", *addr)
 	}

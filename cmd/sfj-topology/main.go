@@ -62,8 +62,6 @@ func main() {
 		delta       = flag.Int("delta", 3, "partition update threshold δ")
 		expansion   = flag.String("expansion", "auto", "attribute expansion: auto, off or forced")
 		maxPending  = flag.Int("max-pending", 0, "mailbox capacity per task; producers block when full (0 = unbounded)")
-		probePar    = flag.Int("probe-parallelism", 1, "FPJ probe worker pool size per joiner; documents micro-batch (-probe-batch) and probe the FP-tree concurrently (1 = serial)")
-		probeBatch  = flag.Int("probe-batch", 0, "joiner micro-batch size feeding the probe pool (0 = 64 when -probe-parallelism > 1, else 1)")
 		seed        = flag.Int64("seed", 42, "generator seed")
 		clusterN    = flag.Int("cluster", 0, "run across N TCP workers in this process (0 = plain in-process)")
 		processes   = flag.Bool("processes", false, "with -cluster N: spawn the N workers as separate OS processes")
@@ -82,7 +80,6 @@ func main() {
 	)
 	var memoryBudget cliflags.ByteSize
 	flag.Var(&memoryBudget, "memory-budget", "per-joiner bound on window-state bytes, K/M/G suffixes accepted (e.g. 64M); over it joiners spill buffered future-window documents to -spill-dir and surface pressure gauges — pair with -max-pending so the spout parks instead of growing queues (0 = ungoverned)")
-	transport := cliflags.RegisterTransport(flag.CommandLine)
 	flag.Parse()
 
 	var gen datagen.Generator
@@ -141,9 +138,6 @@ func main() {
 		MaxPending:  *maxPending,
 		Source:      gen,
 
-		ProbeParallelism: *probePar,
-		ProbeBatch:       *probeBatch,
-
 		MemoryBudget: memoryBudget.Int64(),
 		SpillDir:     *spillDir,
 	}
@@ -151,11 +145,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "-spill-dir without -memory-budget has no effect; set a budget")
 		os.Exit(2)
 	}
-	if err := transport.Validate(); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	transport.ApplyTo(&cfg)
 
 	if *workerSpec != "" {
 		if err := runWorker(*workerSpec, cfg, *metricsAddr); err != nil {
@@ -484,12 +473,6 @@ func runWorker(spec string, cfg core.Config, metricsAddr string) error {
 	if err != nil {
 		return err
 	}
-	// The wire configuration must be uniform across the cluster; the
-	// spawner re-issues its own flags to every worker, so each process
-	// resolves the same values here.
-	w.FrameBatch = cfg.FrameBatch
-	w.FrameFlushInterval = cfg.FrameFlushInterval
-	w.FrameCompress = cfg.FrameCompress
 	if metricsAddr != "" {
 		w.Telemetry = cfg.Telemetry
 		w.MetricsAddr = metricsAddr

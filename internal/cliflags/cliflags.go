@@ -1,71 +1,13 @@
-// Package cliflags holds flag blocks shared between the sfj commands,
-// so deployment scripts carry one flag vocabulary and validation lives
-// in one place.
+// Package cliflags holds flag types shared between the sfj commands,
+// so parsing and validation live in one place.
 package cliflags
 
 import (
-	"flag"
 	"fmt"
 	"math"
 	"strconv"
 	"strings"
-	"time"
-
-	"repro/internal/core"
 )
-
-// Transport is the cluster data-plane configuration shared by
-// sfj-serve and sfj-topology: frame coalescing and compression.
-type Transport struct {
-	// FrameBatch caps how many tuples coalesce into one data frame.
-	FrameBatch int
-	// FrameFlushInterval is how long a peer sender waits to fill a
-	// frame before flushing (0 = send whatever is pending immediately).
-	FrameFlushInterval time.Duration
-	// FrameCompress DEFLATE-compresses data frames when that shrinks
-	// them.
-	FrameCompress bool
-}
-
-// RegisterTransport registers the transport flag block on fs with the
-// shared defaults and returns the destination struct, populated after
-// fs.Parse.
-func RegisterTransport(fs *flag.FlagSet) *Transport {
-	t := &Transport{}
-	fs.IntVar(&t.FrameBatch, "frame-batch", 32,
-		"max tuples coalesced into one cluster data frame")
-	fs.DurationVar(&t.FrameFlushInterval, "frame-flush-interval", 0,
-		"how long a peer sender waits to fill a frame before flushing (0 = send whatever is pending immediately)")
-	fs.BoolVar(&t.FrameCompress, "frame-compress", false,
-		"DEFLATE-compress cluster data frames when that shrinks them")
-	return t
-}
-
-// Validate checks the parsed values; the returned error is phrased for
-// direct printing to a command's stderr.
-func (t *Transport) Validate() error {
-	if t.FrameBatch <= 0 {
-		return fmt.Errorf("-frame-batch must be positive, got %d", t.FrameBatch)
-	}
-	if t.FrameFlushInterval < 0 {
-		return fmt.Errorf("-frame-flush-interval must not be negative, got %s", t.FrameFlushInterval)
-	}
-	return nil
-}
-
-// ApplyTo copies the transport configuration into a run config.
-func (t *Transport) ApplyTo(cfg *core.Config) {
-	cfg.FrameBatch = t.FrameBatch
-	cfg.FrameFlushInterval = t.FrameFlushInterval
-	cfg.FrameCompress = t.FrameCompress
-}
-
-// String renders the configuration the way the commands print it at
-// startup.
-func (t *Transport) String() string {
-	return fmt.Sprintf("frame-batch=%d frame-flush-interval=%s frame-compress=%v",
-		t.FrameBatch, t.FrameFlushInterval, t.FrameCompress)
-}
 
 // ByteSize is a flag.Value for byte counts: a plain integer or one
 // with a K/M/G suffix (KB/MB/GB and KiB/MiB/GiB also accepted, all

@@ -2,50 +2,8 @@ package cliflags
 
 import (
 	"flag"
-	"strings"
 	"testing"
-
-	"repro/internal/core"
 )
-
-func TestRegisterTransportDefaults(t *testing.T) {
-	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	tr := RegisterTransport(fs)
-	if err := fs.Parse(nil); err != nil {
-		t.Fatal(err)
-	}
-	if tr.FrameBatch != 32 ||
-		tr.FrameFlushInterval != 0 || tr.FrameCompress {
-		t.Errorf("defaults = %+v", tr)
-	}
-	if err := tr.Validate(); err != nil {
-		t.Errorf("defaults must validate: %v", err)
-	}
-}
-
-func TestTransportParseAndApply(t *testing.T) {
-	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	tr := RegisterTransport(fs)
-	args := []string{"-frame-batch", "64",
-		"-frame-flush-interval", "5ms", "-frame-compress"}
-	if err := fs.Parse(args); err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	var cfg core.Config
-	tr.ApplyTo(&cfg)
-	if cfg.FrameBatch != 64 ||
-		cfg.FrameFlushInterval.Milliseconds() != 5 || !cfg.FrameCompress {
-		t.Errorf("applied = %+v", cfg)
-	}
-	for _, want := range []string{"frame-batch=64", "frame-flush-interval=5ms", "frame-compress=true"} {
-		if !strings.Contains(tr.String(), want) {
-			t.Errorf("String() = %q missing %q", tr.String(), want)
-		}
-	}
-}
 
 func TestParseByteSize(t *testing.T) {
 	good := map[string]int64{
@@ -92,17 +50,6 @@ func TestByteSizeFlag(t *testing.T) {
 		v := val
 		if got := v.String(); got != want {
 			t.Errorf("ByteSize(%d).String() = %q, want %q", int64(val), got, want)
-		}
-	}
-}
-
-func TestTransportValidate(t *testing.T) {
-	for _, bad := range []Transport{
-		{FrameBatch: 0},
-		{FrameBatch: 32, FrameFlushInterval: -1},
-	} {
-		if err := bad.Validate(); err == nil {
-			t.Errorf("%+v validated", bad)
 		}
 	}
 }

@@ -339,8 +339,8 @@ func TestPlanMoves(t *testing.T) {
 // tuples.
 func TestStateFrameBinaryRoundTrip(t *testing.T) {
 	a, b := net.Pipe()
-	ca := newBinConn(a, true, false)
-	cb := newBinConn(b, false, false)
+	ca := newBinConn(a, true)
+	cb := newBinConn(b, false)
 	defer ca.close()
 	defer cb.close()
 	payload := make([]byte, 3000)

@@ -17,11 +17,11 @@ package cluster
 // Frame layout (both directions after the preamble):
 //
 //	uvarint frameLen            // length of everything that follows
-//	byte    kind                // 1 = data, 2 = ack
-//	byte    flags               // bit0: payload is DEFLATE-compressed
+//	byte    kind                // 1 = data, 2 = ack, 3 = state
+//	byte    flags               // reserved: must be 0, decoding rejects any other value
 //	payload [frameLen-2]byte
 //
-// Data payload (uncompressed form):
+// Data payload:
 //
 //	varint  fromWorker
 //	uvarint ackSeq              // piggybacked cumulative ack, 0 = none
@@ -55,7 +55,6 @@ package cluster
 import (
 	"bufio"
 	"bytes"
-	"compress/flate"
 	"encoding/binary"
 	"encoding/gob"
 	"errors"
@@ -85,13 +84,14 @@ const (
 	// homogeneous per frame keeps the columnar tuple layout untouched.
 	binKindState = 3
 
-	binFlagCompressed = 1
-
 	// maxBinFrame bounds a frame a decoder will accept; anything larger
 	// is treated as stream corruption rather than allocated.
 	maxBinFrame = 64 << 20
-	// compressMin is the smallest payload worth running through DEFLATE.
-	compressMin = 512
+
+	// frameBatch caps how many tuples one data frame coalesces.
+	// Batching is greedy — whatever is pending when the sender drains
+	// its queue travels together — so it adds no latency.
+	frameBatch = 32
 )
 
 var errTruncatedFrame = errors.New("cluster: truncated binary frame")
@@ -121,9 +121,8 @@ type binConn struct {
 	br  *bufio.Reader
 	mu  sync.Mutex // guards the write path and sendDict
 
-	compress bool
-	pre      []byte // preamble prepended to the first write (dialer side)
-	wantPre  bool   // preamble expected before the first frame (acceptor)
+	pre     []byte // preamble prepended to the first write (dialer side)
+	wantPre bool   // preamble expected before the first frame (acceptor)
 
 	sendDict map[string]uint32 // guarded by mu
 	recvDict []string          // owned by the reading goroutine
@@ -138,29 +137,21 @@ type binConn struct {
 	frame   []byte
 	delta   []string
 	rbuf    []byte
-	zbuf    bytes.Buffer
-	zw      *flate.Writer
-
-	// Cumulative pre/post-compression byte totals for the ratio gauge.
-	rawTotal, compTotal uint64
 
 	// Optional instruments (nil-safe no-ops).
 	dictHits, dictMisses      *telemetry.Counter
 	wireSentData, wireSentAck *telemetry.Counter
 	wireRecvData, wireRecvAck *telemetry.Counter
 	batchDocs                 *telemetry.Histogram
-	rawBytes, compBytes       *telemetry.Counter
-	compRatio                 *telemetry.Gauge
 }
 
 // newBinConn wraps a data-plane socket in the binary codec. The dialer
 // side announces itself with the magic preamble; the acceptor verifies
 // it before the first frame.
-func newBinConn(raw net.Conn, dialer, compress bool) *binConn {
+func newBinConn(raw net.Conn, dialer bool) *binConn {
 	c := &binConn{
-		raw:      raw,
-		br:       bufio.NewReaderSize(raw, 32<<10),
-		compress: compress,
+		raw: raw,
+		br:  bufio.NewReaderSize(raw, 32<<10),
 	}
 	if dialer {
 		c.pre = append([]byte(binWireMagic), binWireVersion)
@@ -253,7 +244,7 @@ func (c *binConn) sendBatch(es []*envelope) error {
 // keeping them dictionary-free means a replay after a sever needs no
 // encoder state beyond the bytes in the resend buffer.
 //
-// State payload (uncompressed form):
+// State payload:
 //
 //	varint  fromWorker | uvarint ackSeq | uvarint dataSeq
 //	uvarint epoch      | varint window  | byte last
@@ -282,33 +273,19 @@ func (c *binConn) sendState(e *envelope) error {
 	return c.writeFrameLocked(binKindState, p)
 }
 
-// writeFrameLocked frames and writes one payload (compressing data
-// payloads when enabled and profitable) in a single socket write. The
-// caller holds c.mu. Any error poisons the connection: the sender
-// evicts it and replays on a successor, so a half-written frame can
-// never desynchronise the stream.
+// writeFrameLocked frames and writes one payload in a single socket
+// write. The caller holds c.mu. Any error poisons the connection: the
+// sender evicts it and replays on a successor, so a half-written frame
+// can never desynchronise the stream.
 func (c *binConn) writeFrameLocked(kind byte, payload []byte) error {
-	flags := byte(0)
-	body := payload
-	if c.compress && (kind == binKindData || kind == binKindState) && len(payload) >= compressMin {
-		if z, ok := c.deflateLocked(payload); ok {
-			c.rawTotal += uint64(len(payload))
-			c.compTotal += uint64(len(z))
-			c.rawBytes.Add(int64(len(payload)))
-			c.compBytes.Add(int64(len(z)))
-			c.compRatio.Set(float64(c.rawTotal) / float64(c.compTotal))
-			body = z
-			flags |= binFlagCompressed
-		}
-	}
 	f := c.frame[:0]
 	if len(c.pre) > 0 {
 		f = append(f, c.pre...)
 		c.pre = nil
 	}
-	f = binary.AppendUvarint(f, uint64(len(body))+2)
-	f = append(f, kind, flags)
-	f = append(f, body...)
+	f = binary.AppendUvarint(f, uint64(len(payload))+2)
+	f = append(f, kind, 0) // flags: reserved
+	f = append(f, payload...)
 	c.frame = f
 	if _, err := c.raw.Write(f); err != nil {
 		return fmt.Errorf("cluster: wire send: %w", err)
@@ -320,32 +297,6 @@ func (c *binConn) writeFrameLocked(kind byte, payload []byte) error {
 		c.wireSentAck.Add(int64(len(f)))
 	}
 	return nil
-}
-
-// deflateLocked compresses p into the connection's reusable buffer,
-// reporting false when compression fails or does not shrink the
-// payload (the frame then travels uncompressed).
-func (c *binConn) deflateLocked(p []byte) ([]byte, bool) {
-	c.zbuf.Reset()
-	if c.zw == nil {
-		zw, err := flate.NewWriter(&c.zbuf, flate.BestSpeed)
-		if err != nil {
-			return nil, false
-		}
-		c.zw = zw
-	} else {
-		c.zw.Reset(&c.zbuf)
-	}
-	if _, err := c.zw.Write(p); err != nil {
-		return nil, false
-	}
-	if err := c.zw.Close(); err != nil {
-		return nil, false
-	}
-	if c.zbuf.Len() >= len(p) {
-		return nil, false
-	}
-	return c.zbuf.Bytes(), true
 }
 
 func (c *binConn) appendMember(m []byte, e *envelope, delta *[]string) ([]byte, error) {
@@ -487,12 +438,10 @@ func (c *binConn) readFrame() error {
 		return err
 	}
 	kind, flags := buf[0], buf[1]
-	payload := buf[2:]
-	if flags&binFlagCompressed != 0 {
-		if payload, err = c.inflate(payload); err != nil {
-			return err
-		}
+	if flags != 0 {
+		return fmt.Errorf("cluster: wire frame flags %#02x reserved, want 0", flags)
 	}
+	payload := buf[2:]
 	switch kind {
 	case binKindData:
 		c.wireRecvData.Add(int64(ln) + int64(uvarintLen(ln)))
@@ -515,18 +464,6 @@ func uvarintLen(v uint64) int {
 		n++
 	}
 	return n
-}
-
-func (c *binConn) inflate(p []byte) ([]byte, error) {
-	zr := flate.NewReader(bytes.NewReader(p))
-	out, err := io.ReadAll(io.LimitReader(zr, maxBinFrame+1))
-	if err != nil {
-		return nil, fmt.Errorf("cluster: wire inflate: %w", err)
-	}
-	if len(out) > maxBinFrame {
-		return nil, fmt.Errorf("cluster: inflated frame exceeds %d bytes", maxBinFrame)
-	}
-	return out, nil
 }
 
 func (c *binConn) readAck(payload []byte) error {

@@ -36,7 +36,7 @@ func BenchmarkWireEncode(b *testing.B) {
 	b.Run("format=binary", func(b *testing.B) {
 		es := benchEnvelopes(512)
 		w := &countWriter{}
-		c := newBinConn(bufConn{w: w}, true, false)
+		c := newBinConn(bufConn{w: w}, true)
 		// Warm the dictionary so the loop measures steady state.
 		for _, e := range es {
 			if err := c.send(e); err != nil {
@@ -62,7 +62,7 @@ func BenchmarkWireDecode(b *testing.B) {
 	b.Run("format=binary", func(b *testing.B) {
 		es := benchEnvelopes(512)
 		var buf bytes.Buffer
-		enc := newBinConn(bufConn{w: &buf}, true, false)
+		enc := newBinConn(bufConn{w: &buf}, true)
 		for _, e := range es {
 			if err := enc.send(e); err != nil {
 				b.Fatal(err)
@@ -70,7 +70,7 @@ func BenchmarkWireDecode(b *testing.B) {
 		}
 		stream := buf.Bytes()
 		mkReceiver := func() *binConn {
-			return newBinConn(bufConn{r: bytes.NewReader(stream)}, false, false)
+			return newBinConn(bufConn{r: bytes.NewReader(stream)}, false)
 		}
 		dec := mkReceiver()
 		b.ReportAllocs()
@@ -99,7 +99,7 @@ func BenchmarkFrameBatch(b *testing.B) {
 		b.Run(fmt.Sprintf("format=binary/batch=%d", batch), func(b *testing.B) {
 			es := benchEnvelopes(512)
 			w := &countWriter{}
-			c := newBinConn(bufConn{w: w}, true, false)
+			c := newBinConn(bufConn{w: w}, true)
 			for _, e := range es {
 				if err := c.send(e); err != nil {
 					b.Fatal(err)

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"net"
@@ -95,7 +96,7 @@ func sameValues(t *testing.T, got, want topology.Values) {
 // implicit sequence numbers and the piggybacked ack on the first.
 func TestBinaryWireRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	sender := newBinConn(bufConn{w: &buf}, true, false)
+	sender := newBinConn(bufConn{w: &buf}, true)
 
 	batch := []*envelope{
 		seqTuple(11, topology.Values{
@@ -119,7 +120,7 @@ func TestBinaryWireRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	receiver := newBinConn(bufConn{r: bytes.NewReader(buf.Bytes())}, false, false)
+	receiver := newBinConn(bufConn{r: bytes.NewReader(buf.Bytes())}, false)
 	for i, want := range batch {
 		e, err := receiver.recv()
 		if err != nil {
@@ -155,7 +156,7 @@ func TestBinaryWireRoundTrip(t *testing.T) {
 func TestBinaryWireDictDelta(t *testing.T) {
 	var buf bytes.Buffer
 	reg := telemetry.NewRegistry()
-	sender := newBinConn(bufConn{w: &buf}, true, false)
+	sender := newBinConn(bufConn{w: &buf}, true)
 	sender.dictMisses = reg.Counter("misses")
 	sender.dictHits = reg.Counter("hits")
 
@@ -178,7 +179,7 @@ func TestBinaryWireDictDelta(t *testing.T) {
 		t.Fatalf("repeat frame (%dB) not smaller than first frame (%dB): delta not incremental", second, firstLen)
 	}
 
-	receiver := newBinConn(bufConn{r: bytes.NewReader(buf.Bytes())}, false, false)
+	receiver := newBinConn(bufConn{r: bytes.NewReader(buf.Bytes())}, false)
 	for i := 0; i < 2; i++ {
 		e, err := receiver.recv()
 		if err != nil {
@@ -195,7 +196,7 @@ func TestBinaryWireDictDelta(t *testing.T) {
 // must leave the buffered envelope untouched (raw strings), so a replay
 // after a sever re-encodes against the fresh connection.
 func TestBinaryWireEnvelopeNotMutated(t *testing.T) {
-	sender := newBinConn(bufConn{}, true, false)
+	sender := newBinConn(bufConn{}, true)
 	d := dictDoc(1, "a", "x")
 	e := seqTuple(5, topology.Values{"doc": d, "n": 3})
 	if err := sender.sendBatch([]*envelope{e}); err != nil {
@@ -219,11 +220,11 @@ func TestBinaryWireDictReset(t *testing.T) {
 	}
 	for attempt := 0; attempt < 2; attempt++ { // first send, then the replay
 		var buf bytes.Buffer
-		sender := newBinConn(bufConn{w: &buf}, true, false)
+		sender := newBinConn(bufConn{w: &buf}, true)
 		if err := sender.sendBatch(batch); err != nil {
 			t.Fatalf("attempt %d: %v", attempt, err)
 		}
-		receiver := newBinConn(bufConn{r: bytes.NewReader(buf.Bytes())}, false, false)
+		receiver := newBinConn(bufConn{r: bytes.NewReader(buf.Bytes())}, false)
 		for i := range batch {
 			e, err := receiver.recv()
 			if err != nil {
@@ -241,7 +242,7 @@ func TestBinaryWireDictReset(t *testing.T) {
 // members do not carry consecutive sequence numbers must be refused,
 // not silently mis-sequenced on the receiver.
 func TestBinaryWireBatchSeqGap(t *testing.T) {
-	sender := newBinConn(bufConn{}, true, false)
+	sender := newBinConn(bufConn{}, true)
 	err := sender.sendBatch([]*envelope{
 		seqTuple(1, topology.Values{"n": 1}),
 		seqTuple(3, topology.Values{"n": 2}),
@@ -269,10 +270,10 @@ func TestBinaryWireUnsequencedRejected(t *testing.T) {
 	} {
 		for _, seq := range []uint64{0, 1} {
 			var buf bytes.Buffer
-			if err := newBinConn(bufConn{w: &buf}, true, false).sendBatch([]*envelope{tc.frame(seq)}); err != nil {
+			if err := newBinConn(bufConn{w: &buf}, true).sendBatch([]*envelope{tc.frame(seq)}); err != nil {
 				t.Fatal(err)
 			}
-			e, err := newBinConn(bufConn{r: bytes.NewReader(buf.Bytes())}, false, false).recv()
+			e, err := newBinConn(bufConn{r: bytes.NewReader(buf.Bytes())}, false).recv()
 			switch {
 			case seq == 0 && err == nil:
 				t.Errorf("%s frame with DataSeq 0 decoded: %+v", tc.name, e)
@@ -291,7 +292,7 @@ func TestBinaryWireUnsequencedRejected(t *testing.T) {
 // loudly instead of fabricating strings.
 func TestBinaryWireUnknownRef(t *testing.T) {
 	var buf bytes.Buffer
-	sender := newBinConn(bufConn{w: &buf}, true, false)
+	sender := newBinConn(bufConn{w: &buf}, true)
 	frames := []*envelope{
 		seqTuple(1, topology.Values{"doc": dictDoc(1, "user", "alice")}),
 		seqTuple(2, topology.Values{"doc": dictDoc(2, "user", "alice")}),
@@ -306,7 +307,7 @@ func TestBinaryWireUnknownRef(t *testing.T) {
 	// Feed only the second frame (preceded by a fresh preamble) to a
 	// receiver that never saw the first frame's dictionary delta.
 	spliced := append(append([]byte(binWireMagic), binWireVersion), buf.Bytes()[cut:]...)
-	receiver := newBinConn(bufConn{r: bytes.NewReader(spliced)}, false, false)
+	receiver := newBinConn(bufConn{r: bytes.NewReader(spliced)}, false)
 	if _, err := receiver.recv(); err == nil || !strings.Contains(err.Error(), "out of range") {
 		t.Fatalf("spliced stream decoded; err = %v, want dictionary ref out of range", err)
 	}
@@ -317,7 +318,7 @@ func TestBinaryWireUnknownRef(t *testing.T) {
 // tuple.
 func TestBinaryWireTruncation(t *testing.T) {
 	var buf bytes.Buffer
-	sender := newBinConn(bufConn{w: &buf}, true, false)
+	sender := newBinConn(bufConn{w: &buf}, true)
 	err := sender.sendBatch([]*envelope{
 		seqTuple(1, topology.Values{"doc": dictDoc(1, "user", "alice"), "n": 7, "s": "xyz"}),
 		seqTuple(2, topology.Values{"ids": []int{1, 2, 3}}),
@@ -327,7 +328,7 @@ func TestBinaryWireTruncation(t *testing.T) {
 	}
 	full := buf.Bytes()
 	for cut := 0; cut < len(full); cut++ {
-		receiver := newBinConn(bufConn{r: bytes.NewReader(full[:cut])}, false, false)
+		receiver := newBinConn(bufConn{r: bytes.NewReader(full[:cut])}, false)
 		e, err := receiver.recv()
 		if err == nil {
 			t.Fatalf("cut at %d/%d decoded a tuple: %+v", cut, len(full), e)
@@ -344,7 +345,7 @@ func TestBinaryWirePreamble(t *testing.T) {
 		append([]byte(binWireMagic), binWireVersion+1), // future version
 	}
 	for i, b := range bad {
-		receiver := newBinConn(bufConn{r: bytes.NewReader(b)}, false, false)
+		receiver := newBinConn(bufConn{r: bytes.NewReader(b)}, false)
 		if _, err := receiver.recv(); err == nil {
 			t.Fatalf("case %d: bad preamble accepted", i)
 		}
@@ -354,11 +355,11 @@ func TestBinaryWirePreamble(t *testing.T) {
 // TestBinaryWireAckFrame round-trips a dedicated ack frame.
 func TestBinaryWireAckFrame(t *testing.T) {
 	var buf bytes.Buffer
-	sender := newBinConn(bufConn{w: &buf}, true, false)
+	sender := newBinConn(bufConn{w: &buf}, true)
 	if err := sender.send(&envelope{Kind: frameAck, WorkerID: 3, AckSeq: 99}); err != nil {
 		t.Fatal(err)
 	}
-	receiver := newBinConn(bufConn{r: bytes.NewReader(buf.Bytes())}, false, false)
+	receiver := newBinConn(bufConn{r: bytes.NewReader(buf.Bytes())}, false)
 	e, err := receiver.recv()
 	if err != nil {
 		t.Fatal(err)
@@ -372,66 +373,26 @@ func TestBinaryWireAckFrame(t *testing.T) {
 	}
 }
 
-// TestBinaryWireCompression checks the DEFLATE path: a repetitive
-// payload travels compressed (smaller than the uncompressed encoding,
-// flagged per frame), decodes identically, and moves the ratio
-// instruments.
-func TestBinaryWireCompression(t *testing.T) {
-	vals := topology.Values{"s": strings.Repeat("abcdef ", 400)}
-	encode := func(compress bool) (*bytes.Buffer, *binConn) {
-		var buf bytes.Buffer
-		c := newBinConn(bufConn{w: &buf}, true, compress)
-		if err := c.sendBatch([]*envelope{seqTuple(1, vals)}); err != nil {
-			t.Fatal(err)
-		}
-		return &buf, c
-	}
-	plain, _ := encode(false)
-	reg := telemetry.NewRegistry()
-	comp, cc := encode(true)
-	_ = cc
-	if comp.Len() >= plain.Len() {
-		t.Fatalf("compressed frame %dB, uncompressed %dB", comp.Len(), plain.Len())
-	}
-	// With instruments attached, the raw/compressed totals and the ratio
-	// gauge move.
+// TestBinaryWireReservedFlags: the frame flags byte is reserved, so an
+// encoder writes 0 and a frame with any flag bit set is a decode error,
+// never a frame read as if the bit were absent.
+func TestBinaryWireReservedFlags(t *testing.T) {
 	var buf bytes.Buffer
-	c := newBinConn(bufConn{w: &buf}, true, true)
-	c.rawBytes = reg.Counter("raw")
-	c.compBytes = reg.Counter("comp")
-	c.compRatio = reg.Gauge("ratio")
-	if err := c.sendBatch([]*envelope{seqTuple(1, vals)}); err != nil {
+	if err := newBinConn(bufConn{w: &buf}, true).sendBatch([]*envelope{seqTuple(1, topology.Values{"s": "x"})}); err != nil {
 		t.Fatal(err)
 	}
-	if c.rawBytes.Value() == 0 || c.compBytes.Value() == 0 {
-		t.Fatal("compression counters did not move")
+	pre := len(binWireMagic) + 1
+	_, n := binary.Uvarint(buf.Bytes()[pre:])
+	flagsAt := pre + n + 1 // after the length and the kind byte
+	if got := buf.Bytes()[flagsAt]; got != 0 {
+		t.Fatalf("encoder wrote flags %#02x, want 0", got)
 	}
-	if r := c.compRatio.Value(); r <= 1 {
-		t.Fatalf("compression ratio %v, want > 1 for repetitive payload", r)
-	}
-	receiver := newBinConn(bufConn{r: bytes.NewReader(buf.Bytes())}, false, false)
-	e, err := receiver.recv()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameValues(t, e.Tuple.Values, vals)
-
-	// An incompressible payload must travel uncompressed (no flag, no
-	// size regression) and still decode.
-	rnd := make([]byte, 4096)
-	s := uint64(0x9e3779b97f4a7c15)
-	for i := range rnd {
-		s = s*6364136223846793005 + 1442695040888963407
-		rnd[i] = byte(s >> 33)
-	}
-	var buf2 bytes.Buffer
-	c2 := newBinConn(bufConn{w: &buf2}, true, true)
-	if err := c2.sendBatch([]*envelope{seqTuple(1, topology.Values{"s": string(rnd)})}); err != nil {
-		t.Fatal(err)
-	}
-	r2 := newBinConn(bufConn{r: bytes.NewReader(buf2.Bytes())}, false, false)
-	if _, err := r2.recv(); err != nil {
-		t.Fatalf("incompressible payload: %v", err)
+	for _, flags := range []byte{0x01, 0x02} {
+		frame := bytes.Clone(buf.Bytes())
+		frame[flagsAt] = flags
+		if e, err := newBinConn(bufConn{r: bytes.NewReader(frame)}, false).recv(); err == nil {
+			t.Errorf("flags %#02x: decoded %+v, want an error", flags, e)
+		}
 	}
 }
 
@@ -439,8 +400,8 @@ func TestBinaryWireCompression(t *testing.T) {
 // concurrent sender/receiver — the shape the worker uses.
 func TestBinaryWireOverSocket(t *testing.T) {
 	a, b := net.Pipe()
-	sender := newBinConn(a, true, false)
-	receiver := newBinConn(b, false, false)
+	sender := newBinConn(a, true)
+	receiver := newBinConn(b, false)
 	defer sender.close()
 	defer receiver.close()
 
@@ -507,7 +468,7 @@ func FuzzFrameRoundTrip(f *testing.F) {
 		batch[0].AckSeq = uint64(n)
 
 		var buf bytes.Buffer
-		sender := newBinConn(bufConn{w: &buf}, true, n%2 == 0)
+		sender := newBinConn(bufConn{w: &buf}, true)
 		if err := sender.sendBatch(batch); err != nil {
 			t.Fatal(err)
 		}
@@ -520,7 +481,7 @@ func FuzzFrameRoundTrip(f *testing.F) {
 		full := buf.Bytes()
 
 		// Parity: both frames decode to the originals.
-		receiver := newBinConn(bufConn{r: bytes.NewReader(full)}, false, false)
+		receiver := newBinConn(bufConn{r: bytes.NewReader(full)}, false)
 		for i, want := range append(append([]*envelope{}, batch...), second) {
 			e, err := receiver.recv()
 			if err != nil {
@@ -544,7 +505,7 @@ func FuzzFrameRoundTrip(f *testing.F) {
 
 		// Truncation anywhere inside the first frame must error.
 		if c := int(cut) % cutAt; true {
-			tr := newBinConn(bufConn{r: bytes.NewReader(full[:c])}, false, false)
+			tr := newBinConn(bufConn{r: bytes.NewReader(full[:c])}, false)
 			if e, err := tr.recv(); err == nil {
 				t.Fatalf("truncation at %d decoded %+v", c, e)
 			}
@@ -553,14 +514,14 @@ func FuzzFrameRoundTrip(f *testing.F) {
 		// Splice: decoding the second frame without the first's dictionary
 		// must fail (the frame's refs point at entries never shipped).
 		spliced := append(append([]byte(binWireMagic), binWireVersion), full[cutAt:]...)
-		sp := newBinConn(bufConn{r: bytes.NewReader(spliced)}, false, false)
+		sp := newBinConn(bufConn{r: bytes.NewReader(spliced)}, false)
 		if _, err := sp.recv(); err == nil {
 			t.Fatal("spliced stream decoded a frame with unknown dictionary refs")
 		}
 
 		// Garbage robustness: arbitrary bytes after a valid preamble must
 		// error out (eventually) without panicking or looping forever.
-		g := newBinConn(bufConn{r: bytes.NewReader(append(append([]byte(binWireMagic), binWireVersion), raw...))}, false, false)
+		g := newBinConn(bufConn{r: bytes.NewReader(append(append([]byte(binWireMagic), binWireVersion), raw...))}, false)
 		for {
 			if _, err := g.recv(); err != nil {
 				break

@@ -261,20 +261,6 @@ type Worker struct {
 	// deterministic chaos schedules rely on.
 	RandSeed int64
 
-	// FrameBatch caps how many tuples one binary data frame coalesces
-	// (NewWorker defaults it to 32; <= 0 means no batching). Batching
-	// is natural/greedy: whatever is pending when the sender drains the
-	// queue travels together, adding no latency.
-	FrameBatch int
-	// FrameFlushInterval > 0 opts into latency-for-density trading: a
-	// sender with a non-full batch waits up to this long for more
-	// dispatches before flushing the frame. 0 (the default) sends
-	// immediately.
-	FrameFlushInterval time.Duration
-	// FrameCompress DEFLATE-compresses binary data frames when the
-	// payload shrinks; useful on wide-area links, off by default.
-	FrameCompress bool
-
 	// Telemetry, when set before Run, instruments the worker's transport
 	// and tasks: frames/bytes sent, dictionary hit rate, redials,
 	// per-peer backoff state, mailbox depth, and per-component
@@ -394,16 +380,13 @@ type Worker struct {
 		dedup       *telemetry.Counter
 		heartbeats  *telemetry.Counter
 		buffered    *telemetry.Gauge
-		// Wire-format instruments: framed bytes by frame kind,
-		// the per-frame batch-size histogram, and compression totals.
+		// Wire-format instruments: framed bytes by frame kind and the
+		// per-frame batch-size histogram.
 		wireSentData *telemetry.Counter
 		wireSentAck  *telemetry.Counter
 		wireRecvData *telemetry.Counter
 		wireRecvAck  *telemetry.Counter
 		batchDocs    *telemetry.Histogram
-		wireRaw      *telemetry.Counter
-		wireComp     *telemetry.Counter
-		compRatio    *telemetry.Gauge
 		// Elastic-rescale instruments: tasks and snapshot bytes
 		// migrated off/onto this worker.
 		migOut      *telemetry.Counter
@@ -481,7 +464,6 @@ func newWorker(id int, b *topology.Builder, coordAddr string) (*Worker, error) {
 		AckInterval:       2 * time.Millisecond,
 		AckEvery:          64,
 		HeartbeatInterval: 250 * time.Millisecond,
-		FrameBatch:        32,
 	}
 	w.pauseCond = sync.NewCond(&w.pauseMu)
 	w.migCond = sync.NewCond(&w.migMu)
@@ -673,9 +655,8 @@ func (w *Worker) initTelemetry() {
 	w.tel.heartbeats = reg.Counter(telemetry.Name("cluster_heartbeats_sent_total", "worker", id))
 	w.tel.buffered = reg.Gauge(telemetry.Name("cluster_resend_buffered", "worker", id))
 	// Framing layer: bytes as framed on the wire split by frame kind
-	// (cluster_bytes_* above counts raw socket bytes), tuples per data
-	// frame, and DEFLATE totals + ratio when FrameCompress is on.
-	// cluster_frames_sent_total counts per batch *member*, so the
+	// (cluster_bytes_* above counts raw socket bytes) and tuples per
+	// data frame. cluster_frames_sent_total counts per batch *member*, so the
 	// frames−retries == remote copies invariant holds independent of
 	// batching.
 	w.tel.wireSentData = reg.Counter(telemetry.Name("cluster_wire_bytes_sent_total", "kind", "data", "worker", id))
@@ -683,9 +664,6 @@ func (w *Worker) initTelemetry() {
 	w.tel.wireRecvData = reg.Counter(telemetry.Name("cluster_wire_bytes_received_total", "kind", "data", "worker", id))
 	w.tel.wireRecvAck = reg.Counter(telemetry.Name("cluster_wire_bytes_received_total", "kind", "ack", "worker", id))
 	w.tel.batchDocs = reg.Histogram(telemetry.Name("cluster_frame_batch_docs", "worker", id))
-	w.tel.wireRaw = reg.Counter(telemetry.Name("cluster_wire_raw_bytes_total", "worker", id))
-	w.tel.wireComp = reg.Counter(telemetry.Name("cluster_wire_compressed_bytes_total", "worker", id))
-	w.tel.compRatio = reg.Gauge(telemetry.Name("cluster_wire_compression_ratio", "worker", id))
 	w.tel.migOut = reg.Counter(telemetry.Name("cluster_migrations_total", "direction", "out", "worker", id))
 	w.tel.migOutBytes = reg.Counter(telemetry.Name("cluster_migration_bytes_total", "direction", "out", "worker", id))
 	w.tel.migIn = reg.Counter(telemetry.Name("cluster_migrations_total", "direction", "in", "worker", id))
@@ -1017,25 +995,16 @@ func (w *Worker) recordFailure(comp string, task int, v any) {
 	w.failMu.Unlock()
 }
 
-// frameBatch resolves the per-frame tuple cap (<= 0 disables batching).
-func (w *Worker) frameBatch() int {
-	if w.FrameBatch <= 0 {
-		return 1
-	}
-	return w.FrameBatch
-}
-
 // newDataConn wraps a data-plane socket in the binary codec, with byte
 // counting underneath and the codec's instruments attached. The dialer
 // side announces itself with the wire preamble.
 func (w *Worker) newDataConn(raw net.Conn, dialer bool) *binConn {
 	cc := countingConn{Conn: raw, sent: w.tel.bytesSent, recvd: w.tel.bytesRecv}
-	c := newBinConn(cc, dialer, w.FrameCompress)
+	c := newBinConn(cc, dialer)
 	c.dictHits, c.dictMisses = w.tel.dictHits, w.tel.dictMisses
 	c.wireSentData, c.wireSentAck = w.tel.wireSentData, w.tel.wireSentAck
 	c.wireRecvData, c.wireRecvAck = w.tel.wireRecvData, w.tel.wireRecvAck
 	c.batchDocs = w.tel.batchDocs
-	c.rawBytes, c.compBytes, c.compRatio = w.tel.wireRaw, w.tel.wireComp, w.tel.compRatio
 	return c
 }
 
@@ -1395,24 +1364,13 @@ func (w *Worker) runPeerSender(id int, p *peer) {
 			p.mu.Unlock()
 			continue
 		}
-		if w.FrameFlushInterval > 0 {
-			w.awaitBatchLocked(p)
-			if p.closed {
-				p.mu.Unlock()
-				return
-			}
-			if p.c == nil || p.sentTo >= p.nextSeq {
-				p.mu.Unlock()
-				continue // the link was evicted or an ack drained the queue
-			}
-		}
-		// Batch the pending suffix, capped at FrameBatch. The buffer is a
+		// Batch the pending suffix, capped at frameBatch. The buffer is a
 		// contiguous sequence run (buf[i].DataSeq == acked+1+i), so the
 		// batch members carry consecutive sequence numbers — the property
 		// the binary format's implicit firstSeq+i encoding relies on.
 		lo := p.sentTo - p.acked
 		hi := p.nextSeq - p.acked
-		if limit := lo + uint64(w.frameBatch()); hi > limit {
+		if limit := lo + frameBatch; hi > limit {
 			hi = limit
 		}
 		batch := p.buf[lo:hi]
@@ -1453,26 +1411,6 @@ func (w *Worker) runPeerSender(id int, p *peer) {
 		p.mu.Unlock()
 		backoff = w.RetryBackoff
 		w.notePiggyback(id, ack)
-	}
-}
-
-// awaitBatchLocked implements the opt-in flush interval: with a live
-// connection and a non-full batch pending, wait up to
-// FrameFlushInterval for more dispatches so frames travel fuller —
-// trading bounded latency for wire density. The caller holds p.mu (the
-// wait releases it); wakes early when the batch fills, the link dies,
-// or the worker shuts down.
-func (w *Worker) awaitBatchLocked(p *peer) {
-	deadline := time.Now().Add(w.FrameFlushInterval)
-	timer := time.AfterFunc(w.FrameFlushInterval, func() {
-		p.mu.Lock()
-		p.work.Broadcast()
-		p.mu.Unlock()
-	})
-	defer timer.Stop()
-	for !p.closed && p.c != nil &&
-		p.nextSeq-p.sentTo < uint64(w.frameBatch()) && time.Now().Before(deadline) {
-		p.work.Wait()
 	}
 }
 

@@ -13,7 +13,6 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/datagen"
 	"repro/internal/join"
@@ -110,19 +109,6 @@ type Config struct {
 	// Routing selects the Assigner policy; defaults to the paper's
 	// partition-based routing.
 	Routing Routing
-	// ProbeParallelism is the probe worker pool size of each Joiner's
-	// FPJ engine: incoming documents are micro-batched and their
-	// FP-tree probes fan out across this many goroutines (the
-	// read-only probe phase; inserts stay serial, so results are
-	// byte-for-byte those of the serial path). <= 1 keeps the serial
-	// probe loop. Only the FPJ engine parallelises; other engines
-	// ignore the setting.
-	ProbeParallelism int
-	// ProbeBatch is the Joiner micro-batch size feeding the probe
-	// pool: documents are buffered up to this count (flushed at every
-	// window punctuation at the latest) and probed as one batch.
-	// Defaults to 64 when ProbeParallelism > 1, else 1 (no batching).
-	ProbeBatch int
 	// MaxPending bounds every task mailbox to this many queued tuples
 	// (0 = unbounded). A full mailbox blocks its producers, so a spout
 	// outpacing the Joiners backpressures to the source instead of
@@ -161,19 +147,6 @@ type Config struct {
 	// and the final Report carries its snapshot. Nil (the default) keeps
 	// every instrument a no-op.
 	Telemetry *telemetry.Registry
-	// FrameBatch caps how many tuples one cluster data frame coalesces
-	// (default 32; local runs ignore the Frame* settings). Batching is
-	// greedy — whatever is pending travels together — so it adds no
-	// latency by itself.
-	FrameBatch int
-	// FrameFlushInterval > 0 makes a peer sender with a non-full batch
-	// wait up to this long for more tuples before flushing the frame,
-	// trading bounded latency for wire density. 0 (the default) sends
-	// immediately.
-	FrameFlushInterval time.Duration
-	// FrameCompress DEFLATE-compresses cluster data frames when that
-	// shrinks them; off by default.
-	FrameCompress bool
 
 	// recovery is the checkpoint/restore plumbing threaded in by the
 	// Runner (WithRecovery); nil keeps checkpointing off.
@@ -220,19 +193,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.Engine == "" {
 		c.Engine = "FPJ"
-	}
-	if c.ProbeParallelism <= 0 {
-		c.ProbeParallelism = 1
-	}
-	if c.ProbeBatch <= 0 {
-		if c.ProbeParallelism > 1 {
-			c.ProbeBatch = 64
-		} else {
-			c.ProbeBatch = 1
-		}
-	}
-	if c.FrameBatch <= 0 {
-		c.FrameBatch = 32
 	}
 	if _, err := join.New(c.Engine); err != nil {
 		return c, err

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"maps"
 	"sync"
 	"testing"
 
@@ -149,22 +150,21 @@ func checkPairSets(t *testing.T, got, want map[join.Pair]bool) {
 	}
 }
 
-// TestSystemEnginesAgree: the full system produces the same result set
-// regardless of the local join engine.
+// TestSystemEnginesAgree: whatever the local join engine, the full
+// system produces exactly the single-node oracle's pair set.
 func TestSystemEnginesAgree(t *testing.T) {
 	gen := datagen.NewServerLog(5)
 	var docs []document.Document
 	for w := 0; w < 2; w++ {
 		docs = append(docs, gen.Window(80)...)
 	}
-	var results []int
+	want := oraclePairs(docs, 80)
 	for _, eng := range []string{"FPJ", "NLJ", "HBJ"} {
 		cfg := Config{M: 3, Creators: 1, Assigners: 2, WindowSize: 80, Windows: 2, Engine: eng}
 		got, _ := runAndCollect(t, cfg, docs)
-		results = append(results, len(got))
-	}
-	if results[0] != results[1] || results[1] != results[2] {
-		t.Errorf("engines disagree: FPJ=%d NLJ=%d HBJ=%d", results[0], results[1], results[2])
+		if !maps.Equal(got, want) {
+			t.Errorf("%s produced %d pairs that differ from the oracle's %d", eng, len(got), len(want))
+		}
 	}
 }
 

@@ -132,13 +132,10 @@ func (r *Runner) PlacementInfo() (map[string][]int, uint64, error) {
 }
 
 // outfitWorker applies the run options to one cluster worker — initial
-// or joining: frame settings, telemetry, chaos proxy, heartbeat and the
-// caller's worker hook.
+// or joining: telemetry, chaos proxy, heartbeat and the caller's worker
+// hook.
 func (r *Runner) outfitWorker(w *cluster.Worker, wcfg Config, id int, lc *liveCluster) error {
 	w.Telemetry = wcfg.Telemetry
-	w.FrameBatch = wcfg.FrameBatch
-	w.FrameFlushInterval = wcfg.FrameFlushInterval
-	w.FrameCompress = wcfg.FrameCompress
 	if r.chaos != nil {
 		addr, err := w.Listen()
 		if err != nil {

@@ -52,14 +52,6 @@ type joinerBolt struct {
 	// Execute turns a non-zero count into a task failure.
 	ownerless int
 
-	// Micro-batching for the parallel probe pool: current-window
-	// documents are buffered up to batchCap and probed as one batch;
-	// the batch is flushed before any window punctuation is counted, so
-	// tumbles and checkpoints always see fully processed state.
-	batch    []pendingDoc
-	batchCap int
-	docsBuf  []document.Document
-
 	current int
 	pending map[int][]pendingDoc
 
@@ -110,7 +102,6 @@ func newJoinerBolt(cfg Config, task int) *joinerBolt {
 		markers:     make(map[int]int),
 		ckptW:       make(map[int]bool),
 		cp:          newCheckpointer(cfg, "joiner", task),
-		batchCap:    cfg.ProbeBatch,
 		spilledPend: make(map[int]bool),
 		pendBytes:   make(map[int]int64),
 	}
@@ -119,10 +110,6 @@ func newJoinerBolt(cfg Config, task int) *joinerBolt {
 		b.sink = cfg.onResultWindowed
 	case cfg.OnResult != nil:
 		b.sink = func(_ int, res join.Result) { cfg.OnResult(res) }
-	}
-	fpj, _ := eng.(*join.FPJ)
-	if fpj != nil && cfg.ProbeParallelism > 1 {
-		fpj.SetProbeParallelism(cfg.ProbeParallelism)
 	}
 	if reg := cfg.Telemetry; reg != nil {
 		id := fmt.Sprint(task)
@@ -135,16 +122,7 @@ func newJoinerBolt(cfg Config, task int) *joinerBolt {
 			Duplicates:   reg.Counter(telemetry.Name("join_duplicates_total", "task", id)),
 			WindowDocs:   reg.Gauge(telemetry.Name("join_window_docs", "task", id)),
 			TreeNodes:    reg.Gauge(telemetry.Name("join_fptree_nodes", "task", id)),
-			PoolDepth:    reg.Gauge(telemetry.Name("join_probe_pool_depth", "task", id)),
-			BatchDocs:    reg.Histogram(telemetry.Name("join_probe_batch_docs", "task", id)),
 		})
-		if fpj != nil && cfg.ProbeParallelism > 1 {
-			hists := make([]*telemetry.Histogram, cfg.ProbeParallelism)
-			for wkr := range hists {
-				hists[wkr] = reg.Histogram(telemetry.Name("join_probe_worker_seconds", "task", id, "worker", fmt.Sprint(wkr)))
-			}
-			fpj.SetWorkerProbeHistograms(hists)
-		}
 	}
 	if cfg.MemoryBudget > 0 {
 		var spill state.Store
@@ -198,7 +176,7 @@ func (b *joinerBolt) Execute(t topology.Tuple, c topology.Collector) {
 		w := t.Values["window"].(int)
 		p := pendingDoc{doc: t.Values["doc"].(document.Document), targets: t.Values["targets"].([]int)}
 		if w == b.current {
-			b.enqueue(p)
+			b.process(p)
 		} else {
 			b.pending[w] = append(b.pending[w], p)
 			if b.gov != nil {
@@ -208,9 +186,6 @@ func (b *joinerBolt) Execute(t topology.Tuple, c topology.Collector) {
 		}
 		b.govern()
 	case streamJoinerWindow:
-		// Any punctuation first drains the micro-batch, so window
-		// accounting never sees buffered-but-unprobed documents.
-		b.flushBatch()
 		w := t.Values["window"].(int)
 		b.markers[w]++
 		if _, ok := topology.CheckpointID(t); ok {
@@ -227,38 +202,8 @@ func (b *joinerBolt) Execute(t topology.Tuple, c topology.Collector) {
 	}
 }
 
-// enqueue routes a current-window document through the micro-batch, or
-// straight through the serial path when batching is off.
-func (b *joinerBolt) enqueue(p pendingDoc) {
-	if b.batchCap <= 1 {
-		b.process(p)
-		return
-	}
-	b.batch = append(b.batch, p)
-	if len(b.batch) >= b.batchCap {
-		b.flushBatch()
-	}
-}
-
-// flushBatch probes the buffered documents as one batch and delivers
-// their owned pairs in arrival order — the same pairs, in the same
-// order, the serial per-document path would have produced.
-func (b *joinerBolt) flushBatch() {
-	if len(b.batch) == 0 {
-		return
-	}
-	b.docsBuf = b.docsBuf[:0]
-	for _, p := range b.batch {
-		b.targets[p.doc.ID] = p.targets
-		b.docsBuf = append(b.docsBuf, p.doc)
-	}
-	b.batch = b.batch[:0]
-	fresh, rows := b.windowed.PartnersBatch(b.docsBuf)
-	for i, d := range fresh {
-		b.deliver(d, rows[i])
-	}
-}
-
+// process probes the current window with one document and delivers
+// its owned pairs.
 func (b *joinerBolt) process(p pendingDoc) {
 	b.targets[p.doc.ID] = p.targets
 	b.deliver(p.doc, b.windowed.Partners(p.doc))
@@ -316,9 +261,6 @@ func (b *joinerBolt) ownsPair(lt, rt []int) bool {
 // punctuated it, replaying buffered documents of the next window.
 func (b *joinerBolt) maybeTumble(c topology.Collector) {
 	for b.markers[b.current] == b.numAssigners {
-		// Replayed documents of this window may still sit in the
-		// micro-batch; fold them in before closing it.
-		b.flushBatch()
 		w := b.current
 		ckpt := b.ckptW[w]
 		delete(b.markers, w)
@@ -342,7 +284,7 @@ func (b *joinerBolt) maybeTumble(c topology.Collector) {
 			b.cp.save(w, b)
 		}
 		for _, p := range b.takePending(b.current) {
-			b.enqueue(p)
+			b.process(p)
 		}
 	}
 }

@@ -20,7 +20,7 @@ type JoinerTask struct {
 // results go to onResult (nil = no consumer, so nothing is
 // materialised).
 func NewJoinerTask(task int, onResult func(join.Result)) *JoinerTask {
-	b := newJoinerBolt(Config{Engine: "FPJ", OnResult: onResult, ProbeBatch: 1}, task)
+	b := newJoinerBolt(Config{Engine: "FPJ", OnResult: onResult}, task)
 	b.Prepare(&topology.TaskContext{Parallelism: map[string]int{"assigner": 1}})
 	return &JoinerTask{bolt: b}
 }
@@ -28,7 +28,7 @@ func NewJoinerTask(task int, onResult func(join.Result)) *JoinerTask {
 // Deliver hands the task one document of the current window together
 // with the ascending list of Joiner tasks it was routed to.
 func (j *JoinerTask) Deliver(d document.Document, targets []int) {
-	j.bolt.enqueue(pendingDoc{doc: d, targets: targets})
+	j.bolt.process(pendingDoc{doc: d, targets: targets})
 }
 
 // CloseWindow tumbles the current window and reports how many pairs

@@ -43,9 +43,8 @@ func oracleResults(docs []document.Document, windowSize int) map[string]int {
 }
 
 // TestResultMultisetParity: whatever the runtime (in-process, three TCP
-// workers) and probe mode (serial, pooled micro-batches), the results
-// handed to OnResult — merged documents included — are exactly the
-// single-process join's, each once.
+// workers), the results handed to OnResult — merged documents included
+// — are exactly the single-process join's, each once.
 func TestResultMultisetParity(t *testing.T) {
 	const (
 		windowSize = 150
@@ -62,45 +61,40 @@ func TestResultMultisetParity(t *testing.T) {
 			t.Fatalf("%s: oracle produced no results", dataset)
 		}
 		for _, workers := range []int{0, 3} {
-			for _, pool := range []int{1, 2} {
-				t.Run(fmt.Sprintf("%s/workers=%d/pool=%d", dataset, workers, pool), func(t *testing.T) {
-					var mu sync.Mutex
-					got := make(map[string]int)
-					cfg := Config{
-						M: 4, WindowSize: windowSize, Windows: windows,
-						Source: &replaySource{docs: docs},
-						OnResult: func(r join.Result) {
-							mu.Lock()
-							got[resultKey(r)]++
-							mu.Unlock()
-						},
+			t.Run(fmt.Sprintf("%s/workers=%d", dataset, workers), func(t *testing.T) {
+				var mu sync.Mutex
+				got := make(map[string]int)
+				cfg := Config{
+					M: 4, WindowSize: windowSize, Windows: windows,
+					Source: &replaySource{docs: docs},
+					OnResult: func(r join.Result) {
+						mu.Lock()
+						got[resultKey(r)]++
+						mu.Unlock()
+					},
+				}
+				var opts []Option
+				if workers > 0 {
+					opts = append(opts, WithWorkers(workers))
+				}
+				report, err := NewRunner(cfg, opts...).Run()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(report.Topology.Failures) > 0 {
+					t.Fatalf("failures: %v", report.Topology.Failures)
+				}
+				for k, n := range want {
+					if got[k] != n {
+						t.Errorf("result %s delivered %d times, oracle %d", k, got[k], n)
 					}
-					var opts []Option
-					if workers > 0 {
-						opts = append(opts, WithWorkers(workers))
+				}
+				for k, n := range got {
+					if want[k] == 0 {
+						t.Errorf("spurious result %s (%d times)", k, n)
 					}
-					if pool > 1 {
-						opts = append(opts, WithProbeParallelism(pool))
-					}
-					report, err := NewRunner(cfg, opts...).Run()
-					if err != nil {
-						t.Fatal(err)
-					}
-					if len(report.Topology.Failures) > 0 {
-						t.Fatalf("failures: %v", report.Topology.Failures)
-					}
-					for k, n := range want {
-						if got[k] != n {
-							t.Errorf("result %s delivered %d times, oracle %d", k, got[k], n)
-						}
-					}
-					for k, n := range got {
-						if want[k] == 0 {
-							t.Errorf("spurious result %s (%d times)", k, n)
-						}
-					}
-				})
-			}
+				}
+			})
 		}
 	}
 }

@@ -62,15 +62,6 @@ func WithTelemetry(reg *telemetry.Registry) Option {
 	return func(r *Runner) { r.cfg.Telemetry = reg }
 }
 
-// WithProbeParallelism sizes each Joiner's FPJ probe worker pool:
-// documents are micro-batched (Config.ProbeBatch, default 64) and
-// their window-tree probes run across n goroutines, with results
-// merged back in arrival order. Equivalent to setting
-// Config.ProbeParallelism. n <= 1 keeps the serial probe loop.
-func WithProbeParallelism(n int) Option {
-	return func(r *Runner) { r.cfg.ProbeParallelism = n }
-}
-
 // WithMemoryBudget bounds each Joiner's accounted window-state bytes,
 // spilling buffered future-window documents to the WithSpillDir store
 // under pressure. Equivalent to setting Config.MemoryBudget; <= 0

@@ -1,9 +1,6 @@
 package fptree
 
-import (
-	"repro/internal/document"
-	"repro/internal/symbol"
-)
+import "repro/internal/symbol"
 
 // Scratch buffers are reused across probes but released once they grow
 // past these bounds, so a long-lived joiner that once saw a huge window
@@ -27,55 +24,18 @@ type frame struct {
 	shared int32
 }
 
-// Prober is one probe context over a Tree: the stamped probe scratch
+// prober is the tree's probe context: the stamped probe scratch
 // (val[a] is the probing document's value ID for attribute a iff
 // mark[a] holds the current stamp) plus the explicit traversal stack.
-// Each Prober owns its scratch, so several Probers may probe the same
-// tree concurrently — the probe path only reads tree state — provided
-// Tree.PrepareProbes ran first and no mutation (Insert/Reset/Restore)
-// overlaps. Obtain extra Probers with Tree.NewProber; the tree itself
-// embeds one backing the serial JoinPartners API.
-type Prober struct {
-	t     *Tree
-	epoch uint64
+// The tree embeds one, backing JoinPartners.
+type prober struct {
+	t *Tree
 
 	val   []symbol.ID
 	mark  []uint32
 	stamp uint32
 
 	stack []frame
-}
-
-// NewProber returns an independent probe context for concurrent
-// read-only probing of t. See Tree.PrepareProbes for the protocol.
-func (t *Tree) NewProber() *Prober {
-	return &Prober{t: t, epoch: t.symEpoch}
-}
-
-// Reattach re-syncs the Prober to the tree's current symbol epoch,
-// discarding scratch if it moved (the attribute-ID indexing is void
-// across epochs). Call serially — e.g. at a batch boundary, after
-// Tree.PrepareProbes — never while other probes are in flight.
-func (p *Prober) Reattach() {
-	if p.epoch != p.t.symEpoch {
-		p.dropScratch()
-		p.epoch = p.t.symEpoch
-	}
-}
-
-// JoinPartnersAppend probes the tree through this Prober's private
-// scratch, appending d's join partners to dst. It never mutates the
-// tree; the caller must have run Tree.PrepareProbes since the last
-// mutation.
-func (p *Prober) JoinPartnersAppend(dst []uint64, d document.Document) []uint64 {
-	t := p.t
-	if t.docCount == 0 {
-		return dst
-	}
-	if e := symbol.Epoch(); e != p.epoch || e != t.symEpoch {
-		panic("fptree: prober used across a symbol epoch change")
-	}
-	return p.joinPartners(dst, d.ID, d.InternedPairs())
 }
 
 // joinPartners runs FPTreeJoin (Algorithm 2) over the arena: the
@@ -85,7 +45,7 @@ func (p *Prober) JoinPartnersAppend(dst []uint64, d document.Document) []uint64 
 // shares at least one pair with the probe. Visit order is the same
 // pre-order the recursive pointer-tree traversal produced, so results
 // are byte-identical.
-func (p *Prober) joinPartners(dst []uint64, excludeID uint64, syms []symbol.Pair) []uint64 {
+func (p *prober) joinPartners(dst []uint64, excludeID uint64, syms []symbol.Pair) []uint64 {
 	t := p.t
 	p.stampProbe(syms)
 	num := t.NumUbiquitous()
@@ -135,7 +95,7 @@ func (p *Prober) joinPartners(dst []uint64, excludeID uint64, syms []symbol.Pair
 // the probe lacks cannot conflict and keeps it. Edges carry their
 // label symbol inline, so the pruning scan touches one contiguous span
 // and never dereferences a pruned child.
-func (p *Prober) pushKids(stack []frame, n int32, shared int32) []frame {
+func (p *prober) pushKids(stack []frame, n int32, shared int32) []frame {
 	ks := p.t.kids[n]
 	for i := len(ks) - 1; i >= 0; i-- {
 		s := ks[i].sym
@@ -154,7 +114,7 @@ func (p *Prober) pushKids(stack []frame, n int32, shared int32) []frame {
 // val[a] holds the probe's value ID for attribute a iff mark[a] equals
 // the (freshly bumped) stamp. No clearing is needed between probes; on
 // stamp wrap-around the marks are zeroed once.
-func (p *Prober) stampProbe(syms []symbol.Pair) {
+func (p *prober) stampProbe(syms []symbol.Pair) {
 	p.stamp++
 	if p.stamp == 0 {
 		for i := range p.mark {
@@ -189,7 +149,7 @@ func growIDs(s []symbol.ID, n int) []symbol.ID {
 
 // releaseOversized frees scratch that grew past the retention bounds
 // (called from Tree.Reset so window tumbles shed peak-sized scratch).
-func (p *Prober) releaseOversized() {
+func (p *prober) releaseOversized() {
 	if cap(p.val) > maxRetainedProbeScratch {
 		p.val, p.mark, p.stamp = nil, nil, 0
 	}
@@ -200,10 +160,10 @@ func (p *Prober) releaseOversized() {
 
 // dropScratch discards all scratch unconditionally (epoch changes
 // invalidate the attribute-ID indexing outright).
-func (p *Prober) dropScratch() {
+func (p *prober) dropScratch() {
 	p.val, p.mark, p.stamp = nil, nil, 0
 	p.stack = nil
 }
 
 // scratchCap reports the probe scratch capacity (tests).
-func (p *Prober) scratchCap() int { return cap(p.val) }
+func (p *prober) scratchCap() int { return cap(p.val) }

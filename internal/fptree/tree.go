@@ -46,7 +46,7 @@ import (
 // per-node group scan plus per-group value map of the pointer layout.
 // The map holds only the children of parents whose span outgrew
 // spanScanMax: a span is indexed whole when it crosses the threshold.
-// Traversal no longer recurses: Prober walks an explicit frame stack,
+// Traversal no longer recurses: the prober walks an explicit frame stack,
 // so degenerate chain-shaped trees cannot grow the goroutine stack.
 type Tree struct {
 	order *Order
@@ -79,9 +79,8 @@ type Tree struct {
 	numUbiq   int
 	ubiqValid bool
 
-	// prober is the tree-owned probe context backing the serial
-	// JoinPartners API; concurrent probers come from NewProber.
-	prober Prober
+	// prober is the tree-owned probe context backing JoinPartners.
+	prober prober
 
 	// Insert scratch: packed (rank, position) sort keys, reused.
 	arrKeys []uint64
@@ -121,7 +120,6 @@ func New(order *Order) *Tree {
 	}
 	t.initRoot()
 	t.prober.t = t
-	t.prober.epoch = t.symEpoch
 	return t
 }
 
@@ -204,7 +202,6 @@ func (t *Tree) docSyms(d document.Document) []symbol.Pair {
 		t.symEpoch = e
 		t.attrCounts = nil
 		t.prober.dropScratch()
-		t.prober.epoch = e
 	}
 	t.order.sync()
 	return d.InternedPairs()
@@ -358,26 +355,6 @@ func (t *Tree) NumUbiquitous() int {
 	return n
 }
 
-// PrepareProbes readies the tree for concurrent read-only probing: it
-// verifies the symbol epoch, syncs the attribute order's ID indexes and
-// fills the NumUbiquitous cache — every lazily computed piece of state
-// a probe would otherwise write. After PrepareProbes, any number of
-// Probers (see NewProber) may call JoinPartnersAppend concurrently, as
-// long as no Insert, Reset or Restore runs until they finish.
-func (t *Tree) PrepareProbes() {
-	if e := symbol.Epoch(); e != t.symEpoch {
-		if t.docCount != 0 || t.NodeCount() != 0 {
-			panic("fptree: symbol epoch changed under a live tree (symbol.Reset is quiesce-only)")
-		}
-		t.symEpoch = e
-		t.attrCounts = nil
-		t.prober.dropScratch()
-		t.prober.epoch = e
-	}
-	t.order.sync()
-	t.NumUbiquitous()
-}
-
 // JoinPartners implements FPTreeJoin (Algorithm 2): it returns the ids
 // of every stored document joinable with d. The first NumUbiquitous
 // levels are navigated directly via the equally-labeled child — all
@@ -398,8 +375,7 @@ func (t *Tree) JoinPartners(d document.Document) []uint64 {
 }
 
 // JoinPartnersAppend is JoinPartners appending into dst, for callers
-// that manage their own result buffers. It probes through the tree's
-// own serial Prober; concurrent callers use NewProber.
+// that manage their own result buffers.
 func (t *Tree) JoinPartnersAppend(dst []uint64, d document.Document) []uint64 {
 	if t.docCount == 0 {
 		return dst

@@ -16,13 +16,11 @@ type FPJ struct {
 	// caller-owned slices, so the reuse lives here, on the hot path
 	// that consumes results immediately.
 	buf []uint64
-
-	pool *probePool
-
-	// batchBufs backs ProbeInsertBatch rows when no pool is configured
-	// (the serial batch fallback).
-	batchBufs [][]uint64
 }
+
+// maxRetainedResultBuf bounds the result buffer kept across window
+// tumbles (entries, i.e. 8-byte ids).
+const maxRetainedResultBuf = 4096
 
 // NewFPJ creates an FPJ whose attribute ordering grows by first
 // appearance — suitable for streaming probe-then-insert use where no
@@ -71,14 +69,6 @@ func (e *FPJ) Reset() {
 	e.tree.Reset()
 	if cap(e.buf) > maxRetainedResultBuf {
 		e.buf = nil
-	}
-	for i, b := range e.batchBufs {
-		if cap(b) > maxRetainedResultBuf {
-			e.batchBufs[i] = nil
-		}
-	}
-	if e.pool != nil {
-		e.pool.releaseOversized()
 	}
 }
 

@@ -21,14 +21,13 @@ type Result struct {
 // so every joinable pair within one window is produced exactly once;
 // when the window tumbles the entire state is evicted (paper Sec. V-A).
 //
-// The result path has two steps. The pair-level step (Partners,
-// PartnersBatch) deduplicates, probes, stores and yields partner *ids*;
-// Materialize builds merged documents for whichever of those ids the
-// caller wants delivered. Process and ProcessBatch are the composition
-// "all partners, materialise all"; the scale-out Joiner runs the steps
-// itself and filters the ids by pair ownership in between, so a
-// replicated pair costs a probe per replica but a merged document only
-// on the task that owns it.
+// The result path has two steps. The pair-level step (Partners)
+// deduplicates, probes, stores and yields partner *ids*; Materialize
+// builds merged documents for whichever of those ids the caller wants
+// delivered. Process is the composition "all partners, materialise
+// all"; the scale-out Joiner runs the steps itself and filters the ids
+// by pair ownership in between, so a replicated pair costs a probe per
+// replica but a merged document only on the task that owns it.
 type Windowed struct {
 	engine Engine
 	// store holds the current window's documents. It doubles as the
@@ -47,10 +46,6 @@ type Windowed struct {
 	// store incrementally, so MemBytes answers in O(1) on every
 	// admission the memory governor meters.
 	storeBytes int64
-
-	// fresh and rows back PartnersBatch's return values between calls.
-	fresh []document.Document
-	rows  [][]uint64
 
 	ins Instruments
 	// fpj caches the engine's concrete type when TreeNodes is attached,
@@ -81,12 +76,6 @@ type Instruments struct {
 	// TreeNodes tracks the engine's FP-tree node count; it stays zero
 	// for engines without a tree (NLJ, HBJ).
 	TreeNodes *telemetry.Gauge
-	// PoolDepth tracks the probe worker pool size in use for batch
-	// probes (1 = serial engine path).
-	PoolDepth *telemetry.Gauge
-	// BatchDocs records the document count of each batch handed to
-	// ProcessBatch (unit: documents, via ObserveNS).
-	BatchDocs *telemetry.Histogram
 }
 
 // SetInstruments attaches live metrics to the windowed joiner.
@@ -124,7 +113,9 @@ func (w *Windowed) Engine() Engine { return w.engine }
 // until the next call on w; nothing is merged. A document id already in
 // this window is ignored (duplicate delivery) and yields no partners.
 func (w *Windowed) Partners(d document.Document) []uint64 {
-	if w.duplicate(d.ID) {
+	if _, dup := w.store[d.ID]; dup {
+		w.duplicates++
+		w.ins.Duplicates.Inc()
 		return nil
 	}
 	w.docsProcessed++
@@ -141,17 +132,6 @@ func (w *Windowed) Partners(d document.Document) []uint64 {
 	w.found(len(partners))
 	w.updateSizes()
 	return partners
-}
-
-// duplicate reports — and counts — a delivery of an id this window
-// already stores.
-func (w *Windowed) duplicate(id uint64) bool {
-	if _, dup := w.store[id]; !dup {
-		return false
-	}
-	w.duplicates++
-	w.ins.Duplicates.Inc()
-	return true
 }
 
 // found accounts n partner ids yielded by a probe.
@@ -204,84 +184,6 @@ func (w *Windowed) storeDoc(d document.Document) {
 // windowMapEntryBytes approximates one store map entry's overhead
 // (uint64 key + bucket share) beyond the Document value itself.
 const windowMapEntryBytes = 16
-
-// PartnersBatch is the pair-level step for a micro-batch, equivalent
-// to calling Partners for each document in order: duplicate deliveries
-// are dropped, and rows[i] holds the partner ids of fresh[i], partners
-// among earlier documents of the same batch included. A BatchEngine may
-// order the ids within one row differently than the serial walk
-// (window-state partners before intra-batch partners) — the
-// per-document multisets are identical either way. Engines implementing
-// BatchEngine — FPJ with a probe worker pool — overlap the window-tree
-// probes of the batch across their workers; other engines probe
-// serially. Both slices and every row are valid, and the rows free to
-// filter in place, until the next call on w.
-func (w *Windowed) PartnersBatch(docs []document.Document) (fresh []document.Document, rows [][]uint64) {
-	// Suppress duplicate deliveries up front, like Partners would at
-	// each position; storing as we go also catches an id repeated
-	// inside the batch.
-	w.fresh = w.fresh[:0]
-	for _, d := range docs {
-		if w.duplicate(d.ID) {
-			continue
-		}
-		w.storeDoc(d)
-		w.fresh = append(w.fresh, d)
-	}
-	fresh = w.fresh
-	if len(fresh) == 0 {
-		return nil, nil
-	}
-	w.docsProcessed += len(fresh)
-	w.ins.BatchDocs.ObserveNS(int64(len(fresh)))
-
-	if be, ok := w.engine.(BatchEngine); ok {
-		if w.ins.PoolDepth != nil {
-			if fpj, isFPJ := w.engine.(*FPJ); isFPJ {
-				w.ins.PoolDepth.SetInt(fpj.ProbeParallelism())
-			}
-		}
-		rows = be.ProbeInsertBatch(fresh)
-	} else {
-		// Engine cannot batch: probe serially, copying each row out of
-		// the engine's buffer before the next probe reuses it.
-		for len(w.rows) < len(fresh) {
-			w.rows = append(w.rows, nil)
-		}
-		rows = w.rows[:len(fresh)]
-		for i, d := range fresh {
-			rows[i] = append(rows[i][:0], w.engine.ProbeInsert(d)...)
-		}
-	}
-	for _, row := range rows {
-		w.found(len(row))
-	}
-	w.updateSizes()
-	return fresh, rows
-}
-
-// ProcessBatch runs a micro-batch of documents through the window,
-// equivalent to calling Process for each document in order: duplicate
-// deliveries are suppressed, every joinable pair is produced exactly
-// once, and results are merged back in arrival order (first by
-// document position, then by the engine's partner order — see
-// PartnersBatch for the latitude a BatchEngine has there), so OnResult
-// ordering downstream stays deterministic.
-func (w *Windowed) ProcessBatch(docs []document.Document) []Result {
-	fresh, rows := w.PartnersBatch(docs)
-	n := 0
-	for _, row := range rows {
-		n += len(row)
-	}
-	if n == 0 {
-		return nil
-	}
-	results := make([]Result, 0, n)
-	for i, d := range fresh {
-		results = w.Materialize(results, d, rows[i])
-	}
-	return results
-}
 
 // Tumble closes the window: it reports the documents and pairs the
 // window saw and evicts all state. The store keeps its buckets, so the
