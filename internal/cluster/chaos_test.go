@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/telemetry"
 	"repro/internal/topology"
 )
 
@@ -98,9 +99,9 @@ func awaitQuiesce(t *testing.T, ws []*Worker) {
 		var sent, exec int64
 		unacked := 0
 		for _, w := range ws {
-			s, e := w.Counters()
+			s, e, d := w.Counters()
 			sent += s
-			exec += e
+			exec += e + d
 			unacked += w.UnackedFrames()
 		}
 		if sent == exec && unacked == 0 && sent == prevSent && exec == prevExec {
@@ -154,8 +155,8 @@ func (s *gatedSpout) NextTuple(c topology.Collector) bool {
 }
 
 // TestDeliverLocalRejectsNegativeTask: a malformed frame with a
-// negative TargetTask must be recorded as a failure and compensated,
-// not panic the read loop.
+// negative TargetTask must be recorded as a failure and dropped as
+// unhosted, not panic the read loop.
 func TestDeliverLocalRejectsNegativeTask(t *testing.T) {
 	b := topology.NewBuilder()
 	b.SetSpout("src", func(int) topology.Spout { return &countSpout{n: 1} }, 1)
@@ -164,14 +165,20 @@ func TestDeliverLocalRejectsNegativeTask(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	w.Telemetry = telemetry.NewRegistry()
+	w.initTelemetry()
 	if w.deliverLocal("sink", -1, topology.Tuple{}) {
 		t.Error("negative task must not deliver")
 	}
-	if _, exec := w.Counters(); exec != 1 {
-		t.Errorf("executed = %d, want 1 compensation", exec)
+	if _, exec, dropped := w.Counters(); exec != 0 || dropped != 1 {
+		t.Errorf("executed = %d, dropped = %d; want 0 and 1", exec, dropped)
 	}
-	if len(w.stats().Failures) != 1 {
-		t.Errorf("failures = %v", w.stats().Failures)
+	unhosted := telemetry.Name("cluster_copies_dropped_total", "reason", "unhosted", "worker", "0")
+	if got := w.Telemetry.Snapshot().Counter(unhosted); got != 1 {
+		t.Errorf("%s = %d, want 1", unhosted, got)
+	}
+	if failures := w.x.Stats().Failures; len(failures) != 1 {
+		t.Errorf("failures = %v", failures)
 	}
 }
 
@@ -227,9 +234,7 @@ func TestSeverReconnect(t *testing.T) {
 	if len(stats.Failures) != 0 {
 		t.Errorf("failures: %v", stats.Failures)
 	}
-	if stats.SentCopies == 0 || stats.SentCopies != stats.ExecCopies {
-		t.Errorf("copies sent = %d, executed = %d", stats.SentCopies, stats.ExecCopies)
-	}
+	checkLedger(t, stats)
 }
 
 // TestDialRetryBackoff refuses the very first peer dials (the sink
@@ -248,7 +253,6 @@ func TestDialRetryBackoff(t *testing.T) {
 		return b
 	}
 	ws, proxies, result := startChaosCluster(t, makeBuilder, 2, func(w *Worker) {
-		w.SendRetries = 40
 		w.RetryBackoff = 2 * time.Millisecond
 		w.RetryBackoffMax = 20 * time.Millisecond
 	})
@@ -299,9 +303,7 @@ func TestDelayedLinksComplete(t *testing.T) {
 	if cnt != 80 {
 		t.Errorf("received %d tuples, want 80", cnt)
 	}
-	if stats.SentCopies != stats.ExecCopies {
-		t.Errorf("copies sent = %d, executed = %d", stats.SentCopies, stats.ExecCopies)
-	}
+	checkLedger(t, stats)
 }
 
 // TestBoundedMailboxesAcrossWorkers: a spout emitting an order of
@@ -329,17 +331,15 @@ func TestBoundedMailboxesAcrossWorkers(t *testing.T) {
 	if received != n {
 		t.Errorf("received %d tuples, want %d", received, n)
 	}
-	if stats.SentCopies != stats.ExecCopies {
-		t.Errorf("copies sent = %d, executed = %d", stats.SentCopies, stats.ExecCopies)
-	}
+	checkLedger(t, stats)
 	for _, w := range ws {
-		for comp, boxes := range w.boxes {
-			for task := range boxes {
-				box := boxes[task].Load()
-				if box == nil {
+		for comp, slots := range w.tasks {
+			for task := range slots {
+				h := slots[task].Load()
+				if h == nil {
 					continue
 				}
-				if peak := box.peakLen(); peak > capacity {
+				if peak := h.Box.Peak(); peak > capacity {
 					t.Errorf("worker %d %s[%d] peak queue %d exceeds capacity %d", w.id, comp, task, peak, capacity)
 				}
 			}

@@ -34,9 +34,9 @@ func (e *WorkerDied) Unwrap() error { return e.Err }
 //
 // Termination detection uses the classic double-probe argument over
 // monotonic counters: when all spouts are exhausted, the global number
-// of delivered tuple copies equals the global number of executed
-// tuples, and two consecutive probe rounds observe identical values,
-// no tuple can be queued, executing, or in flight on any wire.
+// of sent tuple copies equals the global number of executed plus
+// dropped copies, and two consecutive probe rounds observe identical
+// values, no tuple can be queued, executing, or in flight on any wire.
 //
 // Failure detection is two-layered. Reactively, each worker connection
 // has a dedicated reader goroutine, so a broken control socket surfaces
@@ -84,7 +84,7 @@ type Coordinator struct {
 	// epoch is the live placement epoch (0 until the first rescale);
 	// baseStats folds retired workers' final counters into every later
 	// probe sum and the final merge, preserving the global
-	// sent == executed invariant across departures. lastTable mirrors
+	// sent == executed + dropped invariant across departures. lastTable mirrors
 	// the table the most recent rescale installed. All three are owned
 	// by the Run goroutine.
 	epoch     uint64
@@ -231,7 +231,7 @@ func (c *Coordinator) Run() (topology.Stats, error) {
 	// servicing queued control requests (rescale, placement queries)
 	// between rounds — all control exchanges share awaitFrame, so they
 	// are serialized on this goroutine.
-	var prevSent, prevExec int64 = -1, -2
+	var prev int64 = -1
 	for seq := 0; ; seq++ {
 	service:
 		for {
@@ -244,7 +244,7 @@ func (c *Coordinator) Run() (topology.Stats, error) {
 					c.abortSurvivors(links, err)
 					return topology.Stats{}, err
 				}
-				prevSent, prevExec = -1, -2 // the counter base moved
+				prev = -1 // the counter base moved
 			case req := <-c.infoCh:
 				loads, err := c.collectLoads(links)
 				if err == nil {
@@ -263,37 +263,25 @@ func (c *Coordinator) Run() (topology.Stats, error) {
 				break service
 			}
 		}
-		sent, exec, done, err := c.probe(links, seq)
+		sent, settled, done, err := c.probe(links, seq)
 		if err != nil {
 			c.abortSurvivors(links, err)
 			return topology.Stats{}, err
 		}
-		// Retired workers' counters keep counting via the folded base:
-		// global sent == executed holds across departures.
-		sent += c.baseStats.SentCopies
-		exec += c.baseStats.ExecCopies
-		if done && sent == exec && sent == prevSent && exec == prevExec {
+		if done && sent == settled && sent == prev {
 			break
 		}
-		prevSent, prevExec = sent, exec
-		if !done || sent != exec {
-			prevSent, prevExec = -1, -2 // only count quiescent snapshots
+		prev = sent
+		if !done || sent != settled {
+			prev = -1 // only count quiescent snapshots
 			time.Sleep(time.Millisecond)
 		}
 	}
 
 	// Stop everyone and merge their statistics, starting from the
 	// folded base of any workers retired by earlier rescales.
-	merged := topology.Stats{Emitted: make(map[string]int64), Executed: make(map[string]int64)}
-	for comp, n := range c.baseStats.Emitted {
-		merged.Emitted[comp] += n
-	}
-	for comp, n := range c.baseStats.Executed {
-		merged.Executed[comp] += n
-	}
-	merged.SentCopies += c.baseStats.SentCopies
-	merged.ExecCopies += c.baseStats.ExecCopies
-	merged.Failures = append(merged.Failures, c.baseStats.Failures...)
+	var merged topology.Stats
+	addStats(&merged, c.baseStats)
 	ids := make([]int, 0, len(links))
 	for id := range links {
 		ids = append(ids, id)
@@ -313,17 +301,27 @@ func (c *Coordinator) Run() (topology.Stats, error) {
 			c.abortSurvivors(links, wd)
 			return merged, wd
 		}
-		for comp, n := range done.Stats.Emitted {
-			merged.Emitted[comp] += n
-		}
-		for comp, n := range done.Stats.Executed {
-			merged.Executed[comp] += n
-		}
-		merged.SentCopies += done.Stats.SentCopies
-		merged.ExecCopies += done.Stats.ExecCopies
-		merged.Failures = append(merged.Failures, done.Stats.Failures...)
+		addStats(&merged, done.Stats)
 	}
 	return merged, nil
+}
+
+// addStats folds one worker's final statistics into an aggregate.
+func addStats(dst *topology.Stats, s topology.Stats) {
+	if dst.Emitted == nil {
+		dst.Emitted = make(map[string]int64)
+		dst.Executed = make(map[string]int64)
+	}
+	for comp, n := range s.Emitted {
+		dst.Emitted[comp] += n
+	}
+	for comp, n := range s.Executed {
+		dst.Executed[comp] += n
+	}
+	dst.SentCopies += s.SentCopies
+	dst.ExecCopies += s.ExecCopies
+	dst.DroppedCopies += s.DroppedCopies
+	dst.Failures = append(dst.Failures, s.Failures...)
 }
 
 // sendCtl writes one control frame under a write-only deadline (the
@@ -355,11 +353,16 @@ func (c *Coordinator) abortSurvivors(links map[int]*workerLink, err error) {
 	}
 }
 
-// probe runs one probe round. A send failure, reader error, probe
-// timeout or lease expiry is attributed to the worker whose control
-// plane faulted and surfaces as *WorkerDied.
-func (c *Coordinator) probe(links map[int]*workerLink, seq int) (sent, exec int64, done bool, err error) {
+// probe runs one probe round, summing the workers' copy ledgers: sent,
+// and settled (executed plus dropped). Retired workers keep counting
+// via the folded base, so the global identity sent == settled holds
+// across departures. A send failure, reader error, probe timeout or
+// lease expiry is attributed to the worker whose control plane faulted
+// and surfaces as *WorkerDied.
+func (c *Coordinator) probe(links map[int]*workerLink, seq int) (sent, settled int64, done bool, err error) {
 	done = true
+	sent = c.baseStats.SentCopies
+	settled = c.baseStats.ExecCopies + c.baseStats.DroppedCopies
 	for id, l := range links {
 		if err := c.sendCtl(l, &envelope{Kind: frameProbe, Seq: seq}); err != nil {
 			return 0, 0, false, &WorkerDied{Worker: id, Err: err}
@@ -371,12 +374,12 @@ func (c *Coordinator) probe(links map[int]*workerLink, seq int) (sent, exec int6
 			return 0, 0, false, &WorkerDied{Worker: id, Err: err}
 		}
 		sent += reply.Sent
-		exec += reply.Executed
+		settled += reply.Executed + reply.Dropped
 		if !reply.SpoutsDone {
 			done = false
 		}
 	}
-	return sent, exec, done, nil
+	return sent, settled, done, nil
 }
 
 // awaitFrame waits for the next frame of the expected kind from one

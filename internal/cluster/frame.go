@@ -126,11 +126,12 @@ type envelope struct {
 	DataSeq    uint64
 	AckSeq     uint64
 
-	// frameProbe / frameProbeReply: termination detection.
+	// frameProbe / frameProbeReply: termination detection (copy ledger).
 	Seq        int
 	SpoutsDone bool
 	Sent       int64
 	Executed   int64
+	Dropped    int64
 
 	// frameDone: final per-worker statistics.
 	Stats topology.Stats

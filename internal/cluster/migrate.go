@@ -26,22 +26,26 @@ type taskKey struct {
 	task int
 }
 
-// pausePoint is called by every spout loop between NextTuple calls:
-// when a pause is requested and the spout sits at a window frontier
+// pausePoint is the executor's spout gate on a worker, called before
+// every NextTuple; false stops the spout once the worker is killed.
+// When a pause is requested and the spout sits at a window frontier
 // (or has no notion of frontiers), it parks until resumed. Spouts not
 // yet at a frontier return immediately and keep pumping — the park
 // happens on the first call where the window boundary has been
 // reached, so downstream state is exactly post-window when the
 // migration snapshots it.
-func (w *Worker) pausePoint(s topology.Spout) {
+func (w *Worker) pausePoint(s topology.Spout) bool {
+	if w.killed.Load() {
+		return false
+	}
 	w.pauseMu.Lock()
 	defer w.pauseMu.Unlock()
 	if !w.pauseWant {
-		return
+		return true
 	}
 	f, windowed := s.(topology.Frontiered)
 	if windowed && !f.AtFrontier() {
-		return
+		return true
 	}
 	if windowed && f.Frontier() > w.frontier {
 		w.frontier = f.Frontier()
@@ -52,6 +56,17 @@ func (w *Worker) pausePoint(s topology.Spout) {
 		w.pauseCond.Wait()
 	}
 	w.parked--
+	return !w.killed.Load()
+}
+
+// spoutExited retires one spout from the pause tally: a spout
+// exhausting itself while a pause gathers counts as parked, so the
+// waiter is woken to re-check.
+func (w *Worker) spoutExited() {
+	w.spoutsLeft.Add(-1)
+	w.pauseMu.Lock()
+	w.pauseCond.Broadcast()
+	w.pauseMu.Unlock()
 }
 
 // requestPause asks every live spout to park at its next frontier and
@@ -83,13 +98,9 @@ func (w *Worker) taskLoads() []TaskLoad {
 	pl := w.placement.Load()
 	var out []TaskLoad
 	for _, comp := range w.spec {
-		movable := w.builder.SpoutFactory(comp.ID) == nil
 		for _, task := range pl.TasksOn(comp.ID, w.id) {
-			var load int64
-			if counters := w.taskExec[comp.ID]; task < len(counters) {
-				load = counters[task].Load()
-			}
-			out = append(out, TaskLoad{Comp: comp.ID, Task: task, Worker: w.id, Load: load, Movable: movable})
+			load := w.x.TaskExecuted(comp.ID, task)
+			out = append(out, TaskLoad{Comp: comp.ID, Task: task, Worker: w.id, Load: load, Movable: !comp.IsSpout})
 		}
 	}
 	return out
@@ -106,7 +117,7 @@ func (w *Worker) handleRescale(coord *conn, e *envelope) {
 		// worker routes by, so this cannot happen unless the cluster's
 		// state already forked; record it loudly but still answer, so
 		// the protocol fails at the coordinator rather than hanging.
-		w.recordFailure("rescale", int(e.Epoch), err)
+		w.x.Fail("rescale", int(e.Epoch), err)
 		_ = coord.send(&envelope{Kind: frameRescaleReady, WorkerID: w.id})
 		return
 	}
@@ -125,7 +136,7 @@ func (w *Worker) handleRescale(coord *conn, e *envelope) {
 		switch {
 		case m.From == w.id:
 			if err := w.migrateOut(m, e.Epoch, e.Window); err != nil {
-				w.recordFailure(m.Comp, m.Task, err)
+				w.x.Fail(m.Comp, m.Task, err)
 			}
 		case m.To == w.id:
 			expect = append(expect, taskKey{m.Comp, m.Task})
@@ -170,22 +181,19 @@ func (w *Worker) migrateOut(m Move, epoch uint64, window int) error {
 	w.tasksMu.Lock()
 	var h *taskHandle
 	if hs := w.tasks[m.Comp]; m.Task >= 0 && m.Task < len(hs) {
-		h = hs[m.Task]
+		h = hs[m.Task].Swap(nil)
 	}
+	w.tasksMu.Unlock()
 	if h == nil {
-		w.tasksMu.Unlock()
 		return fmt.Errorf("cluster: move %s: task not hosted here", m)
 	}
-	w.tasks[m.Comp][m.Task] = nil
-	w.boxes[m.Comp][m.Task].Store(nil)
-	w.tasksMu.Unlock()
 
 	h.moved.Store(true)
-	h.box.close()
+	h.Box.Close()
 	<-h.done // the loop drains any buffered tuples, then exits sans Cleanup
 
 	var env []byte
-	if s, ok := h.bolt.(state.Snapshotter); ok {
+	if s, ok := h.Bolt.(state.Snapshotter); ok {
 		var err error
 		if env, err = state.Encode(m.Comp, s); err != nil {
 			return err
@@ -247,22 +255,20 @@ func (w *Worker) acceptStateChunk(e *envelope) {
 // marks the migration path: Prepare runs, Restore replaces Recover —
 // nothing crashed, so re-emitting recovery state would duplicate it.
 func (w *Worker) installTask(comp string, task int, snapshot []byte) {
-	spec, ok := w.specByID[comp]
-	bf := w.builder.BoltFactory(comp)
-	if !ok || bf == nil || task < 0 || task >= spec.Parallelism {
-		w.recordFailure(comp, task, "migration for unknown task")
+	t := w.x.NewTask(comp, task)
+	if t == nil {
+		w.x.Fail(comp, task, "migration for unknown task")
 		return
 	}
 	if snapshot == nil {
 		snapshot = []byte{}
 	}
-	parallelism := make(map[string]int, len(w.spec))
-	for _, c := range w.spec {
-		parallelism[c.ID] = c.Parallelism
+	h := w.installBolt(comp, task, t)
+	if h == nil {
+		w.x.Fail(comp, task, "migration raced shutdown")
+		return
 	}
-	if !w.startBolt(spec, task, bf(task), parallelism, snapshot) {
-		w.recordFailure(comp, task, "migration raced shutdown")
-	}
+	go w.runBolt(h, snapshot)
 }
 
 // retirePeers tears down the outbound links, receive-side cursors,
@@ -286,15 +292,7 @@ func (w *Worker) retirePeers(departed []int) {
 	w.peersMu.Lock()
 	for _, id := range departed {
 		if p := w.peers[id]; p != nil {
-			p.mu.Lock()
-			p.closed = true
-			if p.c != nil {
-				p.c.close()
-				p.c = nil
-			}
-			p.notFull.Broadcast()
-			p.work.Broadcast()
-			p.mu.Unlock()
+			p.close()
 			delete(w.peers, id)
 		}
 	}

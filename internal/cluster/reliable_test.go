@@ -12,22 +12,25 @@ import (
 	"repro/internal/topology"
 )
 
-// telValue reads one worker-labelled transport counter from a test
-// registry — the same series the worker registered in initTelemetry.
-func telValue(reg *telemetry.Registry, base string, worker int) int64 {
-	return reg.Counter(telemetry.Name(base, "worker", fmt.Sprint(worker))).Value()
-}
-
-// sumTel totals a worker-labelled counter across all per-worker
-// registries.
+// sumTel totals a counter, over all its label variants, across all
+// per-worker registries.
 func sumTel(regs []*telemetry.Registry, base string) int64 {
 	var total int64
-	for id, reg := range regs {
+	for _, reg := range regs {
 		if reg != nil {
-			total += telValue(reg, base, id)
+			total += reg.Snapshot().SumCounter(base)
 		}
 	}
 	return total
+}
+
+// checkLedger asserts a clean run's copy ledger: copies were sent and
+// sent == executed + dropped, with nothing dropped.
+func checkLedger(t *testing.T, s topology.Stats) {
+	t.Helper()
+	if s.SentCopies == 0 || s.SentCopies != s.ExecCopies+s.DroppedCopies || s.DroppedCopies != 0 {
+		t.Errorf("copies sent = %d, executed = %d, dropped = %d", s.SentCopies, s.ExecCopies, s.DroppedCopies)
+	}
 }
 
 // instrument gives every worker its own telemetry registry so tests can
@@ -108,7 +111,7 @@ func TestScheduledChaosParity(t *testing.T) {
 				sched.Run(proxies, func() int64 {
 					var sent int64
 					for _, w := range ws {
-						s, _ := w.Counters()
+						s, _, _ := w.Counters()
 						sent += s
 					}
 					return sent
@@ -122,9 +125,7 @@ func TestScheduledChaosParity(t *testing.T) {
 			if len(stats.Failures) != 0 {
 				t.Fatalf("failures: %v", stats.Failures)
 			}
-			if stats.SentCopies == 0 || stats.SentCopies != stats.ExecCopies {
-				t.Errorf("copies sent = %d, executed = %d", stats.SentCopies, stats.ExecCopies)
-			}
+			checkLedger(t, stats)
 			if dropped := sumTel(regs, "cluster_copies_dropped_total"); dropped != 0 {
 				t.Errorf("cluster_copies_dropped_total = %d, want 0", dropped)
 			}

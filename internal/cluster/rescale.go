@@ -7,7 +7,7 @@ package cluster
 //	loads    — every live worker reports its hosted tasks + exec counts
 //	plan     — choose departing workers (shrink) and a minimal move set
 //	pause    — spouts park at their window frontier (framePause/Paused)
-//	quiesce  — probe until sent == executed twice: nothing in flight
+//	quiesce  — probe until sent == executed + dropped twice: nothing in flight
 //	welcome  — joiners receive the epoch-stamped table + address book
 //	rescale  — frameRescale broadcasts the successor epoch and moves;
 //	           workers stream moving tasks' snapshots over kind=state
@@ -27,8 +27,6 @@ import (
 	"fmt"
 	"sort"
 	"time"
-
-	"repro/internal/topology"
 )
 
 // TaskLoad describes one hosted task in a frameLoadsReply: where it
@@ -304,9 +302,9 @@ func (c *Coordinator) doRescale(n int, links map[int]*workerLink, addresses map[
 
 	// Retire the departing workers, folding their final monotonic
 	// counters into the coordinator's base: the global sent == executed
-	// probe invariant must keep seeing their contribution (a worker's
-	// own sent and executed need not be equal — only the global sums
-	// are), and their component stats belong in the final merge.
+	// + dropped probe invariant must keep seeing their contribution (a
+	// worker's own ledger need not balance — only the global sums do),
+	// and their component stats belong in the final merge.
 	for _, id := range departList {
 		l := links[id]
 		if err := c.sendCtl(l, &envelope{Kind: frameRetire}); err != nil {
@@ -316,7 +314,7 @@ func (c *Coordinator) doRescale(n int, links map[int]*workerLink, addresses map[
 		if err != nil {
 			return &WorkerDied{Worker: id, Err: err}, true
 		}
-		c.foldBase(done.Stats)
+		addStats(&c.baseStats, done.Stats)
 		l.c.close()
 		delete(links, id)
 		delete(addresses, id)
@@ -341,22 +339,20 @@ func (c *Coordinator) doRescale(n int, links map[int]*workerLink, addresses map[
 }
 
 // quiesce probes until two consecutive identical snapshots with
-// sent == executed, ignoring SpoutsDone: the spouts are parked, not
+// sent == executed + dropped, ignoring SpoutsDone: the spouts are parked, not
 // exhausted. Afterwards nothing is queued, executing, or in flight.
 func (c *Coordinator) quiesce(links map[int]*workerLink) error {
 	var prev int64 = -1
 	for seq := 1 << 20; ; seq++ {
-		sent, exec, _, err := c.probe(links, seq)
+		sent, settled, _, err := c.probe(links, seq)
 		if err != nil {
 			return err
 		}
-		sent += c.baseStats.SentCopies
-		exec += c.baseStats.ExecCopies
-		if sent == exec && sent == prev {
+		if sent == settled && sent == prev {
 			return nil
 		}
 		prev = sent
-		if sent != exec {
+		if sent != settled {
 			prev = -1
 			time.Sleep(time.Millisecond)
 		}
@@ -487,24 +483,6 @@ func PlanMoves(loads []TaskLoad, departing map[int]bool, targets []int) []Move {
 		cur[to] += w
 	}
 	return moves
-}
-
-// foldBase merges a retiring worker's final statistics into the base
-// the coordinator adds to every later probe sum and the final merge.
-func (c *Coordinator) foldBase(s topology.Stats) {
-	if c.baseStats.Emitted == nil {
-		c.baseStats.Emitted = make(map[string]int64)
-		c.baseStats.Executed = make(map[string]int64)
-	}
-	for comp, n := range s.Emitted {
-		c.baseStats.Emitted[comp] += n
-	}
-	for comp, n := range s.Executed {
-		c.baseStats.Executed[comp] += n
-	}
-	c.baseStats.SentCopies += s.SentCopies
-	c.baseStats.ExecCopies += s.ExecCopies
-	c.baseStats.Failures = append(c.baseStats.Failures, s.Failures...)
 }
 
 // joinTimeout bounds how long a grow waits for its joining workers.

@@ -184,9 +184,7 @@ func TestElasticRescaleGrowShrink(t *testing.T) {
 	if stats.Executed["sink"] != n {
 		t.Errorf("executed = %d, want %d", stats.Executed["sink"], n)
 	}
-	if stats.SentCopies != stats.ExecCopies {
-		t.Errorf("copies sent = %d, executed = %d", stats.SentCopies, stats.ExecCopies)
-	}
+	checkLedger(t, stats)
 }
 
 // TestRescaleShrinkRejectsPinned: a shrink that would have to evict a

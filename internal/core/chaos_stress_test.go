@@ -54,9 +54,9 @@ func waitClusterQuiesce(t *testing.T, ws []*cluster.Worker) {
 		var sent, exec int64
 		unacked := 0
 		for _, w := range ws {
-			s, e := w.Counters()
+			s, e, d := w.Counters()
 			sent += s
-			exec += e
+			exec += e + d
 			unacked += w.UnackedFrames()
 		}
 		if sent == exec && unacked == 0 && sent == prevSent && exec == prevExec {
@@ -206,8 +206,8 @@ func TestClusterStressBoundedChaos(t *testing.T) {
 	if len(stats.Failures) != 0 {
 		t.Fatalf("failures: %v", stats.Failures)
 	}
-	if stats.SentCopies == 0 || stats.SentCopies != stats.ExecCopies {
-		t.Errorf("copies sent = %d, executed = %d", stats.SentCopies, stats.ExecCopies)
+	if s := stats; s.SentCopies == 0 || s.SentCopies != s.ExecCopies+s.DroppedCopies || s.DroppedCopies != 0 {
+		t.Errorf("copies sent = %d, executed = %d, dropped = %d", s.SentCopies, s.ExecCopies, s.DroppedCopies)
 	}
 
 	// Join-result parity: the chaos run, the single-process runtime and

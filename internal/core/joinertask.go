@@ -38,14 +38,6 @@ func (j *JoinerTask) CloseWindow() (pairs int) {
 	j.bolt.Execute(topology.Tuple{
 		Stream: streamJoinerWindow,
 		Values: topology.Values{"window": j.bolt.current},
-	}, discardCollector{})
+	}, topology.Discard) // the per-window statistics go nowhere
 	return pairs
 }
-
-// discardCollector drops what a hand-driven task emits (the per-window
-// statistics bound for the collector).
-type discardCollector struct{}
-
-func (discardCollector) Emit(topology.Values)                    {}
-func (discardCollector) EmitTo(string, topology.Values)          {}
-func (discardCollector) EmitDirect(string, int, topology.Values) {}

@@ -2,8 +2,8 @@ package core
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/datagen"
@@ -61,34 +61,17 @@ func TestClusterFailoverParity(t *testing.T) {
 		mu.Unlock()
 	}
 
-	store := state.NewMemStore()
 	reg := telemetry.NewRegistry()
-	required := requiredTasks(cfg)
-
 	// Hard-kill worker 1 of the first attempt as soon as the first
 	// full checkpoint cut exists, i.e. mid-run with real state at risk.
-	var arm sync.Once
-	done := make(chan struct{})
-	defer close(done)
+	// The store fires the kill from the Save that completes cut 1, so it
+	// lands before the task that saved has processed its later windows:
+	// the run cannot finish first, however fast it is.
+	store := &killAtCutStore{MemStore: state.NewMemStore(), required: requiredTasks(cfg)}
 	hook := func(i int, w *cluster.Worker) {
-		if i != 1 {
-			return
+		if i == 1 {
+			store.victim.CompareAndSwap(nil, w) // the first attempt's worker 1
 		}
-		arm.Do(func() {
-			go func() {
-				for {
-					select {
-					case <-done:
-						return
-					case <-time.After(200 * time.Microsecond):
-					}
-					if state.Cut(store, required) >= 1 {
-						w.Kill()
-						return
-					}
-				}
-			}()
-		})
 	}
 
 	report, err := NewRunner(cfg,
@@ -119,6 +102,24 @@ func TestClusterFailoverParity(t *testing.T) {
 	if snap.Counter("recovery_restores_total") == 0 {
 		t.Error("recovery_restores_total = 0, want > 0")
 	}
+}
+
+// killAtCutStore is a MemStore that hard-kills its victim worker,
+// synchronously and once, from the Save that completes checkpoint cut 1.
+type killAtCutStore struct {
+	*state.MemStore
+	required []string
+	victim   atomic.Pointer[cluster.Worker]
+	fired    atomic.Bool
+}
+
+func (s *killAtCutStore) Save(task string, window int, data []byte) error {
+	err := s.MemStore.Save(task, window, data)
+	w := s.victim.Load()
+	if w != nil && !s.fired.Load() && state.Cut(s.MemStore, s.required) >= 1 && s.fired.CompareAndSwap(false, true) {
+		w.Kill()
+	}
+	return err
 }
 
 // TestLocalCheckpointOnly: with recovery configured, the in-process

@@ -80,8 +80,8 @@ func TestClusterScheduledChaosParity(t *testing.T) {
 	if len(report.Topology.Failures) != 0 {
 		t.Fatalf("failures: %v", report.Topology.Failures)
 	}
-	if report.Topology.SentCopies == 0 || report.Topology.SentCopies != report.Topology.ExecCopies {
-		t.Errorf("copies sent = %d, executed = %d", report.Topology.SentCopies, report.Topology.ExecCopies)
+	if s := report.Topology; s.SentCopies == 0 || s.SentCopies != s.ExecCopies+s.DroppedCopies || s.DroppedCopies != 0 {
+		t.Errorf("copies sent = %d, executed = %d, dropped = %d", s.SentCopies, s.ExecCopies, s.DroppedCopies)
 	}
 	if dropped := report.Telemetry.SumCounter("cluster_copies_dropped_total"); dropped != 0 {
 		t.Errorf("cluster_copies_dropped_total = %d, want 0", dropped)
@@ -303,7 +303,7 @@ func TestClusterSecondFailureMidRecovery(t *testing.T) {
 						w.Kill()
 						return
 					}
-				} else if _, exec := w.Counters(); exec > 0 {
+				} else if _, exec, _ := w.Counters(); exec > 0 {
 					w.Kill()
 					return
 				}

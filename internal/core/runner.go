@@ -461,7 +461,7 @@ func (r *Runner) runClusterAttempt(cfg Config, nworkers int) (*Report, error) {
 			r.chaos.Schedule.Run(scriptProxies, func() int64 {
 				var sent int64
 				for _, w := range workers {
-					s, _ := w.Counters()
+					s, _, _ := w.Counters()
 					sent += s
 				}
 				return sent

@@ -36,8 +36,8 @@ func TestBoundedMailboxBackpressure(t *testing.T) {
 	if stats.Emitted["src"] != n || stats.Executed["sink"] != n {
 		t.Errorf("stats = %+v", stats)
 	}
-	for _, box := range topo.rt.components["sink"].boxes {
-		if peak := box.peakLen(); peak > capacity {
+	for _, task := range topo.tasks {
+		if peak := task.Box.Peak(); peak > capacity {
 			t.Errorf("peak queue length %d exceeds capacity %d", peak, capacity)
 		}
 	}

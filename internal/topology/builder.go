@@ -2,7 +2,6 @@ package topology
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/telemetry"
 )
@@ -27,8 +26,6 @@ type componentDecl struct {
 	spout       SpoutFactory
 	bolt        BoltFactory
 	subs        []subscription
-	// tick > 0 requests periodic tick tuples (see ticks.go).
-	tick time.Duration
 	// maxPending, when set, overrides the builder default mailbox
 	// capacity for this component (0 = unbounded).
 	maxPending *int

@@ -8,9 +8,8 @@ import (
 
 // TargetTasks computes the receiving task indexes of one emission for a
 // non-direct grouping. The round-robin cursor rr is shared per edge for
-// shuffle grouping. Both the in-process runtime and the TCP cluster
-// runtime route through this function, so grouping semantics cannot
-// diverge.
+// shuffle grouping. Every emission on either runtime routes through
+// this function, in the executor's collector.
 func TargetTasks(g GroupingKind, fields []string, v Values, nTasks int, rr *atomic.Uint64) []int {
 	switch g {
 	case Shuffle:

@@ -1,8 +1,8 @@
 package topology
 
-// The Spec types expose a topology's declarative structure so that an
-// alternative runtime (the TCP cluster runtime in internal/cluster) can
-// execute the same component graph with the same grouping semantics.
+// The Spec types expose a topology's declarative structure: the
+// executor resolves its edges from it, and the TCP cluster runtime
+// (internal/cluster) derives its task placement from it.
 
 // SubscriptionSpec describes one inbound edge of a component.
 type SubscriptionSpec struct {
@@ -25,9 +25,7 @@ type ComponentSpec struct {
 }
 
 // Spec returns the declared components in declaration order, after
-// validation. The factories are retrieved separately via SpoutFactory
-// and BoltFactory so that a hosting runtime instantiates only the tasks
-// placed on it.
+// validation.
 func (b *Builder) Spec() ([]ComponentSpec, error) {
 	if err := b.validate(); err != nil {
 		return nil, err
@@ -53,20 +51,4 @@ func (b *Builder) Spec() ([]ComponentSpec, error) {
 		out = append(out, spec)
 	}
 	return out, nil
-}
-
-// SpoutFactory returns the spout factory of a component, or nil.
-func (b *Builder) SpoutFactory(id string) SpoutFactory {
-	if c, ok := b.components[id]; ok {
-		return c.spout
-	}
-	return nil
-}
-
-// BoltFactory returns the bolt factory of a component, or nil.
-func (b *Builder) BoltFactory(id string) BoltFactory {
-	if c, ok := b.components[id]; ok {
-		return c.bolt
-	}
-	return nil
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 )
 
 // intSpout emits n integers then stops.
@@ -497,67 +496,4 @@ func ExampleBuilder() {
 	// 0
 	// 1
 	// 2
-}
-
-func TestTickTuplesDelivered(t *testing.T) {
-	b := NewBuilder()
-	// A slow spout keeps the topology alive long enough for ticks.
-	b.SetSpout("src", func(int) Spout { return &slowSpout{n: 4, delay: 30 * time.Millisecond} }, 1)
-	mu := &sync.Mutex{}
-	ticks, data := 0, 0
-	b.SetBolt("sink", func(int) Bolt {
-		return boltFunc(func(tp Tuple, _ Collector) {
-			mu.Lock()
-			if tp.Stream == TickStream {
-				if tp.Source != TickSource {
-					t.Errorf("tick source = %s", tp.Source)
-				}
-				ticks++
-			} else {
-				data++
-			}
-			mu.Unlock()
-		})
-	}, 2).ShuffleGrouping("src").TickEvery(10 * time.Millisecond)
-	topo, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	topo.Run()
-	mu.Lock()
-	defer mu.Unlock()
-	if data != 4 {
-		t.Errorf("data tuples = %d", data)
-	}
-	// ~120ms of runtime at 10ms ticks to 2 tasks: expect several.
-	if ticks < 4 {
-		t.Errorf("ticks = %d, want several", ticks)
-	}
-}
-
-type slowSpout struct {
-	n, next int
-	delay   time.Duration
-}
-
-func (s *slowSpout) Open(*TaskContext) {}
-func (s *slowSpout) Close()            {}
-func (s *slowSpout) NextTuple(c Collector) bool {
-	if s.next >= s.n {
-		return false
-	}
-	time.Sleep(s.delay)
-	c.Emit(Values{"v": s.next})
-	s.next++
-	return true
-}
-
-func TestTickIntervalValidation(t *testing.T) {
-	b := NewBuilder()
-	b.SetSpout("src", func(int) Spout { return &intSpout{n: 1} }, 1)
-	sink, _, _ := newSinkFactory()
-	b.SetBolt("sink", sink, 1).ShuffleGrouping("src").TickEvery(0)
-	if _, err := b.Build(); err == nil {
-		t.Error("zero tick interval must fail the build")
-	}
 }

@@ -108,22 +108,13 @@ type TaskContext struct {
 	Task int
 	// NumTasks is the component's parallelism.
 	NumTasks int
-	// Parallelism maps component ids to task counts; runtimes outside
-	// this package (the TCP cluster runtime) populate it directly.
+	// Parallelism maps component ids to task counts.
 	Parallelism map[string]int
-
-	topo *runtime
 }
 
 // NumTasksOf reports the parallelism of another component (0 if
 // unknown); the Assigner uses it to direct-route to Joiner tasks.
 func (c *TaskContext) NumTasksOf(component string) int {
-	if c.topo != nil {
-		if comp, ok := c.topo.components[component]; ok {
-			return comp.parallelism
-		}
-		return 0
-	}
 	return c.Parallelism[component]
 }
 
