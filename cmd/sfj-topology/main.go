@@ -29,6 +29,7 @@
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"os"
@@ -43,6 +44,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/datagen"
+	"repro/internal/join"
 	"repro/internal/partition"
 	"repro/internal/state"
 	"repro/internal/telemetry"
@@ -84,6 +86,9 @@ func main() {
 
 	var gen datagen.Generator
 	var reader *datagen.ReaderSource
+	// replay opens a fresh copy of a replayable stream for the pair
+	// audit; it stays nil for stdin.
+	var replay func() datagen.Generator
 	if *input != "" {
 		f := os.Stdin
 		if *input != "-" {
@@ -97,6 +102,13 @@ func main() {
 		}
 		reader = datagen.NewReaderSource(*input, f)
 		gen = reader
+		if fi, err := f.Stat(); err == nil && fi.Mode().IsRegular() {
+			path := *input
+			replay = func() datagen.Generator {
+				data, _ := os.ReadFile(path) // an unreadable copy audits as empty and fails the check
+				return datagen.NewReaderSource(path, bytes.NewReader(data))
+			}
+		}
 		*dataset = "input:" + *input
 	} else {
 		var ok bool
@@ -104,6 +116,11 @@ func main() {
 		if !ok {
 			fmt.Fprintf(os.Stderr, "unknown dataset %q\n", *dataset)
 			os.Exit(2)
+		}
+		name, s := *dataset, *seed
+		replay = func() datagen.Generator {
+			g, _ := datagen.ByName(name, s)
+			return g
 		}
 	}
 	partitioner, err := partition.ByName(*algo)
@@ -147,7 +164,7 @@ func main() {
 	}
 
 	if *workerSpec != "" {
-		if err := runWorker(*workerSpec, cfg, *metricsAddr); err != nil {
+		if err := runWorker(*workerSpec, cfg, *metricsAddr, replay); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
@@ -274,6 +291,7 @@ func main() {
 		}
 	}
 
+	expected := startAudit(replay, *windows, *windowSize)
 	var report *core.Report
 	switch {
 	case *clusterN > 0 && *processes:
@@ -320,8 +338,12 @@ func main() {
 				snap.SumCounter("partition_update_requests_total"))
 		}
 	}
-	fmt.Printf("summary: %s\n", report)
+	fmt.Printf("summary: %s pairs_expected=%s\n", report, expected)
 	fmt.Printf("join pairs: %d  documents joined: %d\n", report.JoinPairs, report.DocsJoined)
+	if err := expected.check(report.JoinPairs); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
 	if report.Restarts > 0 {
 		fmt.Printf("recovered from %d worker failure(s): restored from the last checkpoint cut and replayed\n", report.Restarts)
 	}
@@ -333,6 +355,52 @@ func main() {
 		fmt.Fprintf(os.Stderr, "task failures: %v\n", report.Topology.Failures)
 		os.Exit(1)
 	}
+}
+
+// audit is the independent pair count of a replayable input: a fresh
+// copy of the stream, joined window by window with join.Oracle in a
+// background goroutine while the run executes.
+type audit struct {
+	done  chan struct{}
+	pairs int
+}
+
+// startAudit starts the audit of the run's windows; a nil replay (a
+// stdin input) yields a nil audit, whose count is unknown.
+func startAudit(replay func() datagen.Generator, windows, windowSize int) *audit {
+	if replay == nil {
+		return nil
+	}
+	a := &audit{done: make(chan struct{})}
+	go func() {
+		defer close(a.done)
+		gen := replay()
+		for w := 0; w < windows; w++ {
+			a.pairs += len(join.Oracle(gen.Window(windowSize), windowSize))
+		}
+	}()
+	return a
+}
+
+// String waits for the audit and renders the expected pair count.
+func (a *audit) String() string {
+	if a == nil {
+		return "unknown"
+	}
+	<-a.done
+	return strconv.Itoa(a.pairs)
+}
+
+// check fails a run whose pair count differs from the audit's.
+func (a *audit) check(pairs int) error {
+	if a == nil {
+		return nil
+	}
+	<-a.done
+	if pairs != a.pairs {
+		return fmt.Errorf("join pairs %d differ from the %d the input holds", pairs, a.pairs)
+	}
+	return nil
 }
 
 // parseRescaleSchedule turns a "window:+k,window:-k" spec into a
@@ -438,7 +506,7 @@ func runProcesses(n int) error {
 // shared flags; the placement decides which tasks run here. A non-empty
 // metricsAddr exposes the worker's own scrape endpoint for the duration
 // of the run (pass :0 so concurrent workers don't collide on a port).
-func runWorker(spec string, cfg core.Config, metricsAddr string) error {
+func runWorker(spec string, cfg core.Config, metricsAddr string, replay func() datagen.Generator) error {
 	parts := strings.SplitN(spec, ":", 3)
 	if len(parts) != 3 {
 		return fmt.Errorf("bad -worker spec %q", spec)
@@ -473,6 +541,12 @@ func runWorker(spec string, cfg core.Config, metricsAddr string) error {
 	if err != nil {
 		return err
 	}
+	// The worker hosting the collector owns the aggregated report.
+	hostsCollector := len(placement.TasksOn("collector", id)) > 0
+	var expected *audit
+	if hostsCollector {
+		expected = startAudit(replay, cfg.Windows, cfg.WindowSize)
+	}
 	if metricsAddr != "" {
 		w.Telemetry = cfg.Telemetry
 		w.MetricsAddr = metricsAddr
@@ -491,10 +565,10 @@ func runWorker(spec string, cfg core.Config, metricsAddr string) error {
 	if err := w.Run(); err != nil {
 		return err
 	}
-	// The worker hosting the collector owns the aggregated report.
-	if len(placement.TasksOn("collector", id)) > 0 {
-		fmt.Printf("summary (worker %d): %s\n", id, report)
+	if hostsCollector {
+		fmt.Printf("summary (worker %d): %s pairs_expected=%s\n", id, report, expected)
 		fmt.Printf("join pairs: %d  documents joined: %d\n", report.JoinPairs, report.DocsJoined)
+		return expected.check(report.JoinPairs)
 	}
 	return nil
 }

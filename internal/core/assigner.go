@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"time"
 
 	"repro/internal/document"
 	"repro/internal/expansion"
@@ -15,9 +16,11 @@ import (
 // assignerBolt is the Assigner of Fig. 2: a dispatcher that forwards
 // documents to the Joiner tasks according to the current partition
 // table (direct grouping), broadcasts documents with uncovered pairs to
-// every Joiner to guarantee join completeness, requests δ-gated
-// partition updates from the Merger, and triggers θ repartitioning when
-// the routing quality degrades (Sec. VI-A).
+// every Joiner to guarantee join completeness, collects δ-gated
+// partition update requests and evaluates the θ repartitioning trigger
+// (Sec. VI-A). Both travel to the Merger in one verdict per window, and
+// the Merger's answer — control(w) — is adopted at punctuation w, before
+// any document of window w+1 is routed.
 type assignerBolt struct {
 	cfg  Config
 	task int
@@ -28,7 +31,10 @@ type assignerBolt struct {
 
 	// generation is the version of the last adopted table that came out
 	// of a full computation (the initial one or a θ recomputation); the
-	// additive δ tables that follow extend it.
+	// additive δ tables that follow extend it. Every assigner adopts the
+	// same control message at the same punctuation, so a window is
+	// routed under one generation by construction; genLow/genHigh below
+	// assert it.
 	generation int
 
 	// unseen counts occurrences of uncovered pairs at this task; the
@@ -39,13 +45,15 @@ type assignerBolt struct {
 	scratch partition.RouteScratch
 	all     []int // every joiner: the broadcast target list, never written
 
-	// Per-window routing statistics (this task's share).
+	// Per-window routing statistics (this task's share). updates holds
+	// the documents that made an uncovered pair reach δ, in routing
+	// order; they ride the window's verdict.
 	window        int
 	documents     int
 	deliveries    int
 	perJoiner     []int
 	broadcasts    int
-	updates       int
+	updates       []document.Document
 	repartitioned bool
 	// genLow/genHigh span the table generations this window's documents
 	// were routed under (meaningful while documents > 0).
@@ -58,27 +66,15 @@ type assignerBolt struct {
 	baselineGini float64
 	awaitingBase bool
 
-	// Deployment barrier. The paper computes partitions upfront and
-	// deploys them before the next window is routed; an in-process run
-	// streams far faster than the merger round-trip, so after every
-	// computation window the assigner buffers documents and window
-	// punctuation until the resulting table arrives, preserving the
-	// paper's deployment order.
-	//
-	// pendingRepart is the set of windows whose punctuation must engage
-	// the barrier (a repartition was requested at the end of the
-	// preceding window). It is a set, not a single high-water mark: two
-	// θ verdicts in consecutive windows each schedule their own
-	// computation window, and a later verdict must not swallow an
-	// earlier window's still-pending barrier.
-	waiting       bool
-	waitWindow    int
-	buffered      []topology.Tuple
-	pendingRepart map[int]bool
-
-	// lastDecision is the verdict emitted for the most recently
-	// finished window, kept for the recovery re-emission (see Recover).
-	lastDecision decisionMsg
+	// Lock-step barrier. The paper computes partitions upfront and
+	// deploys them before the next window is routed. At every window
+	// punctuation the assigner sends its verdict and buffers stream
+	// tuples until the merger's control message for that window
+	// arrives; waitStart times the wait.
+	waiting    bool
+	waitWindow int
+	waitStart  time.Time
+	buffered   []topology.Tuple
 
 	cp         *checkpointer
 	numJoiners int
@@ -94,17 +90,16 @@ type assignerBolt struct {
 		reparts     *telemetry.Counter
 		replication *telemetry.Gauge
 		gini        *telemetry.Gauge
+		barrierWait *telemetry.Histogram
 	}
 }
 
 func newAssignerBolt(cfg Config, task int) *assignerBolt {
 	b := &assignerBolt{
-		cfg:           cfg,
-		task:          task,
-		unseen:        make(map[symbol.Pair]int),
-		pendingRepart: make(map[int]bool),
-		lastDecision:  decisionMsg{Window: -1, Task: task},
-		cp:            newCheckpointer(cfg, "assigner", task),
+		cfg:    cfg,
+		task:   task,
+		unseen: make(map[symbol.Pair]int),
+		cp:     newCheckpointer(cfg, "assigner", task),
 	}
 	if reg := cfg.Telemetry; reg != nil {
 		id := fmt.Sprint(task)
@@ -115,6 +110,7 @@ func newAssignerBolt(cfg Config, task int) *assignerBolt {
 		b.tel.reparts = reg.Counter(telemetry.Name("partition_repartition_triggers_total", "task", id))
 		b.tel.replication = reg.Gauge(telemetry.Name("partition_window_replication", "task", id))
 		b.tel.gini = reg.Gauge(telemetry.Name("partition_window_gini", "task", id))
+		b.tel.barrierWait = reg.Histogram("core_barrier_wait_seconds")
 	}
 	return b
 }
@@ -133,20 +129,6 @@ func (b *assignerBolt) Prepare(ctx *topology.TaskContext) {
 	b.cp.restore(b)
 }
 
-// Recover implements topology.Recoverer: the verdict for the cut
-// window was emitted just before the snapshot and may have died in
-// flight with the crashed attempt, yet the creators cannot close the
-// next window without every assigner's verdict — so a restored
-// assigner re-emits it. Creators deduplicate verdicts by task, and the
-// merger's resched high-water mark ignores verdicts it already
-// relayed, so the re-emission is idempotent.
-func (b *assignerBolt) Recover(c topology.Collector) {
-	if b.lastDecision.Window < 0 {
-		return
-	}
-	c.EmitTo(streamRepartition, topology.Values{"msg": b.lastDecision})
-}
-
 // Cleanup implements topology.Bolt.
 func (b *assignerBolt) Cleanup() {}
 
@@ -159,14 +141,8 @@ func (b *assignerBolt) Execute(t topology.Tuple, c topology.Collector) {
 			return
 		}
 		b.handleStreamTuple(t, c)
-	case streamTable:
-		b.adoptTable(t.Values["msg"].(tableMsg), c)
-	case streamResched:
-		// The merger relayed a repartition verdict issued at window w;
-		// the creators compute at the end of window w+1, so the
-		// barrier engages after that window's punctuation.
-		msg := t.Values["msg"].(decisionMsg)
-		b.pendingRepart[msg.Window+1] = true
+	case streamControl:
+		b.adopt(t.Values["msg"].(controlMsg), c)
 	}
 }
 
@@ -178,13 +154,9 @@ func (b *assignerBolt) handleStreamTuple(t topology.Tuple, c topology.Collector)
 	case streamWindowEnd:
 		w := t.Values["window"].(int)
 		b.finishWindow(w, c)
-		// Engage the deployment barrier after every window whose
-		// sample produces a new table: the first window, and any
-		// window with a pending repartition request.
-		if b.version == 0 || b.pendingRepart[w] {
-			b.waiting = true
-			b.waitWindow = w
-		}
+		b.waiting = true
+		b.waitWindow = w
+		b.waitStart = time.Now()
 		// The punctuation carries the checkpoint barrier: this task
 		// has now fully incorporated window w, snapshot it.
 		if _, ok := topology.CheckpointID(t); ok {
@@ -193,50 +165,43 @@ func (b *assignerBolt) handleStreamTuple(t topology.Tuple, c topology.Collector)
 	}
 }
 
-// adoptTable switches to a newer partition-table version and releases
-// the deployment barrier when the awaited table arrived.
-func (b *assignerBolt) adoptTable(msg tableMsg, c topology.Collector) {
-	if msg.Version <= b.version {
-		return // stale or duplicate broadcast
+// adopt applies the merger's control message for the awaited window —
+// the new table, if one is attached — and releases the barrier. Any
+// other control message is a duplicate and is ignored.
+func (b *assignerBolt) adopt(ctl controlMsg, c topology.Collector) {
+	if !b.waiting || ctl.Window != b.waitWindow {
+		return
 	}
-	if msg.Recomputed || b.version == 0 {
-		b.generation = msg.Version
-	}
-	b.version = msg.Version
-	b.table = msg.Table
-	b.spec = msg.Expansion
-	if msg.Recomputed || !b.baselineSet {
-		// A full (re)computation resets the quality baseline.
-		b.baselineSet = false
-		b.awaitingBase = true
-	}
-	for sp := range b.unseen {
-		if b.table.CoversSym(sp) {
-			delete(b.unseen, sp)
+	if ctl.Table != nil {
+		if ctl.Recomputed || b.version == 0 {
+			b.generation = ctl.Version
 		}
-	}
-	if b.waiting && msg.Window >= b.waitWindow {
-		b.waiting = false
-		for w := range b.pendingRepart {
-			if w <= msg.Window {
-				delete(b.pendingRepart, w)
+		if ctl.Recomputed || !b.baselineSet {
+			// A full (re)computation resets the quality baseline.
+			b.baselineSet = false
+			b.awaitingBase = true
+		}
+		b.version = ctl.Version
+		b.table = ctl.Table
+		b.spec = ctl.Expansion
+		for sp := range b.unseen {
+			if b.table.CoversSym(sp) {
+				delete(b.unseen, sp)
 			}
 		}
-		b.drain(c)
 	}
+	b.tel.barrierWait.Observe(time.Since(b.waitStart))
+	b.waiting = false
+	b.drain(c)
 }
 
-// drain replays buffered stream tuples in arrival order; the barrier
-// may re-engage mid-drain (another computation window boundary), in
-// which case the remainder stays buffered.
+// drain replays buffered stream tuples in arrival order until the
+// barrier re-engages at the next punctuation.
 func (b *assignerBolt) drain(c topology.Collector) {
-	buf := b.buffered
-	b.buffered = nil
-	for i, t := range buf {
-		if b.waiting {
-			b.buffered = append(b.buffered, buf[i:]...)
-			return
-		}
+	for len(b.buffered) > 0 && !b.waiting {
+		t := b.buffered[0]
+		b.buffered[0] = topology.Tuple{}
+		b.buffered = b.buffered[1:]
 		b.handleStreamTuple(t, c)
 	}
 }
@@ -249,7 +214,7 @@ func (b *assignerBolt) route(d document.Document, c topology.Collector) {
 	}
 	b.genHigh = b.generation // generations only grow
 	b.documents++
-	targets, broadcast := b.targets(d, c)
+	targets, broadcast := b.targets(d)
 	for _, j := range targets {
 		b.perJoiner[j]++
 		// The full target list travels with the document so that, for
@@ -271,11 +236,12 @@ func (b *assignerBolt) route(d document.Document, c topology.Collector) {
 // targets computes the joiner task set for a document: the matching
 // partitions when every (transformed) pair is covered, all joiners
 // otherwise. Uncovered pairs are counted toward the δ update gate; the
-// document whose pair reaches δ is sent to the Merger as an update
-// request. The expansion is applied on the fly: the table walks the
-// document's own pairs minus the component pairs plus the synthetic
-// one, one lookup per pair. Joiners only read the returned list.
-func (b *assignerBolt) targets(d document.Document, c topology.Collector) ([]int, bool) {
+// document whose pair reaches δ becomes an update request in the
+// window's verdict. The expansion is applied on the fly: the table
+// walks the document's own pairs minus the component pairs plus the
+// synthetic one, one lookup per pair. Joiners only read the returned
+// list.
+func (b *assignerBolt) targets(d document.Document) ([]int, bool) {
 	if b.cfg.Routing == HashPairsRouting {
 		return b.hashTargets(d), false
 	}
@@ -301,9 +267,8 @@ func (b *assignerBolt) targets(d document.Document, c topology.Collector) ([]int
 			}
 		}
 		if hitDelta {
-			b.updates++
+			b.updates = append(b.updates, d)
 			b.tel.updates.Inc()
-			c.EmitTo(streamUpdate, topology.Values{"msg": updateMsg{Doc: d}})
 		}
 		return b.all, true
 	}
@@ -313,8 +278,9 @@ func (b *assignerBolt) targets(d document.Document, c topology.Collector) ([]int
 	return b.all, true
 }
 
-// finishWindow emits this task's routing statistics, evaluates the θ
-// trigger, punctuates the joiners and resets per-window state.
+// finishWindow evaluates the θ trigger, sends the window's verdict to
+// the merger, emits this task's routing statistics, punctuates the
+// joiners and resets per-window state.
 func (b *assignerBolt) finishWindow(w int, c topology.Collector) {
 	repl := 0.0
 	gini := 0.0
@@ -331,9 +297,6 @@ func (b *assignerBolt) finishWindow(w int, c topology.Collector) {
 			gini-b.baselineGini > b.cfg.Theta {
 			b.repartitioned = true
 			b.tel.reparts.Inc()
-			// Engage the local barrier directly; the merger's relay
-			// covers the peer assigners.
-			b.pendingRepart[w+1] = true
 		}
 	} else if b.awaitingBase && b.documents > 0 {
 		b.baselineRepl = repl
@@ -341,10 +304,12 @@ func (b *assignerBolt) finishWindow(w int, c topology.Collector) {
 		b.baselineSet = true
 		b.awaitingBase = false
 	}
-	// Every window produces an explicit verdict: the creators wait for
-	// all of them before deciding whether the next window recomputes.
-	b.lastDecision = decisionMsg{Window: w, Task: b.task, Repartition: b.repartitioned}
-	c.EmitTo(streamRepartition, topology.Values{"msg": b.lastDecision})
+	c.EmitTo(streamVerdict, topology.Values{"msg": verdictMsg{
+		Window:      w,
+		Task:        b.task,
+		Repartition: b.repartitioned,
+		Updates:     b.updates,
+	}})
 
 	c.EmitTo(streamAssignerStats, topology.Values{"msg": assignerStatsMsg{
 		Window:        w,
@@ -353,7 +318,7 @@ func (b *assignerBolt) finishWindow(w int, c topology.Collector) {
 		Deliveries:    b.deliveries,
 		PerJoiner:     append([]int(nil), b.perJoiner...),
 		Broadcasts:    b.broadcasts,
-		Updates:       b.updates,
+		Updates:       len(b.updates),
 		Repartitioned: b.repartitioned,
 		GenLow:        b.genLow,
 		GenHigh:       b.genHigh,
@@ -373,7 +338,7 @@ func (b *assignerBolt) finishWindow(w int, c topology.Collector) {
 		b.perJoiner[i] = 0
 	}
 	b.broadcasts = 0
-	b.updates = 0
+	b.updates = nil
 	b.repartitioned = false
 }
 

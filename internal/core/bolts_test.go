@@ -1,9 +1,12 @@
 package core
 
 import (
+	"bytes"
+	"slices"
 	"testing"
 
 	"repro/internal/document"
+	"repro/internal/expansion"
 	"repro/internal/partition"
 	"repro/internal/topology"
 )
@@ -75,37 +78,85 @@ func TestCreatorFirstWindowComputes(t *testing.T) {
 	}
 }
 
+func controlTuple(ctl controlMsg) topology.Tuple {
+	return topology.Tuple{Stream: streamControl, Values: topology.Values{"msg": ctl}}
+}
+
+func verdictTuple(v verdictMsg) topology.Tuple {
+	return topology.Tuple{Stream: streamVerdict, Values: topology.Values{"msg": v}}
+}
+
+func reportTuple(w, task int, computing bool) topology.Tuple {
+	return topology.Tuple{Stream: streamCreatorWindow, Values: topology.Values{
+		"msg": creatorWindowMsg{Window: w, Task: task, Computing: computing},
+	}}
+}
+
+func groupsTuple(w, task int, groups ...partition.AssocGroup) topology.Tuple {
+	return topology.Tuple{Stream: streamLocalGroups, Values: topology.Values{
+		"msg": localGroupsMsg{Window: w, Task: task, Groups: groups},
+	}}
+}
+
+// TestCreatorWaitsForDecisions: a creator closes window w only once it
+// holds control(w-1), and computes when that message says so.
 func TestCreatorWaitsForDecisions(t *testing.T) {
 	cfg := testConfig()
 	cfg.Assigners = 2
 	b := newCreatorBolt(cfg, 0)
 	b.Prepare(&topology.TaskContext{Parallelism: map[string]int{"assigner": 2}})
 	c := &fakeCollector{}
-	b.Execute(wendTuple(0), c) // window 0 needs no decisions
+	b.Execute(wendTuple(0), c) // window 0 needs no control message
 	if len(c.byStream(streamCreatorWindow)) != 1 {
 		t.Fatal("window 0 must close immediately")
 	}
-	// Window 1 must wait for both assigners' verdicts on window 0.
 	b.Execute(wendTuple(1), c)
+	b.Execute(wendTuple(2), c)
 	if len(c.byStream(streamCreatorWindow)) != 1 {
-		t.Fatal("window 1 closed before decisions")
+		t.Fatal("window 1 closed before control(0)")
 	}
-	b.Execute(topology.Tuple{Stream: streamRepartition, Values: topology.Values{
-		"msg": decisionMsg{Window: 0, Task: 0, Repartition: false},
-	}}, c)
-	if len(c.byStream(streamCreatorWindow)) != 1 {
-		t.Fatal("window 1 closed with only one decision")
-	}
-	b.Execute(topology.Tuple{Stream: streamRepartition, Values: topology.Values{
-		"msg": decisionMsg{Window: 0, Task: 1, Repartition: true},
-	}}, c)
+	b.Execute(controlTuple(controlMsg{Window: 0}), c)
 	got := c.byStream(streamCreatorWindow)
 	if len(got) != 2 {
-		t.Fatalf("window 1 did not close after all decisions: %d", len(got))
+		t.Fatalf("window 1 did not close on control(0), or window 2 closed without control(1): %d reports", len(got))
 	}
-	msg := got[1].values["msg"].(creatorWindowMsg)
-	if !msg.Computing {
-		t.Error("repartition verdict must make window 1 a computation window")
+	if msg := got[1].values["msg"].(creatorWindowMsg); msg.Window != 1 || msg.Computing {
+		t.Errorf("report after control(0) = %+v, want window 1 not computing", msg)
+	}
+	b.Execute(controlTuple(controlMsg{Window: 1, ComputeNext: true}), c)
+	got = c.byStream(streamCreatorWindow)
+	if len(got) != 3 {
+		t.Fatalf("window 2 did not close on control(1): %d reports", len(got))
+	}
+	if msg := got[2].values["msg"].(creatorWindowMsg); msg.Window != 2 || !msg.Computing {
+		t.Errorf("report after control(1) asked for θ = %+v, want window 2 computing", msg)
+	}
+}
+
+// TestCreatorMigrationKeepsNextDecision: at a rescale frontier a
+// creator holds control(w)'s verdict for window w+1, and nothing
+// re-sends it, so its migration snapshot must carry it.
+func TestCreatorMigrationKeepsNextDecision(t *testing.T) {
+	cfg := testConfig()
+	b := newCreatorBolt(cfg, 0)
+	c := &fakeCollector{}
+	b.Execute(wendTuple(0), c)
+	b.Execute(controlTuple(controlMsg{Window: 0, ComputeNext: true}), c)
+	var buf bytes.Buffer
+	if err := b.Snapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	moved := newCreatorBolt(cfg, 0)
+	if err := moved.Restore(&buf); err != nil {
+		t.Fatal(err)
+	}
+	moved.Execute(wendTuple(1), c)
+	got := c.byStream(streamCreatorWindow)
+	if len(got) != 2 {
+		t.Fatalf("migrated creator did not close window 1: %d reports", len(got))
+	}
+	if msg := got[1].values["msg"].(creatorWindowMsg); msg.Window != 1 || !msg.Computing {
+		t.Errorf("report after migration = %+v, want window 1 computing", msg)
 	}
 }
 
@@ -164,118 +215,203 @@ func TestMergerTwoRoundProtocol(t *testing.T) {
 	b := newMergerBolt(cfg)
 	c := &fakeCollector{}
 	// First creator reports; nothing happens yet.
-	b.Execute(topology.Tuple{Stream: streamCreatorWindow, Values: topology.Values{
-		"msg": creatorWindowMsg{Window: 0, Task: 0, Computing: true},
-	}}, c)
+	b.Execute(reportTuple(0, 0, true), c)
 	if len(c.byStream(streamExpansion)) != 0 {
 		t.Fatal("expansion sent before all creators reported")
 	}
-	b.Execute(topology.Tuple{Stream: streamCreatorWindow, Values: topology.Values{
-		"msg": creatorWindowMsg{Window: 0, Task: 1, Computing: true},
-	}}, c)
+	b.Execute(reportTuple(0, 1, true), c)
 	if len(c.byStream(streamExpansion)) != 1 {
 		t.Fatal("expansion round not started")
 	}
-	// Local groups from both creators complete the round.
+	// Local groups from both creators and the assigner's verdict
+	// complete the round.
 	g := partition.AssocGroup{Pairs: partition.NewPairSet(intPair2("a", 1)), Load: 2, Docs: []uint64{1, 2}}
-	b.Execute(topology.Tuple{Stream: streamLocalGroups, Values: topology.Values{
-		"msg": localGroupsMsg{Window: 0, Task: 0, Groups: []partition.AssocGroup{g}},
-	}}, c)
-	if len(c.byStream(streamTable)) != 0 {
-		t.Fatal("table built before all groups arrived")
+	b.Execute(groupsTuple(0, 0, g), c)
+	b.Execute(verdictTuple(verdictMsg{Window: 0, Task: 0}), c)
+	if len(c.byStream(streamControl)) != 0 {
+		t.Fatal("control sent before all groups arrived")
 	}
 	g2 := partition.AssocGroup{Pairs: partition.NewPairSet(intPair2("b", 2)), Load: 1, Docs: []uint64{3}}
-	b.Execute(topology.Tuple{Stream: streamLocalGroups, Values: topology.Values{
-		"msg": localGroupsMsg{Window: 0, Task: 1, Groups: []partition.AssocGroup{g2}},
-	}}, c)
-	tables := c.byStream(streamTable)
-	if len(tables) != 1 {
-		t.Fatalf("tables = %d, want 1", len(tables))
+	b.Execute(groupsTuple(0, 1, g2), c)
+	controls := c.byStream(streamControl)
+	if len(controls) != 1 {
+		t.Fatalf("controls = %d, want 1", len(controls))
 	}
-	msg := tables[0].values["msg"].(tableMsg)
-	if msg.Version != 1 || msg.Window != 0 || msg.Recomputed {
-		t.Errorf("initial table msg = %+v", msg)
+	msg := controls[0].values["msg"].(controlMsg)
+	if msg.Version != 1 || msg.Window != 0 || msg.Recomputed || msg.Table == nil {
+		t.Fatalf("initial control msg = %+v", msg)
 	}
 	if !msg.Table.Covers(intPair2("a", 1)) || !msg.Table.Covers(intPair2("b", 2)) {
 		t.Error("table does not cover the consolidated pairs")
 	}
 }
 
+// TestMergerNonComputingWindowIsQuiet: a window that neither computes
+// nor carries updates waits for its verdicts, then sends one control
+// message without a table, and leaves no round state behind.
 func TestMergerNonComputingWindowIsQuiet(t *testing.T) {
 	cfg := testConfig()
 	b := newMergerBolt(cfg)
 	c := &fakeCollector{}
-	b.Execute(topology.Tuple{Stream: streamCreatorWindow, Values: topology.Values{
-		"msg": creatorWindowMsg{Window: 1, Task: 0, Computing: false},
-	}}, c)
+	b.Execute(reportTuple(1, 0, false), c)
 	if len(c.emitted) != 0 {
-		t.Errorf("emissions on a quiet window: %v", c.emitted)
+		t.Errorf("emissions before the verdict: %v", c.emitted)
+	}
+	b.Execute(verdictTuple(verdictMsg{Window: 1, Task: 0}), c)
+	if n := len(c.byStream(streamExpansion)); n != 0 {
+		t.Errorf("expansion round on a quiet window: %d", n)
+	}
+	controls := c.byStream(streamControl)
+	if len(controls) != 1 {
+		t.Fatalf("controls = %d, want 1", len(controls))
+	}
+	if msg := controls[0].values["msg"].(controlMsg); msg.Table != nil || msg.ComputeNext || msg.Window != 1 {
+		t.Errorf("quiet window's control = %+v", msg)
 	}
 	if len(b.rounds) != 0 {
 		t.Error("round state leaked")
 	}
 }
 
-func TestMergerCoalescesUpdates(t *testing.T) {
-	cfg := testConfig()
-	b := newMergerBolt(cfg)
-	c := &fakeCollector{}
-	// Initial table.
-	b.Execute(topology.Tuple{Stream: streamCreatorWindow, Values: topology.Values{
-		"msg": creatorWindowMsg{Window: 0, Task: 0, Computing: true},
-	}}, c)
+// decideInitial runs window 0's computation round on a one-creator
+// merger, with a table covering a=1.
+func decideInitial(t *testing.T, b *mergerBolt, c *fakeCollector) {
+	t.Helper()
+	b.Execute(reportTuple(0, 0, true), c)
 	g := partition.AssocGroup{Pairs: partition.NewPairSet(intPair2("a", 1)), Load: 1, Docs: []uint64{1}}
-	b.Execute(topology.Tuple{Stream: streamLocalGroups, Values: topology.Values{
-		"msg": localGroupsMsg{Window: 0, Task: 0, Groups: []partition.AssocGroup{g}},
-	}}, c)
-	if n := len(c.byStream(streamTable)); n != 1 {
-		t.Fatalf("tables = %d", n)
+	b.Execute(groupsTuple(0, 0, g), c)
+	for task := 0; task < b.cfg.Assigners; task++ {
+		b.Execute(verdictTuple(verdictMsg{Window: 0, Task: task}), c)
 	}
-	// Two updates: no broadcast yet.
-	b.Execute(topology.Tuple{Stream: streamUpdate, Values: topology.Values{
-		"msg": updateMsg{Doc: document.MustParse(9, `{"z":9}`)},
-	}}, c)
-	b.Execute(topology.Tuple{Stream: streamUpdate, Values: topology.Values{
-		"msg": updateMsg{Doc: document.MustParse(10, `{"y":8}`)},
-	}}, c)
-	if n := len(c.byStream(streamTable)); n != 1 {
-		t.Fatalf("updates broadcast eagerly: tables = %d", n)
-	}
-	// Window boundary flushes one coalesced version.
-	b.Execute(topology.Tuple{Stream: streamCreatorWindow, Values: topology.Values{
-		"msg": creatorWindowMsg{Window: 1, Task: 0, Computing: false},
-	}}, c)
-	tables := c.byStream(streamTable)
-	if len(tables) != 2 {
-		t.Fatalf("tables after flush = %d, want 2", len(tables))
-	}
-	msg := tables[1].values["msg"].(tableMsg)
-	if msg.Version != 2 || msg.Window != -1 || msg.Recomputed {
-		t.Errorf("flush msg = %+v", msg)
-	}
-	if !msg.Table.Covers(intPair2("z", 9)) || !msg.Table.Covers(intPair2("y", 8)) {
-		t.Error("coalesced updates missing from the flushed table")
+	if n := len(c.byStream(streamControl)); n != 1 {
+		t.Fatalf("controls after window 0 = %d, want 1", n)
 	}
 }
 
-func TestMergerRelaysOneRepartitionPerWindow(t *testing.T) {
+// TestMergerCoalescesUpdates: the δ updates of a window's verdicts fold
+// into one new table version, sent in that window's control message.
+func TestMergerCoalescesUpdates(t *testing.T) {
 	cfg := testConfig()
+	cfg.Assigners = 2
 	b := newMergerBolt(cfg)
 	c := &fakeCollector{}
+	decideInitial(t, b, c)
+	b.Execute(verdictTuple(verdictMsg{Window: 1, Task: 1, Updates: []document.Document{document.MustParse(10, `{"y":8}`)}}), c)
+	b.Execute(verdictTuple(verdictMsg{Window: 1, Task: 0, Updates: []document.Document{document.MustParse(9, `{"z":9}`)}}), c)
+	if n := len(c.byStream(streamControl)); n != 1 {
+		t.Fatalf("updates broadcast before the window was decided: controls = %d", n)
+	}
+	b.Execute(reportTuple(1, 0, false), c)
+	controls := c.byStream(streamControl)
+	if len(controls) != 2 {
+		t.Fatalf("controls = %d, want 2", len(controls))
+	}
+	msg := controls[1].values["msg"].(controlMsg)
+	if msg.Version != 2 || msg.Window != 1 || msg.Recomputed || msg.Table == nil {
+		t.Fatalf("update control msg = %+v", msg)
+	}
+	if !msg.Table.Covers(intPair2("z", 9)) || !msg.Table.Covers(intPair2("y", 8)) || !msg.Table.Covers(intPair2("a", 1)) {
+		t.Error("coalesced updates missing from the table")
+	}
+	// A window without updates keeps the table.
+	b.Execute(reportTuple(2, 0, false), c)
+	b.Execute(verdictTuple(verdictMsg{Window: 2, Task: 0}), c)
+	b.Execute(verdictTuple(verdictMsg{Window: 2, Task: 1}), c)
+	if msg := c.byStream(streamControl)[2].values["msg"].(controlMsg); msg.Table != nil || msg.Version != 2 {
+		t.Errorf("control without updates = %+v, want no table at version 2", msg)
+	}
+}
+
+// TestMergerOneControlPerWindow: one control message per window, sent
+// only once every assigner's verdict is in — a verdict delivered twice
+// counts once — and asking the next window to compute when any verdict
+// did; a window of negative verdicts does not.
+func TestMergerOneControlPerWindow(t *testing.T) {
+	cfg := testConfig()
+	cfg.Assigners = 3
+	b := newMergerBolt(cfg)
+	c := &fakeCollector{}
+	decideInitial(t, b, c)
+	b.Execute(reportTuple(1, 0, false), c)
+	b.Execute(verdictTuple(verdictMsg{Window: 1, Task: 0, Repartition: true}), c)
+	b.Execute(verdictTuple(verdictMsg{Window: 1, Task: 0, Repartition: true}), c)
+	b.Execute(verdictTuple(verdictMsg{Window: 1, Task: 1, Repartition: true}), c)
+	if n := len(c.byStream(streamControl)); n != 1 {
+		t.Fatalf("duplicate verdict counted: controls = %d before the third task's verdict", n)
+	}
+	b.Execute(verdictTuple(verdictMsg{Window: 1, Task: 2}), c)
+	controls := c.byStream(streamControl)
+	if len(controls) != 2 {
+		t.Fatalf("controls = %d, want one per window", len(controls))
+	}
+	if msg := controls[1].values["msg"].(controlMsg); !msg.ComputeNext || msg.Window != 1 {
+		t.Errorf("control(1) = %+v, want ComputeNext", msg)
+	}
+	if n := len(c.byStream(streamMergerEvents)); n != 2 {
+		t.Errorf("merger events = %d, want one per control message", n)
+	}
+	b.Execute(reportTuple(2, 0, true), c)
 	for task := 0; task < 3; task++ {
-		b.Execute(topology.Tuple{Stream: streamRepartition, Values: topology.Values{
-			"msg": decisionMsg{Window: 2, Task: task, Repartition: true},
-		}}, c)
+		b.Execute(verdictTuple(verdictMsg{Window: 2, Task: task}), c)
 	}
-	if n := len(c.byStream(streamResched)); n != 1 {
-		t.Errorf("resched relays = %d, want 1", n)
+	b.Execute(groupsTuple(2, 0), c)
+	controls = c.byStream(streamControl)
+	if len(controls) != 3 {
+		t.Fatalf("controls = %d, want 3", len(controls))
 	}
-	// Negative verdicts are not relayed.
-	b.Execute(topology.Tuple{Stream: streamRepartition, Values: topology.Values{
-		"msg": decisionMsg{Window: 3, Task: 0, Repartition: false},
-	}}, c)
-	if n := len(c.byStream(streamResched)); n != 1 {
-		t.Errorf("negative verdict relayed: %d", n)
+	if msg := controls[2].values["msg"].(controlMsg); msg.ComputeNext || !msg.Recomputed || msg.Table == nil || msg.Version != 2 {
+		t.Errorf("control(2) = %+v, want a recomputed table and no further computation", msg)
+	}
+}
+
+// TestConsecutiveRepartitionsComputeTwice: positive verdicts for two
+// consecutive windows make both following windows computation windows.
+// Merger and creator are wired back to back.
+func TestConsecutiveRepartitionsComputeTwice(t *testing.T) {
+	cfg := testConfig()
+	merger := newMergerBolt(cfg)
+	creator := newCreatorBolt(cfg, 0)
+	creator.Prepare(&topology.TaskContext{})
+	mc, cc := &fakeCollector{}, &fakeCollector{}
+	// pump delivers every new emission between the two bolts.
+	sentM, sentC := 0, 0
+	pump := func() {
+		for sentM < len(mc.emitted) || sentC < len(cc.emitted) {
+			for ; sentC < len(cc.emitted); sentC++ {
+				e := cc.emitted[sentC]
+				merger.Execute(topology.Tuple{Stream: e.stream, Values: e.values}, mc)
+			}
+			for ; sentM < len(mc.emitted); sentM++ {
+				e := mc.emitted[sentM]
+				if e.stream == streamControl || e.stream == streamExpansion {
+					creator.Execute(topology.Tuple{Stream: e.stream, Values: e.values}, cc)
+				}
+			}
+		}
+	}
+	for w := 0; w < 5; w++ {
+		creator.Execute(docTuple(w, document.MustParse(uint64(w+1), `{"a":1}`)), cc)
+		creator.Execute(wendTuple(w), cc)
+		merger.Execute(verdictTuple(verdictMsg{Window: w, Repartition: w == 1 || w == 2}), mc)
+		pump()
+	}
+	var computing []int
+	for _, e := range cc.byStream(streamCreatorWindow) {
+		if msg := e.values["msg"].(creatorWindowMsg); msg.Computing {
+			computing = append(computing, msg.Window)
+		}
+	}
+	if !slices.Equal(computing, []int{0, 2, 3}) {
+		t.Errorf("computation windows = %v, want [0 2 3]", computing)
+	}
+	var recomputed []int
+	for _, e := range mc.byStream(streamControl) {
+		if msg := e.values["msg"].(controlMsg); msg.Recomputed {
+			recomputed = append(recomputed, msg.Window)
+		}
+	}
+	if !slices.Equal(recomputed, []int{2, 3}) {
+		t.Errorf("recomputed tables in control messages of windows %v, want [2 3]", recomputed)
 	}
 }
 
@@ -285,9 +421,15 @@ func intPair2(a string, v int) document.Pair {
 	return document.Pair{Attr: a, Val: document.EncodeInt(int64(v))}
 }
 
-func newTableMsg(version int, pairs ...document.Pair) tableMsg {
-	parts := []partition.PairSet{partition.NewPairSet(pairs...), partition.NewPairSet(), partition.NewPairSet()}
-	return tableMsg{Version: version, Window: 0, Table: partition.NewTable(parts), Recomputed: false}
+func newTable(pairs ...document.Pair) *partition.Table {
+	return partition.NewTable([]partition.PairSet{partition.NewPairSet(pairs...), partition.NewPairSet(), partition.NewPairSet()})
+}
+
+// deploy hands an assigner a table the way the merger does: window w
+// ends and control(w) carries the table.
+func deploy(b *assignerBolt, w, version int, table *partition.Table, spec *expansion.Expansion, c topology.Collector) {
+	b.Execute(wendTuple(w), c)
+	b.Execute(controlTuple(controlMsg{Window: w, Version: version, Table: table, Expansion: spec}), c)
 }
 
 func TestAssignerBroadcastsWithoutTable(t *testing.T) {
@@ -306,10 +448,8 @@ func TestAssignerRoutesWithTable(t *testing.T) {
 	b := newAssignerBolt(cfg, 0)
 	b.Prepare(&topology.TaskContext{Parallelism: map[string]int{"joiner": 3}})
 	c := &fakeCollector{}
-	b.Execute(topology.Tuple{Stream: streamTable, Values: topology.Values{
-		"msg": newTableMsg(1, intPair2("a", 1)),
-	}}, c)
-	b.Execute(docTuple(0, document.New(1, []document.Pair{intPair2("a", 1)})), c)
+	deploy(b, 0, 1, newTable(intPair2("a", 1)), nil, c)
+	b.Execute(docTuple(1, document.New(1, []document.Pair{intPair2("a", 1)})), c)
 	got := c.byStream(streamToJoin)
 	if len(got) != 1 || got[0].task != 0 {
 		t.Errorf("routed to %v, want exactly task 0", got)
@@ -321,7 +461,7 @@ func TestAssignerBarrierBuffersUntilTable(t *testing.T) {
 	b := newAssignerBolt(cfg, 0)
 	b.Prepare(&topology.TaskContext{Parallelism: map[string]int{"joiner": 3}})
 	c := &fakeCollector{}
-	// Window 0 streams and ends: barrier engages (version 0).
+	// Window 0 streams and ends: the barrier engages.
 	b.Execute(docTuple(0, document.New(1, []document.Pair{intPair2("a", 1)})), c)
 	b.Execute(wendTuple(0), c)
 	pre := len(c.byStream(streamToJoin))
@@ -330,11 +470,9 @@ func TestAssignerBarrierBuffersUntilTable(t *testing.T) {
 	if n := len(c.byStream(streamToJoin)); n != pre {
 		t.Fatalf("document routed through the barrier: %d > %d", n, pre)
 	}
-	// Table arrives: buffer drains, the doc routes to the matching
-	// partition only.
-	b.Execute(topology.Tuple{Stream: streamTable, Values: topology.Values{
-		"msg": newTableMsg(1, intPair2("a", 1)),
-	}}, c)
+	// control(0) arrives: the buffer drains, the doc routes to the
+	// matching partition only.
+	b.Execute(controlTuple(controlMsg{Window: 0, Version: 1, Table: newTable(intPair2("a", 1))}), c)
 	got := c.byStream(streamToJoin)
 	if len(got) != pre+1 {
 		t.Fatalf("barrier did not drain: %d", len(got))
@@ -344,27 +482,59 @@ func TestAssignerBarrierBuffersUntilTable(t *testing.T) {
 	}
 }
 
+// TestAssignerBarrierEveryWindow: the barrier engages at every
+// punctuation, including after a control message without a table, and
+// a window's documents wait for the previous window's control message.
+func TestAssignerBarrierEveryWindow(t *testing.T) {
+	cfg := testConfig()
+	b := newAssignerBolt(cfg, 0)
+	b.Prepare(&topology.TaskContext{Parallelism: map[string]int{"joiner": 3}})
+	c := &fakeCollector{}
+	deploy(b, 0, 1, newTable(intPair2("a", 1)), nil, c)
+	pre := len(c.byStream(streamToJoin))
+	b.Execute(wendTuple(1), c)
+	b.Execute(docTuple(2, document.New(9, []document.Pair{intPair2("a", 1)})), c)
+	b.Execute(wendTuple(2), c)
+	b.Execute(docTuple(3, document.New(10, []document.Pair{intPair2("a", 1)})), c)
+	if n := len(c.byStream(streamToJoin)); n != pre {
+		t.Fatal("window 2 document routed before control(1)")
+	}
+	b.Execute(controlTuple(controlMsg{Window: 1, Version: 1}), c)
+	if n := len(c.byStream(streamToJoin)); n != pre+1 {
+		t.Fatalf("control(1) released %d documents, want window 2's one", len(c.byStream(streamToJoin))-pre)
+	}
+	if !b.waiting || b.waitWindow != 2 {
+		t.Fatal("barrier not re-engaged at punctuation 2")
+	}
+	b.Execute(controlTuple(controlMsg{Window: 2, Version: 1}), c)
+	if n := len(c.byStream(streamToJoin)); n != pre+2 || b.waiting {
+		t.Fatalf("control(2) did not release window 3: %d routed, waiting %v", n-pre, b.waiting)
+	}
+}
+
+// TestAssignerDeltaGate: the document that makes an uncovered pair
+// reach δ rides the window's verdict.
 func TestAssignerDeltaGate(t *testing.T) {
 	cfg := testConfig()
 	cfg.Delta = 2
 	b := newAssignerBolt(cfg, 0)
 	b.Prepare(&topology.TaskContext{Parallelism: map[string]int{"joiner": 3}})
 	c := &fakeCollector{}
-	b.Execute(topology.Tuple{Stream: streamTable, Values: topology.Values{
-		"msg": newTableMsg(1, intPair2("a", 1)),
-	}}, c)
-	unseen := document.New(5, []document.Pair{intPair2("z", 7)})
-	b.Execute(docTuple(0, unseen), c)
-	if n := len(c.byStream(streamUpdate)); n != 0 {
-		t.Fatalf("update before δ: %d", n)
+	deploy(b, 0, 1, newTable(intPair2("a", 1)), nil, c)
+	pre := len(c.byStream(streamToJoin))
+	b.Execute(docTuple(1, document.New(5, []document.Pair{intPair2("z", 7)})), c)
+	if len(b.updates) != 0 {
+		t.Fatalf("update before δ: %d", len(b.updates))
 	}
-	unseen2 := document.New(6, []document.Pair{intPair2("z", 7)})
-	b.Execute(docTuple(0, unseen2), c)
-	if n := len(c.byStream(streamUpdate)); n != 1 {
-		t.Fatalf("updates = %d, want 1 at δ=2", n)
+	b.Execute(docTuple(1, document.New(6, []document.Pair{intPair2("z", 7)})), c)
+	b.Execute(wendTuple(1), c)
+	verdicts := c.byStream(streamVerdict)
+	v := verdicts[len(verdicts)-1].values["msg"].(verdictMsg)
+	if v.Window != 1 || len(v.Updates) != 1 || v.Updates[0].ID != 6 {
+		t.Fatalf("verdict(1) = %+v, want the δ-reaching document 6", v)
 	}
 	// Both documents were broadcast meanwhile (uncovered pair).
-	if n := len(c.byStream(streamToJoin)); n != 6 {
+	if n := len(c.byStream(streamToJoin)) - pre; n != 6 {
 		t.Errorf("deliveries = %d, want 2 broadcasts x 3 joiners", n)
 	}
 }
@@ -374,109 +544,35 @@ func TestAssignerEmitsDecisionEveryWindow(t *testing.T) {
 	b := newAssignerBolt(cfg, 0)
 	b.Prepare(&topology.TaskContext{Parallelism: map[string]int{"joiner": 3}})
 	c := &fakeCollector{}
-	b.Execute(topology.Tuple{Stream: streamTable, Values: topology.Values{
-		"msg": newTableMsg(1, intPair2("a", 1)),
-	}}, c)
 	for w := 0; w < 3; w++ {
 		b.Execute(docTuple(w, document.New(uint64(w+1), []document.Pair{intPair2("a", 1)})), c)
 		b.Execute(wendTuple(w), c)
+		b.Execute(controlTuple(controlMsg{Window: w, Version: 1, Table: newTable(intPair2("a", 1))}), c)
 	}
-	decisions := c.byStream(streamRepartition)
-	if len(decisions) != 3 {
-		t.Fatalf("decisions = %d, want one per window", len(decisions))
+	verdicts := c.byStream(streamVerdict)
+	if len(verdicts) != 3 {
+		t.Fatalf("verdicts = %d, want one per window", len(verdicts))
 	}
-	for i, e := range decisions {
-		msg := e.values["msg"].(decisionMsg)
-		if msg.Window != i {
-			t.Errorf("decision %d for window %d", i, msg.Window)
+	for i, e := range verdicts {
+		if msg := e.values["msg"].(verdictMsg); msg.Window != i {
+			t.Errorf("verdict %d for window %d", i, msg.Window)
 		}
 	}
 }
 
-// TestAssignerConsecutiveRepartitionBarriers is the regression test
-// for the pendingRepart bookkeeping: two θ verdicts in consecutive
-// windows each schedule their own computation window, and the later
-// notice must not swallow the earlier window's still-pending barrier.
-// (The old implementation kept a single high-water window: resched(0)
-// armed the barrier for window 1, resched(1) overwrote it with window
-// 2, and window 2's documents then streamed through on the stale
-// table.)
-func TestAssignerConsecutiveRepartitionBarriers(t *testing.T) {
-	cfg := testConfig()
-	b := newAssignerBolt(cfg, 0)
-	b.Prepare(&topology.TaskContext{Parallelism: map[string]int{"joiner": 3}})
-	c := &fakeCollector{}
-	b.Execute(topology.Tuple{Stream: streamTable, Values: topology.Values{
-		"msg": newTableMsg(1, intPair2("a", 1)),
-	}}, c)
-	b.Execute(wendTuple(0), c)
-	// The merger relays repartition verdicts for windows 0 and 1
-	// back-to-back (two θ triggers in consecutive windows).
-	b.Execute(topology.Tuple{Stream: streamResched, Values: topology.Values{
-		"msg": decisionMsg{Window: 0, Task: -1, Repartition: true},
-	}}, c)
-	b.Execute(topology.Tuple{Stream: streamResched, Values: topology.Values{
-		"msg": decisionMsg{Window: 1, Task: -1, Repartition: true},
-	}}, c)
-	// Window 1 closes: its computation is pending, the barrier must
-	// engage despite the later verdict.
-	b.Execute(wendTuple(1), c)
-	if !b.waiting {
-		t.Fatal("barrier not engaged for window 1's pending recomputation")
-	}
-	pre := len(c.byStream(streamToJoin))
-	b.Execute(docTuple(2, document.New(9, []document.Pair{intPair2("a", 1)})), c)
-	if n := len(c.byStream(streamToJoin)); n != pre {
-		t.Fatalf("window 2 document routed through the engaged barrier")
-	}
-	// Window 1's recomputed table releases the first barrier and drains;
-	// window 2's pending barrier must survive the release.
-	m := newTableMsg(2, intPair2("a", 1))
-	m.Window = 1
-	m.Recomputed = true
-	b.Execute(topology.Tuple{Stream: streamTable, Values: topology.Values{"msg": m}}, c)
-	if b.waiting {
-		t.Fatal("barrier not released by the awaited table")
-	}
-	if n := len(c.byStream(streamToJoin)); n != pre+1 {
-		t.Fatalf("buffered window 2 document not drained: %d", n)
-	}
-	b.Execute(wendTuple(2), c)
-	if !b.waiting {
-		t.Fatal("window 2's barrier swallowed by the earlier release")
-	}
-	b.Execute(docTuple(3, document.New(10, []document.Pair{intPair2("a", 1)})), c)
-	if n := len(c.byStream(streamToJoin)); n != pre+1 {
-		t.Fatal("window 3 document routed through the second barrier")
-	}
-	m2 := newTableMsg(3, intPair2("a", 1))
-	m2.Window = 2
-	m2.Recomputed = true
-	b.Execute(topology.Tuple{Stream: streamTable, Values: topology.Values{"msg": m2}}, c)
-	if b.waiting {
-		t.Fatal("second barrier not released")
-	}
-	if len(b.pendingRepart) != 0 {
-		t.Errorf("pendingRepart not drained: %v", b.pendingRepart)
-	}
-}
-
+// TestAssignerStaleTableIgnored: a control message is adopted
+// once, at its own punctuation; a duplicate must not replace the table.
 func TestAssignerStaleTableIgnored(t *testing.T) {
 	cfg := testConfig()
 	b := newAssignerBolt(cfg, 0)
 	b.Prepare(&topology.TaskContext{Parallelism: map[string]int{"joiner": 3}})
 	c := &fakeCollector{}
-	b.Execute(topology.Tuple{Stream: streamTable, Values: topology.Values{
-		"msg": newTableMsg(2, intPair2("a", 1)),
-	}}, c)
-	// A stale version must not replace the newer table.
-	b.Execute(topology.Tuple{Stream: streamTable, Values: topology.Values{
-		"msg": newTableMsg(1, intPair2("b", 2)),
-	}}, c)
+	deploy(b, 0, 2, newTable(intPair2("a", 1)), nil, c)
+	b.Execute(controlTuple(controlMsg{Window: 0, Version: 3, Table: newTable(intPair2("b", 2))}), c)
 	if b.version != 2 {
 		t.Errorf("version = %d, want 2", b.version)
 	}
 	if b.table.Covers(intPair2("b", 2)) {
-		t.Error("stale table adopted")
+		t.Error("duplicate control adopted")
 	}
 }

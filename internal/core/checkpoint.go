@@ -26,13 +26,11 @@ type recoveryPlumb struct {
 // recovery cut: every stateful component of the Fig. 2 pipeline. The
 // reader is deliberately absent — it is not restored but re-created
 // from a fresh deterministic generator that skips the windows already
-// incorporated in the cut.
+// incorporated in the cut — and so are the creators, whose sample
+// buffers the replay rebuilds and whose next decision the restored
+// merger re-sends.
 func requiredTasks(cfg Config) []string {
-	var out []string
-	for i := 0; i < cfg.Creators; i++ {
-		out = append(out, fmt.Sprintf("creator/%d", i))
-	}
-	out = append(out, "merger/0")
+	out := []string{"merger/0"}
 	for i := 0; i < cfg.Assigners; i++ {
 		out = append(out, fmt.Sprintf("assigner/%d", i))
 	}

@@ -20,9 +20,8 @@ func RegisterGobTypes() {
 	gob.Register(creatorWindowMsg{})
 	gob.Register(expansionMsg{})
 	gob.Register(localGroupsMsg{})
-	gob.Register(tableMsg{})
-	gob.Register(updateMsg{})
-	gob.Register(decisionMsg{})
+	gob.Register(verdictMsg{})
+	gob.Register(controlMsg{})
 	gob.Register(assignerStatsMsg{})
 	gob.Register(joinerStatsMsg{})
 	gob.Register(mergerEventMsg{})
@@ -56,7 +55,7 @@ func buildTopology(cfg Config, report *Report) *topology.Builder {
 	}, cfg.Creators).
 		ShuffleGrouping("reader", streamDocs).
 		AllGrouping("reader", streamWindowEnd).
-		AllGrouping("assigner", streamRepartition).
+		AllGrouping("merger", streamControl).
 		AllGrouping("merger", streamExpansion)
 
 	b.SetBolt("merger", func(int) topology.Bolt {
@@ -64,16 +63,14 @@ func buildTopology(cfg Config, report *Report) *topology.Builder {
 	}, 1).
 		GlobalGrouping("creator", streamCreatorWindow).
 		GlobalGrouping("creator", streamLocalGroups).
-		GlobalGrouping("assigner", streamUpdate).
-		GlobalGrouping("assigner", streamRepartition)
+		GlobalGrouping("assigner", streamVerdict)
 
 	b.SetBolt("assigner", func(task int) topology.Bolt {
 		return newAssignerBolt(cfg, task)
 	}, cfg.Assigners).
 		ShuffleGrouping("reader", streamDocs).
 		AllGrouping("reader", streamWindowEnd).
-		AllGrouping("merger", streamTable).
-		AllGrouping("merger", streamResched)
+		AllGrouping("merger", streamControl)
 
 	b.SetBolt("joiner", func(task int) topology.Bolt {
 		return newJoinerBolt(cfg, task)

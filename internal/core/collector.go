@@ -16,21 +16,19 @@ import (
 //
 // All counters accumulate per window inside windowAgg rather than
 // directly on the Report: a window is complete once every assigner
-// partial and every joiner partial for it arrived, completed windows
-// form a prefix of the stream (the per-link tuple order guarantees
-// window w's partials all precede window w+1's from the same task), and
-// that prefix is exactly what a checkpoint snapshot captures. Only the
-// merger's table-version events are not window-attributable; across a
-// recovery they count actual broadcasts, including the recovery
-// re-broadcast.
+// partial, every joiner partial and the merger's event for its control
+// message arrived, completed windows form a prefix of the stream (the
+// per-link tuple order guarantees window w's partials all precede
+// window w+1's from the same task), and that prefix is exactly what a
+// checkpoint snapshot captures.
 type collectorBolt struct {
 	cfg    Config
 	report *Report
 
 	windows map[int]*windowAgg
 
-	// Run-wide accumulators fed by merger events; copied into the
-	// Report during Cleanup.
+	// Run-wide accumulators of the completed windows' merger events;
+	// copied into the Report during Cleanup.
 	tableVersions int
 	repartitions  int
 
@@ -55,10 +53,13 @@ type collectorBolt struct {
 type windowAgg struct {
 	stats         *metrics.WindowStats
 	repartitioned bool
-	partials      int // assigner partials received
-	jdone         int // joiner partials received
-	pairs         int // join pairs reported for this window
-	docs          int // documents the joiners incorporated
+	partials      int  // assigner partials received
+	jdone         int  // joiner partials received
+	decided       bool // the merger's event for control(w) arrived
+	newTable      bool // control(w) carried a table ...
+	recomputed    bool // ... from a θ recomputation
+	pairs         int  // join pairs reported for this window
+	docs          int  // documents the joiners incorporated
 	ckpt          bool
 	done          bool
 	// genLow/genHigh span the table generations the assigners routed
@@ -141,12 +142,11 @@ func (b *collectorBolt) Execute(t topology.Tuple, _ topology.Collector) {
 		b.maybeComplete(msg.Window, agg)
 	case streamMergerEvents:
 		msg := t.Values["msg"].(mergerEventMsg)
-		b.tableVersions++
-		b.tel.tableVersions.Inc()
-		if msg.Recomputed {
-			b.repartitions++
-			b.tel.repartitions.Inc()
-		}
+		agg := b.window(msg.Window)
+		agg.decided = true
+		agg.newTable = msg.NewTable
+		agg.recomputed = msg.Recomputed
+		b.maybeComplete(msg.Window, agg)
 	}
 }
 
@@ -156,11 +156,19 @@ func (b *collectorBolt) Execute(t topology.Tuple, _ topology.Collector) {
 // completed windows form a prefix of the stream, so the snapshot at
 // window w holds the full, final statistics of windows 0..w.
 func (b *collectorBolt) maybeComplete(w int, agg *windowAgg) {
-	if agg.done || agg.partials < b.cfg.Assigners || agg.jdone < b.cfg.M {
+	if agg.done || !agg.decided || agg.partials < b.cfg.Assigners || agg.jdone < b.cfg.M {
 		return
 	}
 	agg.done = true
 	b.tel.windowsDone.Inc()
+	if agg.newTable {
+		b.tableVersions++
+		b.tel.tableVersions.Inc()
+	}
+	if agg.recomputed {
+		b.repartitions++
+		b.tel.repartitions.Inc()
+	}
 	if agg.mixed() {
 		b.tel.mixedWindows.Inc()
 	}

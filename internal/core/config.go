@@ -221,14 +221,14 @@ type Report struct {
 	// and the run was re-placed and restored from the last checkpoint
 	// cut (0 on a run without failover).
 	Restarts int
-	// TableVersions counts all partition-table broadcasts, including
-	// δ-gated updates.
+	// TableVersions counts the control messages that carried a new
+	// partition table, δ-gated updates included.
 	TableVersions int
 	// MixedTableWindows lists, ascending, the windows whose documents
 	// were routed under more than one table generation — by two
-	// assigners or by one. Nothing fails on it; it is the observation
-	// ROADMAP item 1 needs (a pair whose documents were routed under
-	// different generations may meet on no joiner).
+	// assigners or by one. A pair whose documents were routed under
+	// different generations may meet on no joiner, so Runner.Run fails
+	// when the list is not empty; lock-step control keeps it empty.
 	MixedTableWindows []int
 	// Topology carries the substrate counters.
 	Topology topology.Stats

@@ -28,33 +28,18 @@ func (s *replaySource) Window(n int) []document.Document {
 	return out
 }
 
-// oraclePairs computes the exact join result per window boundary.
+// oraclePairs is join.Oracle's result as a set.
 func oraclePairs(docs []document.Document, windowSize int) map[join.Pair]bool {
 	want := make(map[join.Pair]bool)
-	for start := 0; start < len(docs); start += windowSize {
-		end := start + windowSize
-		if end > len(docs) {
-			end = len(docs)
-		}
-		w := docs[start:end]
-		for i := 0; i < len(w); i++ {
-			for j := i + 1; j < len(w); j++ {
-				if document.Joinable(w[i], w[j]) {
-					p := join.Pair{LeftID: w[i].ID, RightID: w[j].ID}
-					if p.LeftID > p.RightID {
-						p.LeftID, p.RightID = p.RightID, p.LeftID
-					}
-					want[p] = true
-				}
-			}
-		}
+	for _, p := range join.Oracle(docs, windowSize) {
+		want[p] = true
 	}
 	return want
 }
 
 // runAndCollect executes the system over the docs and returns the
 // produced pair set plus the report.
-func runAndCollect(t *testing.T, cfg Config, docs []document.Document) (map[join.Pair]bool, *Report) {
+func runAndCollect(t *testing.T, cfg Config, docs []document.Document, opts ...Option) (map[join.Pair]bool, *Report) {
 	t.Helper()
 	var mu sync.Mutex
 	got := make(map[join.Pair]bool)
@@ -73,7 +58,7 @@ func runAndCollect(t *testing.T, cfg Config, docs []document.Document) (map[join
 		got[p] = true
 		mu.Unlock()
 	}
-	report, err := NewRunner(cfg).Run()
+	report, err := NewRunner(cfg, opts...).Run()
 	if err != nil {
 		t.Fatal(err)
 	}

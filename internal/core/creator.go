@@ -15,12 +15,12 @@ import (
 // the AG algorithm (Algorithm 1) on the transformed sample, emitting
 // the local association groups to the Merger.
 //
-// Whether window w is a computation window depends on the assigners'
-// quality verdicts for window w-1, and the assigners lag behind the
-// creators (they do the routing work). The creator therefore defers
-// closing window w until it has collected every assigner's decision for
-// window w-1; meanwhile documents of later windows keep accumulating in
-// their per-window buffers.
+// Whether window w is a computation window is decided by the Merger's
+// control message for window w-1 (window 0 always computes), and the
+// creator runs ahead of the assigners that earn that verdict. The
+// creator therefore closes window w once it holds both the window's
+// punctuation and control(w-1); meanwhile documents of later windows
+// keep accumulating in their per-window buffers.
 //
 // For the SC and DS competitors — which have no creator-side phase —
 // the creator ships its sample documents as single-document groups; the
@@ -31,48 +31,34 @@ type creatorBolt struct {
 	cfg  Config
 	task int
 
-	numAssigners int
-
 	buffers map[int][]document.Document
 
-	// decisions[w] is the set of assigner tasks whose verdict for
-	// window w arrived; requested[w] records whether any of them asked
-	// to repartition. Verdicts deduplicate by task: a recovering
-	// assigner re-emits its last verdict (it may have died in flight),
-	// and counting a task twice would close the next window before a
-	// genuinely missing verdict arrived.
-	decisions map[int]map[int]bool
-	requested map[int]bool
+	// next[w] is control(w)'s ComputeNext, held until window w+1
+	// closes.
+	next map[int]bool
 
-	// pendingWend holds window-end punctuation waiting for complete
-	// decisions of the preceding window, in arrival order; ckptWend
+	// pendingWend holds window-end punctuation waiting for the
+	// preceding window's control message, in arrival order; ckptWend
 	// marks the windows whose punctuation carried a checkpoint barrier.
 	pendingWend []int
 	ckptWend    map[int]bool
-
-	cp *checkpointer
 }
 
 func newCreatorBolt(cfg Config, task int) *creatorBolt {
 	return &creatorBolt{
-		cfg:       cfg,
-		task:      task,
-		buffers:   make(map[int][]document.Document),
-		decisions: make(map[int]map[int]bool),
-		requested: make(map[int]bool),
-		ckptWend:  make(map[int]bool),
-		cp:        newCheckpointer(cfg, "creator", task),
+		cfg:      cfg,
+		task:     task,
+		buffers:  make(map[int][]document.Document),
+		next:     make(map[int]bool),
+		ckptWend: make(map[int]bool),
 	}
 }
 
-// Prepare implements topology.Bolt.
-func (b *creatorBolt) Prepare(ctx *topology.TaskContext) {
-	b.numAssigners = ctx.NumTasksOf("assigner")
-	if b.numAssigners == 0 {
-		b.numAssigners = b.cfg.Assigners
-	}
-	b.cp.restore(b)
-}
+// Prepare implements topology.Bolt. A creator takes no checkpoints: a
+// restart replays its sample buffers, and the restored merger's
+// control message for the cut tells it whether the next window
+// computes.
+func (b *creatorBolt) Prepare(*topology.TaskContext) {}
 
 // Cleanup implements topology.Bolt.
 func (b *creatorBolt) Cleanup() {}
@@ -84,15 +70,9 @@ func (b *creatorBolt) Execute(t topology.Tuple, c topology.Collector) {
 		w := t.Values["window"].(int)
 		d := t.Values["doc"].(document.Document)
 		b.buffers[w] = append(b.buffers[w], d)
-	case streamRepartition:
-		msg := t.Values["msg"].(decisionMsg)
-		if b.decisions[msg.Window] == nil {
-			b.decisions[msg.Window] = make(map[int]bool)
-		}
-		b.decisions[msg.Window][msg.Task] = true
-		if msg.Repartition {
-			b.requested[msg.Window] = true
-		}
+	case streamControl:
+		ctl := t.Values["msg"].(controlMsg)
+		b.next[ctl.Window] = ctl.ComputeNext
 		b.drainWend(c)
 	case streamWindowEnd:
 		w := t.Values["window"].(int)
@@ -114,41 +94,37 @@ func (b *creatorBolt) Execute(t topology.Tuple, c topology.Collector) {
 	}
 }
 
-// drainWend closes every pending window whose predecessor's decisions
-// are complete.
+// drainWend closes every pending window whose predecessor's control
+// message arrived.
 func (b *creatorBolt) drainWend(c topology.Collector) {
 	for len(b.pendingWend) > 0 {
 		w := b.pendingWend[0]
-		if w > 0 && len(b.decisions[w-1]) < b.numAssigners {
-			return // verdicts for w-1 still outstanding
+		computing := w == 0
+		if w > 0 {
+			next, ok := b.next[w-1]
+			if !ok {
+				return // control(w-1) still outstanding
+			}
+			delete(b.next, w-1)
+			computing = next
 		}
 		b.pendingWend = b.pendingWend[1:]
-		b.closeWindow(w, c)
+		b.closeWindow(w, computing, c)
 	}
 }
 
 // closeWindow reports this creator's end-of-window state to the merger,
 // attaching the expansion proposal when the window must produce new
 // partitions.
-func (b *creatorBolt) closeWindow(w int, c topology.Collector) {
-	computing := w == 0 || b.requested[w-1]
-	delete(b.decisions, w-1)
-	delete(b.requested, w-1)
+func (b *creatorBolt) closeWindow(w int, computing bool, c topology.Collector) {
 	msg := creatorWindowMsg{Window: w, Task: b.task, Computing: computing, Checkpoint: b.ckptWend[w]}
+	delete(b.ckptWend, w)
 	if computing {
 		msg.Proposal = b.propose(b.buffers[w])
 	} else {
 		delete(b.buffers, w) // sample not needed
 	}
 	c.EmitTo(streamCreatorWindow, topology.Values{"msg": msg})
-	// Window w is resolved at this task: snapshot at the barrier. The
-	// sample buffers are deliberately not part of the snapshot — on a
-	// restart the replayed stream rebuilds them — so the snapshot is
-	// just the decision bookkeeping.
-	if b.ckptWend[w] {
-		delete(b.ckptWend, w)
-		b.cp.save(w, b)
-	}
 }
 
 // propose derives this creator's expansion proposal from its sample

@@ -1,22 +1,29 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/datagen"
 	"repro/internal/document"
+	"repro/internal/join"
 	"repro/internal/partition"
 	"repro/internal/telemetry"
+	"repro/internal/topology"
 )
 
-// TestJoinerPendingSpillParity runs a cluster topology whose joiners
-// are memory-governed with a budget so small every buffered
-// future-window document spills to disk, and checks the join output is
-// still exactly the oracle's. The joiners' pending buffers (documents
-// racing ahead of the frontier under multiple assigners) are the only
-// spillable state on the cluster path — the current window's probe
-// structures never leave memory — so parity here proves the spill and
-// reload legs are correctness-neutral end to end.
+// TestJoinerPendingSpillParity runs a topology whose joiners are
+// memory-governed with a budget so small every buffered future-window
+// document spills to disk, and checks the join output is still exactly
+// the oracle's. The joiners' pending buffers (documents of window w+1
+// that reach a joiner before some assigner's punctuation of window w)
+// are the only spillable state on the cluster path — the current
+// window's probe structures never leave memory — so parity here proves
+// the spill and reload legs are correctness-neutral end to end. The
+// run is stepped on one goroutine, and assigner 2's punctuations are
+// held back at every joiner that has another tuple queued, so the
+// pending buffers fill on every run rather than when the scheduler
+// happens to let one assigner race ahead.
 func TestJoinerPendingSpillParity(t *testing.T) {
 	const windowSize = 60
 	gen := datagen.NewServerLog(7)
@@ -28,7 +35,7 @@ func TestJoinerPendingSpillParity(t *testing.T) {
 	cfg := Config{
 		M:            3,
 		Creators:     2,
-		Assigners:    3, // racing assigners keep the pending buffers busy
+		Assigners:    3,
 		WindowSize:   windowSize,
 		Windows:      3,
 		Delta:        2,
@@ -39,22 +46,17 @@ func TestJoinerPendingSpillParity(t *testing.T) {
 		SpillDir:     t.TempDir(),
 		Telemetry:    reg,
 	}
-	got, report := runAndCollect(t, cfg, docs)
-	want := oraclePairs(docs, windowSize)
-	if len(got) != len(want) {
-		t.Errorf("governed topology produced %d pairs, oracle %d", len(got), len(want))
+	held := func(t topology.Tuple) bool {
+		return t.Source == "assigner" && t.SourceTask == 2 && t.Stream == streamJoinerWindow
 	}
-	for p := range want {
-		if !got[p] {
-			t.Errorf("missing pair (%d,%d)", p.LeftID, p.RightID)
-		}
+	got, _ := runStepped(t, cfg, docs, func(comp string, task int, q []topology.Tuple, i int) bool {
+		return comp == "joiner" && held(q[i]) && slices.ContainsFunc(q, func(t topology.Tuple) bool { return !held(t) })
+	})
+	want := join.Oracle(docs, windowSize)
+	if wrong, extra := exactlyOnce(got, want); wrong > 0 || extra {
+		t.Errorf("governed topology: %d of %d oracle pairs missing or duplicated, %d pairs produced", wrong, len(want), len(got))
 	}
-	for p := range got {
-		if !want[p] {
-			t.Errorf("extra pair (%d,%d)", p.LeftID, p.RightID)
-		}
-	}
-	snap := report.Telemetry
+	snap := reg.Snapshot()
 	if snap.SumCounter("state_spill_panes_total") == 0 {
 		t.Error("no pending buffers spilled despite the 1-byte budget")
 	}

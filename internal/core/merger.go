@@ -11,59 +11,50 @@ import (
 
 // mergerBolt is the single-instance Merger of Fig. 2: it consolidates
 // the creators' local association groups into the global partitions,
-// broadcasts partition-table versions to the Assigners, and applies
-// δ-gated partition updates (Sec. VI-A).
+// folds δ-gated partition updates into the table (Sec. VI-A), and
+// decides every window in one control message to the Assigners and the
+// creators.
 type mergerBolt struct {
 	cfg Config
 
-	rounds      map[int]*computeRound
-	version     int
-	initial     bool // next recomputation is the initial creation
-	lastResched int
-	table       *partition.Table
-	spec        *expansion.Expansion
+	rounds  map[int]*windowRound
+	version int
+	table   *partition.Table
+	spec    *expansion.Expansion
 
-	// lastTableWindow/lastTableRecomputed describe the most recent full
-	// table broadcast (δ flushes reset lastTableWindow to -1). A
-	// recovering merger needs them to re-broadcast its table with the
-	// right deployment semantics — see Recover.
-	lastTableWindow     int
-	lastTableRecomputed bool
+	// last is the control message of the most recently decided window.
+	// A restored merger re-emits it: the assigners restored at the cut
+	// sit at that window's barrier, and the creators need it to close
+	// the next window.
+	last controlMsg
 
 	cp       *checkpointer
 	restored bool
-
-	// working accumulates δ updates between broadcasts. Broadcasting a
-	// fresh table clone for every single update would congest the
-	// Merger — the very failure mode Sec. VI-A's δ gate exists to
-	// avoid — so updates coalesce and one new version ships per window
-	// boundary.
-	working *partition.Table
-	dirty   bool
 }
 
-// computeRound tracks the two-round protocol of one computation window:
-// first every creator reports (with an expansion proposal when it is
-// computing); after the merger broadcasts the consensus expansion, the
-// computing creators answer with their local groups.
-type computeRound struct {
-	reports    int
-	computing  map[int]bool
+// windowRound gathers everything window w's control message depends
+// on: every assigner's verdict, every creator's report and, on a
+// computation window, every creator's local groups after the merger
+// broadcast the consensus expansion. Inputs are kept by task, so a
+// duplicate cannot be counted twice and the fold order is the task
+// order, never the arrival order.
+type windowRound struct {
+	verdicts   []*verdictMsg
+	reported   []bool
 	proposals  []*expansion.Expansion
 	groups     [][]partition.AssocGroup
-	specSent   bool
+	grouped    []bool
+	computing  bool
 	spec       *expansion.Expansion
 	checkpoint bool
 }
 
 func newMergerBolt(cfg Config) *mergerBolt {
 	return &mergerBolt{
-		cfg:             cfg,
-		rounds:          make(map[int]*computeRound),
-		initial:         true,
-		lastResched:     -1,
-		lastTableWindow: -1,
-		cp:              newCheckpointer(cfg, "merger", 0),
+		cfg:    cfg,
+		rounds: make(map[int]*windowRound),
+		last:   controlMsg{Window: -1},
+		cp:     newCheckpointer(cfg, "merger", 0),
 	}
 }
 
@@ -73,44 +64,13 @@ func (b *mergerBolt) Prepare(*topology.TaskContext) {
 }
 
 // Recover implements topology.Recoverer: a restored merger re-emits
-// the control state the checkpoint cut dropped in flight.
-//
-// The table re-broadcast releases assigners parked at a deployment
-// barrier: their snapshots are taken at the window punctuation, before
-// the awaited table's separate Execute, so the cut always restores
-// them pre-adoption and the original broadcast tuple is lost with the
-// crashed attempt. Re-broadcasting under a fresh version is safe for
-// assigners that are not waiting — the content is what the merger
-// already held (δ-lineage tables only add coverage, and routing
-// completeness holds under any mix of δ versions). The Recomputed flag
-// is re-asserted only when the cut window itself produced the table,
-// i.e. exactly when no assigner can have adopted it before its own
-// snapshot.
-//
-// The resched re-emission covers the symmetric race for the
-// repartition notice: an assigner whose snapshot predates the notice
-// would otherwise miss its deployment barrier after the restart.
+// the control message of the cut window exactly as it was. The
+// assigners' snapshots at the cut are taken at the window punctuation,
+// before that message's separate Execute, so they all wait for it; the
+// fresh creators need it to close the first replayed window.
 func (b *mergerBolt) Recover(c topology.Collector) {
-	if !b.restored {
-		return
-	}
-	if b.table != nil {
-		b.version++
-		c.EmitTo(streamTable, topology.Values{"msg": tableMsg{
-			Version:    b.version,
-			Window:     b.cp.restoreWindow,
-			Table:      b.table,
-			Expansion:  b.spec,
-			Recomputed: b.lastTableRecomputed && b.lastTableWindow == b.cp.restoreWindow,
-		}})
-		c.EmitTo(streamMergerEvents, topology.Values{"msg": mergerEventMsg{Version: b.version}})
-	}
-	if b.lastResched >= 0 {
-		c.EmitTo(streamResched, topology.Values{"msg": decisionMsg{
-			Window:      b.lastResched,
-			Task:        -1,
-			Repartition: true,
-		}})
+	if b.restored && b.last.Window >= 0 {
+		c.EmitTo(streamControl, topology.Values{"msg": b.last})
 	}
 }
 
@@ -121,152 +81,156 @@ func (b *mergerBolt) Cleanup() {}
 func (b *mergerBolt) Execute(t topology.Tuple, c topology.Collector) {
 	switch t.Stream {
 	case streamCreatorWindow:
-		b.flushUpdates(c)
 		msg := t.Values["msg"].(creatorWindowMsg)
 		r := b.round(msg.Window)
-		r.reports++
-		if msg.Checkpoint {
-			r.checkpoint = true
+		if r.reported[msg.Task] {
+			return
 		}
+		r.reported[msg.Task] = true
+		r.checkpoint = r.checkpoint || msg.Checkpoint
 		if msg.Computing {
-			r.computing[msg.Task] = true
-			r.proposals = append(r.proposals, msg.Proposal)
+			r.computing = true
+			r.proposals[msg.Task] = msg.Proposal
 		}
-		if r.reports == b.cfg.Creators {
-			if len(r.computing) == 0 {
-				delete(b.rounds, msg.Window)
-				if r.checkpoint {
-					b.cp.save(msg.Window, b)
-				}
-				return
-			}
+		if r.computing && countSet(r.reported) == b.cfg.Creators {
 			r.spec = consensusExpansion(r.proposals)
-			r.specSent = true
 			c.EmitTo(streamExpansion, topology.Values{"msg": expansionMsg{Window: msg.Window, Spec: r.spec}})
 		}
+		b.maybeDecide(msg.Window, r, c)
 	case streamLocalGroups:
 		msg := t.Values["msg"].(localGroupsMsg)
 		r := b.round(msg.Window)
-		if !r.computing[msg.Task] {
-			return // late or duplicate reply
+		if r.grouped[msg.Task] {
+			return
 		}
-		delete(r.computing, msg.Task)
-		r.groups = append(r.groups, msg.Groups)
-		if r.specSent && len(r.computing) == 0 {
-			b.buildTable(msg.Window, r, c)
-			delete(b.rounds, msg.Window)
-			if r.checkpoint {
-				b.cp.save(msg.Window, b)
-			}
+		r.grouped[msg.Task] = true
+		r.groups[msg.Task] = msg.Groups
+		b.maybeDecide(msg.Window, r, c)
+	case streamVerdict:
+		msg := t.Values["msg"].(verdictMsg)
+		r := b.round(msg.Window)
+		if r.verdicts[msg.Task] != nil {
+			return
 		}
-	case streamUpdate:
-		msg := t.Values["msg"].(updateMsg)
-		b.applyUpdate(msg.Doc, c)
-	case streamRepartition:
-		// The creators schedule the recomputation themselves; the
-		// merger forwards one positive verdict per window to the
-		// assigners so they engage their deployment barriers.
-		msg := t.Values["msg"].(decisionMsg)
-		if msg.Repartition && msg.Window > b.lastResched {
-			b.lastResched = msg.Window
-			c.EmitTo(streamResched, topology.Values{"msg": msg})
-		}
+		r.verdicts[msg.Task] = &msg
+		b.maybeDecide(msg.Window, r, c)
 	}
 }
 
-func (b *mergerBolt) round(w int) *computeRound {
+func (b *mergerBolt) round(w int) *windowRound {
 	r, ok := b.rounds[w]
 	if !ok {
-		r = &computeRound{computing: make(map[int]bool)}
+		r = &windowRound{
+			verdicts:  make([]*verdictMsg, b.cfg.Assigners),
+			reported:  make([]bool, b.cfg.Creators),
+			proposals: make([]*expansion.Expansion, b.cfg.Creators),
+			groups:    make([][]partition.AssocGroup, b.cfg.Creators),
+			grouped:   make([]bool, b.cfg.Creators),
+		}
 		b.rounds[w] = r
 	}
 	return r
 }
 
-// buildTable consolidates the collected groups into m partitions and
-// broadcasts the new table version.
-func (b *mergerBolt) buildTable(window int, r *computeRound, c topology.Collector) {
+func countSet(flags []bool) int {
+	n := 0
+	for _, f := range flags {
+		if f {
+			n++
+		}
+	}
+	return n
+}
+
+// maybeDecide emits window w's control message once the round is
+// complete. On a computation window it carries the recomputed table
+// (the window's δ updates are superseded by it); otherwise the current
+// table with the verdicts' updates folded in, if any applied; otherwise
+// no table.
+func (b *mergerBolt) maybeDecide(w int, r *windowRound, c topology.Collector) {
+	if countSet(r.reported) < b.cfg.Creators || (r.computing && countSet(r.grouped) < b.cfg.Creators) {
+		return
+	}
+	ctl := controlMsg{Window: w}
+	for _, v := range r.verdicts {
+		if v == nil {
+			return
+		}
+		ctl.ComputeNext = ctl.ComputeNext || v.Repartition
+	}
+	delete(b.rounds, w)
 	var table *partition.Table
+	if r.computing {
+		table = b.buildTable(r)
+		b.spec = r.spec
+		ctl.Recomputed = b.version > 0
+	} else {
+		table = b.foldUpdates(r.verdicts)
+	}
+	if table != nil {
+		b.table = table
+		b.version++
+		ctl.Table = table
+	}
+	ctl.Version = b.version
+	ctl.Expansion = b.spec
+	b.last = ctl
+	c.EmitTo(streamControl, topology.Values{"msg": ctl})
+	c.EmitTo(streamMergerEvents, topology.Values{"msg": mergerEventMsg{
+		Window:     w,
+		NewTable:   ctl.Table != nil,
+		Recomputed: ctl.Recomputed,
+	}})
+	if r.checkpoint {
+		b.cp.save(w, b)
+	}
+}
+
+// buildTable consolidates the collected groups, in creator-task order,
+// into m partitions.
+func (b *mergerBolt) buildTable(r *windowRound) *partition.Table {
 	if _, isAG := b.cfg.Partitioner.(partition.AssociationGroups); isAG {
 		consolidated := partition.Consolidate(r.groups)
-		table = partition.AssignGroups(consolidated, b.cfg.M)
-	} else {
-		// Competitors run their whole algorithm on the combined sample
-		// reconstructed from the single-document groups.
-		var docs []document.Document
-		for _, gs := range r.groups {
-			for _, g := range gs {
-				id := uint64(len(docs) + 1)
-				if len(g.Docs) > 0 {
-					id = g.Docs[0]
-				}
-				docs = append(docs, document.New(id, g.Pairs.Sorted()))
+		return partition.AssignGroups(consolidated, b.cfg.M)
+	}
+	// Competitors run their whole algorithm on the combined sample
+	// reconstructed from the single-document groups.
+	var docs []document.Document
+	for _, gs := range r.groups {
+		for _, g := range gs {
+			id := uint64(len(docs) + 1)
+			if len(g.Docs) > 0 {
+				id = g.Docs[0]
 			}
+			docs = append(docs, document.New(id, g.Pairs.Sorted()))
 		}
-		table = b.cfg.Partitioner.Partition(docs, b.cfg.M)
 	}
-	b.table = table
-	b.spec = r.spec
-	// A full recomputation supersedes any coalesced updates.
-	b.working = nil
-	b.dirty = false
-	b.version++
-	recomputed := !b.initial
-	b.lastTableWindow = window
-	b.lastTableRecomputed = recomputed
-	c.EmitTo(streamTable, topology.Values{"msg": tableMsg{
-		Version:    b.version,
-		Window:     window,
-		Table:      table,
-		Expansion:  r.spec,
-		Recomputed: recomputed,
-	}})
-	c.EmitTo(streamMergerEvents, topology.Values{"msg": mergerEventMsg{
-		Version:    b.version,
-		Recomputed: recomputed,
-		Initial:    b.initial,
-	}})
-	b.initial = false
+	return b.cfg.Partitioner.Partition(docs, b.cfg.M)
 }
 
-// applyUpdate folds a δ-qualified document into the working copy of the
-// partitions; the accumulated updates ship as one version per window
-// boundary (flushUpdates).
-func (b *mergerBolt) applyUpdate(d document.Document, c topology.Collector) {
+// foldUpdates folds the δ-qualified documents of the window's verdicts
+// into a copy of the current table, in (task, sequence) order. It
+// returns nil when there is no table yet or no update applied: a
+// document that cannot form the synthetic attribute keeps being
+// broadcast by the assigners, which is already correct.
+func (b *mergerBolt) foldUpdates(verdicts []*verdictMsg) *partition.Table {
 	if b.table == nil {
-		return
+		return nil
 	}
-	td, ok := b.spec.Apply(d)
-	if !ok {
-		// The document cannot form the synthetic attribute; it keeps
-		// being broadcast by the assigners, which is already correct.
-		return
+	var working *partition.Table
+	for _, v := range verdicts {
+		for _, d := range v.Updates {
+			td, ok := b.spec.Apply(d)
+			if !ok {
+				continue
+			}
+			if working == nil {
+				working = b.table.Clone()
+			}
+			working.AddDocument(td)
+		}
 	}
-	if b.working == nil {
-		b.working = b.table.Clone()
-	}
-	b.working.AddDocument(td)
-	b.dirty = true
-}
-
-// flushUpdates broadcasts the coalesced δ updates, if any.
-func (b *mergerBolt) flushUpdates(c topology.Collector) {
-	if !b.dirty {
-		return
-	}
-	b.table = b.working
-	b.working = nil
-	b.dirty = false
-	b.version++
-	b.lastTableWindow = -1
-	b.lastTableRecomputed = false
-	c.EmitTo(streamTable, topology.Values{"msg": tableMsg{
-		Version:   b.version,
-		Window:    -1,
-		Table:     b.table,
-		Expansion: b.spec,
-	}})
-	c.EmitTo(streamMergerEvents, topology.Values{"msg": mergerEventMsg{Version: b.version}})
+	return working
 }
 
 // consensusExpansion picks the majority proposal; ties resolve to the

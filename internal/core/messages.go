@@ -8,7 +8,9 @@ import (
 
 // Stream names of the topology. Documents and window markers originate
 // at the reader; control messages implement the two-round partition
-// protocol and the dynamics of Sec. VI-A.
+// protocol and the dynamics of Sec. VI-A, lock-stepped to the windows:
+// every assigner sends one verdict per window, and the merger answers
+// with one control message per window.
 const (
 	// streamDocs carries documents (reader -> creators, reader ->
 	// assigners; both shuffle-grouped).
@@ -25,20 +27,13 @@ const (
 	// streamLocalGroups carries local association groups (creator ->
 	// merger, global).
 	streamLocalGroups = "localAGs"
-	// streamTable carries partition-table broadcasts (merger ->
-	// assigners, all).
-	streamTable = "table"
-	// streamUpdate carries δ-gated partition update requests
-	// (assigner -> merger, global).
-	streamUpdate = "update"
-	// streamRepartition carries every assigner's end-of-window verdict
-	// on whether θ calls for a repartition (assigner -> creators, all;
-	// assigner -> merger, global).
-	streamRepartition = "repartition"
-	// streamResched carries the merger's notice that a recomputation
-	// is scheduled (merger -> assigners, all), so every assigner
-	// engages its deployment barrier for the right window.
-	streamResched = "resched"
+	// streamVerdict carries every assigner's end-of-window verdict: the
+	// θ trigger and the window's δ update requests (assigner -> merger,
+	// global).
+	streamVerdict = "verdict"
+	// streamControl carries the merger's one decision per window
+	// (merger -> assigners and creators, all).
+	streamControl = "control"
 	// streamToJoin carries routed documents (assigner -> joiners,
 	// direct).
 	streamToJoin = "tojoin"
@@ -51,8 +46,8 @@ const (
 	// streamJoinerStats carries per-window join counters (joiner ->
 	// collector, global).
 	streamJoinerStats = "jstats"
-	// streamMergerEvents carries repartition/table-version events
-	// (merger -> collector, global).
+	// streamMergerEvents carries one accounting event per control
+	// message (merger -> collector, global).
 	streamMergerEvents = "mevents"
 	// Join results travel on no stream: the joiner hands them to
 	// Config.OnResult (joiner.go, deliver).
@@ -87,37 +82,35 @@ type localGroupsMsg struct {
 	Groups []partition.AssocGroup
 }
 
-// tableMsg broadcasts a partition table version to the assigners.
-type tableMsg struct {
-	Version int
-	// Window is the window whose sample produced the table; δ updates
-	// carry -1.
-	Window    int
-	Table     *partition.Table
-	Expansion *expansion.Expansion
-	// Recomputed marks full recomputations (θ); δ updates keep it
-	// false.
-	Recomputed bool
-}
-
-// updateMsg asks the merger to fold one document's pairs into the
-// current partitions (δ reached).
-type updateMsg struct {
-	Doc document.Document
-}
-
-// decisionMsg is one assigner's end-of-window verdict: whether the
-// routing quality of window Window degraded beyond θ. Every assigner
-// emits one per window; the creators must collect all of them for
-// window w-1 before closing window w, because whether window w is a
-// computation window depends on them. (Without this synchronisation the
-// creators — which process the stream far faster than the assigners —
-// would close their windows long before any repartition request could
-// arrive.)
-type decisionMsg struct {
+// verdictMsg is one assigner's end-of-window verdict for window
+// Window: whether its routing quality degraded beyond θ, and the
+// documents that made an uncovered pair reach δ, in routing order.
+type verdictMsg struct {
 	Window      int
 	Task        int
 	Repartition bool
+	Updates     []document.Document
+}
+
+// controlMsg is the merger's decision for window Window, sent once
+// every assigner's verdict and every creator's report for the window
+// (and, on a computation window, every creator's local groups) are in.
+// Every assigner adopts it at punctuation Window, before it routes any
+// document of Window+1; every creator needs it to close Window+1.
+type controlMsg struct {
+	Window int
+	// Version numbers the table; it advances only when Table is set.
+	Version int
+	// Table is the partition table the assigners route Window+1 under;
+	// nil when it did not change.
+	Table     *partition.Table
+	Expansion *expansion.Expansion
+	// Recomputed marks a θ recomputation (a computation window other
+	// than the first).
+	Recomputed bool
+	// ComputeNext makes Window+1 a computation window: some verdict
+	// for Window asked for θ.
+	ComputeNext bool
 }
 
 // assignerStatsMsg is one assigner's contribution to a window's
@@ -152,9 +145,10 @@ type joinerStatsMsg struct {
 	Checkpoint bool
 }
 
-// mergerEventMsg reports a table broadcast for accounting.
+// mergerEventMsg reports one control message for accounting: the
+// collector counts a window complete only once its event arrived.
 type mergerEventMsg struct {
-	Version    int
+	Window     int
+	NewTable   bool
 	Recomputed bool
-	Initial    bool
 }

@@ -96,7 +96,7 @@ func symPairs(syms []symbol.Pair) []document.Pair {
 func routedAssigner(cfg Config, task int, table *partition.Table, spec *expansion.Expansion) *assignerBolt {
 	b := newAssignerBolt(cfg, task)
 	b.Prepare(&topology.TaskContext{Parallelism: map[string]int{"joiner": cfg.M}})
-	b.adoptTable(tableMsg{Version: 1, Window: 0, Table: table, Expansion: spec}, &fakeCollector{})
+	deploy(b, 0, 1, table, spec, &fakeCollector{})
 	return b
 }
 
@@ -126,7 +126,7 @@ func TestRoutingParity(t *testing.T) {
 						if !slices.Equal(gotT, wantT) || gotB != wantB {
 							t.Fatalf("%s doc %d: RouteDocument = %v/%v, reference %v/%v", name, d.ID, gotT, gotB, wantT, wantB)
 						}
-						gotT, gotB = b.targets(d, &fakeCollector{})
+						gotT, gotB = b.targets(d)
 						if !slices.Equal(gotT, wantT) || gotB != wantB {
 							t.Fatalf("%s doc %d: assigner targets = %v/%v, reference %v/%v", name, d.ID, gotT, gotB, wantT, wantB)
 						}
@@ -190,7 +190,7 @@ func TestRoutingParityOverlappingPartitions(t *testing.T) {
 			if gotT, gotB := RouteDocument(table, s, d); !slices.Equal(gotT, wantT) || gotB != wantB {
 				t.Errorf("spec %v doc %d: RouteDocument = %v/%v, reference %v/%v", s, d.ID, gotT, gotB, wantT, wantB)
 			}
-			if gotT, gotB := b.targets(d, &fakeCollector{}); !slices.Equal(gotT, wantT) || gotB != wantB {
+			if gotT, gotB := b.targets(d); !slices.Equal(gotT, wantT) || gotB != wantB {
 				t.Errorf("spec %v doc %d: assigner targets = %v/%v, reference %v/%v", s, d.ID, gotT, gotB, wantT, wantB)
 			}
 			if _, ok := s.Apply(d); ok {
@@ -238,9 +238,10 @@ func (g *refDeltaGate) adopt(table *partition.Table, spec *expansion.Expansion) 
 
 // TestDeltaUpdateParity runs two assigners with δ = 3 over three
 // windows routed under the first window's table, folding the update
-// requests into an additive table both adopt at each window boundary —
-// as the Merger does — and holds each task's update-request sequence,
-// and its δ counts after every adoption, to the reference.
+// requests their verdicts carry into an additive table both adopt at
+// each window boundary — as the Merger does — and holds each task's
+// update-request sequence, and its δ counts after every adoption, to
+// the reference.
 func TestDeltaUpdateParity(t *testing.T) {
 	const size, m, tasks = 800, 4, 2
 	for _, dataset := range []string{"nbData", "rwData"} {
@@ -257,7 +258,7 @@ func TestDeltaUpdateParity(t *testing.T) {
 			cols[i] = &fakeCollector{}
 			refs[i] = &refDeltaGate{delta: 3, table: table, spec: spec, unseen: make(map[document.Pair]int)}
 		}
-		requests := 0
+		var requested [tasks][]uint64
 		for w := 1; w <= 3; w++ {
 			for i, d := range gen.Window(size) {
 				task := i % tasks
@@ -267,18 +268,21 @@ func TestDeltaUpdateParity(t *testing.T) {
 				}
 			}
 			// The Merger's additive update: every requested document folded
-			// into a clone, broadcast under the next version.
+			// into a clone, in task order, sent in control(w).
 			next := table.Clone()
-			for _, col := range cols {
-				for _, e := range col.byStream(streamUpdate)[requests:] {
-					if td, ok := spec.Apply(e.values["msg"].(updateMsg).Doc); ok {
+			for task := range bolts {
+				bolts[task].Execute(wendTuple(w), cols[task])
+				verdicts := cols[task].byStream(streamVerdict)
+				for _, d := range verdicts[len(verdicts)-1].values["msg"].(verdictMsg).Updates {
+					requested[task] = append(requested[task], d.ID)
+					if td, ok := spec.Apply(d); ok {
 						next.AddDocument(td)
 					}
 				}
 			}
 			table = next
 			for task := range bolts {
-				bolts[task].adoptTable(tableMsg{Version: w + 1, Window: -1, Table: table, Expansion: spec}, cols[task])
+				bolts[task].Execute(controlTuple(controlMsg{Window: w, Version: w + 1, Table: table, Expansion: spec}), cols[task])
 				refs[task].adopt(table, spec)
 				got := make(map[document.Pair]int)
 				for sp, n := range bolts[task].unseen {
@@ -296,15 +300,11 @@ func TestDeltaUpdateParity(t *testing.T) {
 			}
 		}
 		total := 0
-		for task, col := range cols {
-			var got []uint64
-			for _, e := range col.byStream(streamUpdate) {
-				got = append(got, e.values["msg"].(updateMsg).Doc.ID)
+		for task := range bolts {
+			if !slices.Equal(requested[task], want[task]) {
+				t.Errorf("%s task %d: update requests for documents %v, reference %v", dataset, task, requested[task], want[task])
 			}
-			if !slices.Equal(got, want[task]) {
-				t.Errorf("%s task %d: update requests for documents %v, reference %v", dataset, task, got, want[task])
-			}
-			total += len(got)
+			total += len(requested[task])
 		}
 		if total == 0 {
 			t.Errorf("%s: no update request in three windows — the δ gate went unexercised", dataset)
@@ -317,7 +317,7 @@ func TestDeltaUpdateParity(t *testing.T) {
 func TestAssignerSnapshotKeepsUnseen(t *testing.T) {
 	cfg := testConfig()
 	b := newAssignerBolt(cfg, 0)
-	b.adoptTable(newTableMsg(3, intPair2("a", 1)), &fakeCollector{})
+	deploy(b, 0, 3, newTable(intPair2("a", 1)), nil, &fakeCollector{})
 	b.unseen[symbol.InternPair("x", "9")] = 2
 	b.unseen[symbol.InternPair("y", "s:hello")] = 1
 	var buf bytes.Buffer
@@ -334,6 +334,14 @@ func TestAssignerSnapshotKeepsUnseen(t *testing.T) {
 	if restored.version != 3 || restored.generation != 3 {
 		t.Errorf("restored version/generation = %d/%d, want 3/3", restored.version, restored.generation)
 	}
+}
+
+// parentDecision is the verdict type the parent commit (835fdea)
+// recorded in its assigner snapshots.
+type parentDecision struct {
+	Window      int
+	Task        int
+	Repartition bool
 }
 
 // parentAssignerState is assignerState as the parent commit (835fdea)
@@ -353,7 +361,7 @@ type parentAssignerState struct {
 	WaitWindow    int
 	PendingRepart []int
 
-	LastDecision decisionMsg
+	LastDecision parentDecision
 }
 
 // TestAssignerSnapshotCrossVersion restores a snapshot the parent
@@ -384,8 +392,7 @@ func TestAssignerSnapshotCrossVersion(t *testing.T) {
 		!b.table.Covers(document.Pair{Attr: "c", Val: "3"}) || b.table.Covers(document.Pair{Attr: "x", Val: "9"}) {
 		t.Errorf("restored version %d generation %d table %v", b.version, b.generation, b.table)
 	}
-	if b.spec == nil || !slices.Equal(b.spec.Components, []string{"flag", "kind"}) || !b.baselineSet || b.baselineRepl != 1.5 ||
-		!b.pendingRepart[4] || !b.pendingRepart[6] || b.lastDecision != (decisionMsg{Window: 3, Task: 1, Repartition: true}) {
+	if b.spec == nil || !slices.Equal(b.spec.Components, []string{"flag", "kind"}) || !b.baselineSet || b.baselineRepl != 1.5 {
 		t.Errorf("restored state differs from what the parent saved: %+v", b)
 	}
 
@@ -408,8 +415,7 @@ func TestAssignerSnapshotCrossVersion(t *testing.T) {
 			t.Errorf("unseen[%v] written = %d, parent wrote %d", p, back.Unseen[p], n)
 		}
 	}
-	if back.Version != orig.Version || back.BaselineRepl != orig.BaselineRepl || !slices.Equal(back.PendingRepart, orig.PendingRepart) ||
-		back.LastDecision != orig.LastDecision || back.Table.M != orig.Table.M {
+	if back.Version != orig.Version || back.BaselineRepl != orig.BaselineRepl || back.Table.M != orig.Table.M {
 		t.Errorf("snapshot written = %+v, parent wrote %+v", back, orig)
 	}
 }
@@ -475,7 +481,7 @@ func TestHashTargetsParity(t *testing.T) {
 				}
 			}
 			sort.Ints(want)
-			got, broadcast := b.targets(d, &fakeCollector{})
+			got, broadcast := b.targets(d)
 			if !slices.Equal(got, want) || broadcast {
 				t.Fatalf("m=%d doc %d: hash targets %v (broadcast %v), reference %v", m, d.ID, got, broadcast, want)
 			}

@@ -252,7 +252,7 @@ func (r *Runner) Run() (*Report, error) {
 		defer srv.Close()
 	}
 	if r.workers == 0 {
-		return r.runLocal(cfg)
+		return checked(r.runLocal(cfg))
 	}
 	// Register the replay counter eagerly: a run that never replays the
 	// source still exposes it at 0, so "no replay happened" is a
@@ -270,7 +270,17 @@ func (r *Runner) Run() (*Report, error) {
 			}
 		}
 	}
-	return r.runCluster(cfg)
+	return checked(r.runCluster(cfg))
+}
+
+// checked fails a run that routed a window under more than one table
+// generation. Lock-step control makes that impossible; the check is
+// the assertion that it stayed so.
+func checked(report *Report, err error) (*Report, error) {
+	if err == nil && len(report.MixedTableWindows) > 0 {
+		return nil, fmt.Errorf("core: windows %v were routed under more than one table generation", report.MixedTableWindows)
+	}
+	return report, err
 }
 
 // runLocal executes on the in-process topology runtime. With recovery

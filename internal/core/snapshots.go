@@ -5,7 +5,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
-	"sort"
+	"time"
 
 	"repro/internal/document"
 	"repro/internal/expansion"
@@ -43,11 +43,11 @@ type assignerState struct {
 	BaselineGini float64
 	AwaitingBase bool
 
-	Waiting       bool
-	WaitWindow    int
-	PendingRepart []int
-
-	LastDecision decisionMsg
+	// Waiting and WaitWindow: a checkpoint snapshot is taken at the
+	// punctuation, so it always waits for that window's control
+	// message; a migration snapshot at a rescale frontier never does.
+	Waiting    bool
+	WaitWindow int
 }
 
 // Snapshot implements state.Snapshotter.
@@ -64,16 +64,11 @@ func (b *assignerBolt) Snapshot(w io.Writer) error {
 		AwaitingBase: b.awaitingBase,
 		Waiting:      b.waiting,
 		WaitWindow:   b.waitWindow,
-		LastDecision: b.lastDecision,
 	}
 	for sp, n := range b.unseen {
 		attr, val := symbol.PairStrings(sp)
 		st.Unseen[document.Pair{Attr: attr, Val: val}] = n
 	}
-	for w := range b.pendingRepart {
-		st.PendingRepart = append(st.PendingRepart, w)
-	}
-	sort.Ints(st.PendingRepart)
 	return gob.NewEncoder(w).Encode(&st)
 }
 
@@ -100,97 +95,38 @@ func (b *assignerBolt) Restore(r io.Reader) error {
 	b.awaitingBase = st.AwaitingBase
 	b.waiting = st.Waiting
 	b.waitWindow = st.WaitWindow
+	b.waitStart = time.Now()
 	b.buffered = nil
-	b.pendingRepart = make(map[int]bool, len(st.PendingRepart))
-	for _, w := range st.PendingRepart {
-		b.pendingRepart[w] = true
-	}
-	b.lastDecision = st.LastDecision
 	return nil
 }
 
-// creatorState is the snapshot of one creatorBolt at the close of a
-// window: just the verdict bookkeeping. The sample buffers and pending
-// punctuation are rebuilt by the replayed stream.
-type creatorState struct {
-	// Decisions maps a window to the sorted set of assigner tasks whose
-	// verdict arrived; Requested marks windows with a positive verdict.
-	Decisions map[int][]int
-	Requested map[int]bool
-}
-
-// Snapshot implements state.Snapshotter.
+// Snapshot implements state.Snapshotter for live migration only — a
+// creator takes no checkpoints. At a rescale frontier F the creator
+// holds control(F)'s verdict on whether window F+1 computes, and
+// nothing re-sends it.
 func (b *creatorBolt) Snapshot(w io.Writer) error {
-	st := creatorState{
-		Decisions: make(map[int][]int, len(b.decisions)),
-		Requested: b.requested,
-	}
-	for win, tasks := range b.decisions {
-		ts := make([]int, 0, len(tasks))
-		for t := range tasks {
-			ts = append(ts, t)
-		}
-		sort.Ints(ts)
-		st.Decisions[win] = ts
-	}
-	return gob.NewEncoder(w).Encode(&st)
+	return gob.NewEncoder(w).Encode(b.next)
 }
 
 // Restore implements state.Snapshotter.
 func (b *creatorBolt) Restore(r io.Reader) error {
-	var st creatorState
-	if err := gob.NewDecoder(r).Decode(&st); err != nil {
-		return err
-	}
-	b.decisions = make(map[int]map[int]bool, len(st.Decisions))
-	for win, tasks := range st.Decisions {
-		set := make(map[int]bool, len(tasks))
-		for _, t := range tasks {
-			set[t] = true
-		}
-		b.decisions[win] = set
-	}
-	b.requested = st.Requested
-	if b.requested == nil {
-		b.requested = make(map[int]bool)
-	}
-	b.buffers = make(map[int][]document.Document)
-	b.pendingWend = nil
-	b.ckptWend = make(map[int]bool)
-	return nil
+	b.next = make(map[int]bool)
+	return gob.NewDecoder(r).Decode(&b.next)
 }
 
-// mergerState is the snapshot of the mergerBolt at the resolution of a
-// window's round. Unresolved rounds are dropped — the restored creators
-// re-emit their reports for every replayed window.
+// mergerState is the snapshot of the mergerBolt when it decided a
+// window. Undecided rounds are dropped — the replay regenerates every
+// verdict and report past the cut.
 type mergerState struct {
-	Version     int
-	Initial     bool
-	LastResched int
-
-	Table *partition.Table
-	Spec  *expansion.Expansion
-
-	LastTableWindow     int
-	LastTableRecomputed bool
-
-	Working *partition.Table
-	Dirty   bool
+	Version int
+	Table   *partition.Table
+	Spec    *expansion.Expansion
+	Last    controlMsg
 }
 
 // Snapshot implements state.Snapshotter.
 func (b *mergerBolt) Snapshot(w io.Writer) error {
-	st := mergerState{
-		Version:             b.version,
-		Initial:             b.initial,
-		LastResched:         b.lastResched,
-		Table:               b.table,
-		Spec:                b.spec,
-		LastTableWindow:     b.lastTableWindow,
-		LastTableRecomputed: b.lastTableRecomputed,
-		Working:             b.working,
-		Dirty:               b.dirty,
-	}
+	st := mergerState{Version: b.version, Table: b.table, Spec: b.spec, Last: b.last}
 	return gob.NewEncoder(w).Encode(&st)
 }
 
@@ -201,15 +137,10 @@ func (b *mergerBolt) Restore(r io.Reader) error {
 		return err
 	}
 	b.version = st.Version
-	b.initial = st.Initial
-	b.lastResched = st.LastResched
 	b.table = st.Table
 	b.spec = st.Spec
-	b.lastTableWindow = st.LastTableWindow
-	b.lastTableRecomputed = st.LastTableRecomputed
-	b.working = st.Working
-	b.dirty = st.Dirty
-	b.rounds = make(map[int]*computeRound)
+	b.last = st.Last
+	b.rounds = make(map[int]*windowRound)
 	return nil
 }
 
@@ -363,6 +294,7 @@ func (b *collectorBolt) Restore(r io.Reader) error {
 			repartitioned: ws.Repartitioned,
 			partials:      b.cfg.Assigners,
 			jdone:         b.cfg.M,
+			decided:       true,
 			pairs:         ws.Pairs,
 			docs:          ws.Docs,
 			done:          true,

@@ -108,6 +108,26 @@ func TestFigure9Repartitions(t *testing.T) {
 	}
 }
 
+// TestFigure9Reproducible: Fig. 9b is a function of its scale — two
+// fresh renders, with no memoised run shared between them, are
+// byte-identical.
+func TestFigure9Reproducible(t *testing.T) {
+	var renders [2]string
+	for i := range renders {
+		runMu.Lock()
+		delete(runCache, scaleID(sc))
+		runMu.Unlock()
+		fig, err := Figure9("b", sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		renders[i] = fig.Render()
+	}
+	if renders[0] != renders[1] {
+		t.Errorf("two renders of Fig. 9b differ:\n%s\n%s", renders[0], renders[1])
+	}
+}
+
 func TestFigure10Ideal(t *testing.T) {
 	fig, err := Figure10("a", sc)
 	if err != nil {
