@@ -252,16 +252,20 @@ func TestDialRetryBackoff(t *testing.T) {
 		}, 2).ShuffleGrouping("src")
 		return b
 	}
-	ws, proxies, result := startChaosCluster(t, makeBuilder, 2, func(w *Worker) {
+	_, proxies, result := startChaosCluster(t, makeBuilder, 2, func(w *Worker) {
 		w.RetryBackoff = 2 * time.Millisecond
 		w.RetryBackoffMax = 20 * time.Millisecond
 	})
-	_ = ws
 	// Refuse all new data-plane dials until the stream is underway.
 	for _, p := range proxies {
 		p.StopAccepting()
 	}
+	// Joined before the test returns, a fast run included: an error
+	// reported after that would fail a completed test.
+	resumed := make(chan struct{})
+	defer func() { <-resumed }()
 	go func() {
+		defer close(resumed)
 		time.Sleep(100 * time.Millisecond)
 		for _, p := range proxies {
 			if err := p.ResumeAccepting(); err != nil {

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -46,10 +47,11 @@ func parityBuilder(n int) *topology.Builder {
 	return b
 }
 
-// TestExecutorParity runs one topology in-process and on a two-worker
-// loopback cluster: both host their tasks through the same executor,
-// so the per-component counts, the failures and the copy ledger must
-// agree, and every sent copy must be executed on both.
+// TestExecutorParity runs one topology in-process, on a two-worker
+// loopback cluster and on the sequential host under the seed-0 and a
+// priority schedule: all of them host their tasks through the same
+// executor, so the per-component counts, the failures and the copy
+// ledger must agree, and every sent copy must be executed on each.
 func TestExecutorParity(t *testing.T) {
 	const n = 200
 	topo, err := parityBuilder(n).Build()
@@ -61,30 +63,27 @@ func TestExecutorParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, run := range []struct {
-		name  string
-		stats topology.Stats
-	}{{"in-process", local}, {"cluster", remote}} {
-		s := run.stats
-		if s.SentCopies == 0 || s.SentCopies != s.ExecCopies+s.DroppedCopies || s.DroppedCopies != 0 {
-			t.Errorf("%s: copies sent = %d, executed = %d, dropped = %d",
-				run.name, s.SentCopies, s.ExecCopies, s.DroppedCopies)
-		}
-		if len(s.Failures) != 1 {
-			t.Errorf("%s: failures = %v, want the one poisoned tuple", run.name, s.Failures)
+	runs := map[string]topology.Stats{"in-process": local, "cluster": remote}
+	for _, seed := range []int64{0, 7} {
+		if runs[fmt.Sprint("sequential seed ", seed)], err = topology.RunSequential(parityBuilder(n), topology.SeededSchedule(seed)); err != nil {
+			t.Fatal(err)
 		}
 	}
 	want := map[string]int64{"src": 4 * n, "relay": n - 1, "fan": 0, "keyed": 2 * (n - 1), "tail": 0, "pick": 0}
 	if !reflect.DeepEqual(local.Emitted, want) {
 		t.Errorf("in-process Emitted = %v, want %v", local.Emitted, want)
 	}
-	if !reflect.DeepEqual(local.Emitted, remote.Emitted) {
-		t.Errorf("Emitted: in-process %v, cluster %v", local.Emitted, remote.Emitted)
-	}
-	if !reflect.DeepEqual(local.Executed, remote.Executed) {
-		t.Errorf("Executed: in-process %v, cluster %v", local.Executed, remote.Executed)
-	}
-	if local.SentCopies != remote.SentCopies {
-		t.Errorf("SentCopies: in-process %d, cluster %d", local.SentCopies, remote.SentCopies)
+	for name, s := range runs {
+		if s.SentCopies == 0 || s.SentCopies != s.ExecCopies+s.DroppedCopies || s.DroppedCopies != 0 {
+			t.Errorf("%s: copies sent = %d, executed = %d, dropped = %d",
+				name, s.SentCopies, s.ExecCopies, s.DroppedCopies)
+		}
+		if len(s.Failures) != 1 {
+			t.Errorf("%s: failures = %v, want the one poisoned tuple", name, s.Failures)
+		}
+		if !reflect.DeepEqual(s.Emitted, local.Emitted) || !reflect.DeepEqual(s.Executed, local.Executed) || s.SentCopies != local.SentCopies {
+			t.Errorf("%s: Emitted %v, Executed %v, SentCopies %d; in-process %v, %v, %d",
+				name, s.Emitted, s.Executed, s.SentCopies, local.Emitted, local.Executed, local.SentCopies)
+		}
 	}
 }

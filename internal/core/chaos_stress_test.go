@@ -94,11 +94,7 @@ func waitPeersEvicted(t *testing.T, ws []*cluster.Worker) {
 // result as the single-process runtime over the same documents.
 func TestClusterStressBoundedChaos(t *testing.T) {
 	const workers, windows, windowSize = 4, 4, 90
-	gen := datagen.NewServerLog(53)
-	var docs []document.Document
-	for w := 0; w < windows; w++ {
-		docs = append(docs, gen.Window(windowSize)...)
-	}
+	docs := drawWindows(datagen.NewServerLog(53), windows, windowSize)
 
 	paused := make(chan struct{})
 	gate := make(chan struct{})

@@ -12,11 +12,7 @@ import (
 // TestClusterRunMatchesOracle runs the full system across three
 // TCP-connected workers and checks the exact join result.
 func TestClusterRunMatchesOracle(t *testing.T) {
-	gen := datagen.NewServerLog(77)
-	var docs []document.Document
-	for w := 0; w < 3; w++ {
-		docs = append(docs, gen.Window(80)...)
-	}
+	docs := drawWindows(datagen.NewServerLog(77), 3, 80)
 	var mu sync.Mutex
 	got := make(map[join.Pair]bool)
 	cfg := Config{
@@ -72,11 +68,7 @@ func TestClusterRunSingleWorker(t *testing.T) {
 // identical join-pair counts on both runtimes.
 func TestClusterAndLocalAgree(t *testing.T) {
 	mkDocs := func() []document.Document {
-		gen := datagen.NewServerLog(101)
-		var docs []document.Document
-		for w := 0; w < 2; w++ {
-			docs = append(docs, gen.Window(100)...)
-		}
+		docs := drawWindows(datagen.NewServerLog(101), 2, 100)
 		return docs
 	}
 	baseCfg := func(docs []document.Document) Config {

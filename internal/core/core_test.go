@@ -28,6 +28,15 @@ func (s *replaySource) Window(n int) []document.Document {
 	return out
 }
 
+// drawWindows draws n windows of size documents from gen.
+func drawWindows(gen datagen.Generator, n, size int) []document.Document {
+	var docs []document.Document
+	for w := 0; w < n; w++ {
+		docs = append(docs, gen.Window(size)...)
+	}
+	return docs
+}
+
 // oraclePairs is join.Oracle's result as a set.
 func oraclePairs(docs []document.Document, windowSize int) map[join.Pair]bool {
 	want := make(map[join.Pair]bool)
@@ -72,11 +81,7 @@ func runAndCollect(t *testing.T, cfg Config, docs []document.Document, opts ...O
 // distributed system must produce exactly the single-node join result,
 // each pair exactly once, on the rwData surrogate.
 func TestSystemExactJoinServerLog(t *testing.T) {
-	gen := datagen.NewServerLog(17)
-	var docs []document.Document
-	for w := 0; w < 4; w++ {
-		docs = append(docs, gen.Window(120)...)
-	}
+	docs := drawWindows(datagen.NewServerLog(17), 4, 120)
 	cfg := Config{M: 4, Creators: 2, Assigners: 3, WindowSize: 120, Windows: 4}
 	got, report := runAndCollect(t, cfg, docs)
 	want := oraclePairs(docs, 120)
@@ -92,11 +97,7 @@ func TestSystemExactJoinServerLog(t *testing.T) {
 // TestSystemExactJoinNoBench repeats the exactness check on the diverse
 // synthetic dataset with expansion enabled.
 func TestSystemExactJoinNoBench(t *testing.T) {
-	gen := datagen.NewNoBench(23)
-	var docs []document.Document
-	for w := 0; w < 3; w++ {
-		docs = append(docs, gen.Window(80)...)
-	}
+	docs := drawWindows(datagen.NewNoBench(23), 3, 80)
 	cfg := Config{M: 4, Creators: 2, Assigners: 2, WindowSize: 80, Windows: 3, Expansion: ExpansionAuto}
 	got, _ := runAndCollect(t, cfg, docs)
 	want := oraclePairs(docs, 80)
@@ -107,11 +108,7 @@ func TestSystemExactJoinNoBench(t *testing.T) {
 // competitors too.
 func TestSystemExactJoinAllPartitioners(t *testing.T) {
 	for _, p := range []partition.Partitioner{partition.SetCover{}, partition.DisjointSets{}} {
-		gen := datagen.NewServerLog(31)
-		var docs []document.Document
-		for w := 0; w < 3; w++ {
-			docs = append(docs, gen.Window(100)...)
-		}
+		docs := drawWindows(datagen.NewServerLog(31), 3, 100)
 		cfg := Config{M: 4, Creators: 2, Assigners: 2, WindowSize: 100, Windows: 3, Partitioner: p}
 		got, _ := runAndCollect(t, cfg, docs)
 		want := oraclePairs(docs, 100)
@@ -138,11 +135,7 @@ func checkPairSets(t *testing.T, got, want map[join.Pair]bool) {
 // TestSystemEnginesAgree: whatever the local join engine, the full
 // system produces exactly the single-node oracle's pair set.
 func TestSystemEnginesAgree(t *testing.T) {
-	gen := datagen.NewServerLog(5)
-	var docs []document.Document
-	for w := 0; w < 2; w++ {
-		docs = append(docs, gen.Window(80)...)
-	}
+	docs := drawWindows(datagen.NewServerLog(5), 2, 80)
 	want := oraclePairs(docs, 80)
 	for _, eng := range []string{"FPJ", "NLJ", "HBJ"} {
 		cfg := Config{M: 3, Creators: 1, Assigners: 2, WindowSize: 80, Windows: 2, Engine: eng}
@@ -294,11 +287,7 @@ func TestPlanPartitionsAndRoute(t *testing.T) {
 // TestHashPairsRoutingExact: the related-work hash-routing baseline
 // must also produce the exact join result.
 func TestHashPairsRoutingExact(t *testing.T) {
-	gen := datagen.NewServerLog(55)
-	var docs []document.Document
-	for w := 0; w < 3; w++ {
-		docs = append(docs, gen.Window(100)...)
-	}
+	docs := drawWindows(datagen.NewServerLog(55), 3, 100)
 	cfg := Config{M: 5, Creators: 2, Assigners: 2, WindowSize: 100, Windows: 3, Routing: HashPairsRouting}
 	got, report := runAndCollect(t, cfg, docs)
 	checkPairSets(t, got, oraclePairs(docs, 100))

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/datagen"
-	"repro/internal/document"
 	"repro/internal/join"
 	"repro/internal/partition"
 	"repro/internal/telemetry"
@@ -20,17 +19,17 @@ import (
 // are the only spillable state on the cluster path — the current
 // window's probe structures never leave memory — so parity here proves
 // the spill and reload legs are correctness-neutral end to end. The
-// run is stepped on one goroutine, and assigner 2's punctuations are
-// held back at every joiner that has another tuple queued, so the
-// pending buffers fill on every run rather than when the scheduler
-// happens to let one assigner race ahead.
+// run is on the sequential host, and no assigner 2 → joiner edge is
+// picked while any other unit is ready, so assigner 2's punctuations —
+// and, by per-edge FIFO, its documents behind them — arrive last and
+// the pending buffers fill on every run rather than when the scheduler
+// happens to let one assigner race ahead. Holding them only while
+// another edge into the same joiner is ready is not enough: the edge
+// then runs in the gap before the merger's control message releases
+// the other assigners' next window.
 func TestJoinerPendingSpillParity(t *testing.T) {
 	const windowSize = 60
-	gen := datagen.NewServerLog(7)
-	var docs []document.Document
-	for w := 0; w < 3; w++ {
-		docs = append(docs, gen.Window(windowSize)...)
-	}
+	docs := drawWindows(datagen.NewServerLog(7), 3, windowSize)
 	reg := telemetry.NewRegistry()
 	cfg := Config{
 		M:            3,
@@ -46,12 +45,12 @@ func TestJoinerPendingSpillParity(t *testing.T) {
 		SpillDir:     t.TempDir(),
 		Telemetry:    reg,
 	}
-	held := func(t topology.Tuple) bool {
-		return t.Source == "assigner" && t.SourceTask == 2 && t.Stream == streamJoinerWindow
-	}
-	got, _ := runStepped(t, cfg, docs, func(comp string, task int, q []topology.Tuple, i int) bool {
-		return comp == "joiner" && held(q[i]) && slices.ContainsFunc(q, func(t topology.Tuple) bool { return !held(t) })
-	})
+	assigner2 := topology.TaskID{Component: "assigner", Task: 2}
+	got, _ := runStepped(t, cfg, docs, holding(func(u topology.Unit, ready []topology.Unit) bool {
+		return u.Target.Component == "joiner" && u.Source == assigner2 && slices.ContainsFunc(ready, func(r topology.Unit) bool {
+			return r.Source != assigner2 || r.Target.Component != "joiner"
+		})
+	}))
 	want := join.Oracle(docs, windowSize)
 	if wrong, extra := exactlyOnce(got, want); wrong > 0 || extra {
 		t.Errorf("governed topology: %d of %d oracle pairs missing or duplicated, %d pairs produced", wrong, len(want), len(got))

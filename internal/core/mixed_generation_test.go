@@ -55,179 +55,9 @@ func TestMixedGenerationWindowReported(t *testing.T) {
 	}
 }
 
-// TestSingleAssignerRoutesEachWindowUnderOneGeneration: an undisturbed
-// single-assigner run with repartitions mixes no window.
-func TestSingleAssignerRoutesEachWindowUnderOneGeneration(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	report, err := NewRunner(Config{
-		M: 4, Creators: 2, Assigners: 1,
-		WindowSize: 300, Windows: 8,
-		Theta:  0.02,    // low enough that some window recomputes
-		Delta:  1 << 30, // no δ updates
-		Source: datagen.NewNoBench(7),
-	}, WithTelemetry(reg)).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(report.MixedTableWindows) != 0 {
-		t.Errorf("MixedTableWindows = %v on an undisturbed single-assigner run (%d repartitions, %d tables)",
-			report.MixedTableWindows, report.Repartitions, report.TableVersions)
-	}
-	if got := report.Telemetry.Counter("partition_mixed_generation_windows_total"); got != 0 {
-		t.Errorf("partition_mixed_generation_windows_total = %d, want 0", got)
-	}
-	if report.Repartitions == 0 {
-		t.Errorf("no repartition in %d table versions: the run adopted no recomputed table", report.TableVersions)
-	}
-}
-
-// stepHost runs the real bolts of buildTopology(cfg) on one goroutine,
-// routing every emission by the subscriptions of the topology's Spec,
-// with shuffle groupings dealt round-robin per edge as the runtime
-// does. Each step delivers one queued tuple to every task in turn; the
-// hold function may keep a task's queued tuple back, which is how a
-// test writes an adversarial schedule. Per-source FIFO order is kept.
-type stepHost struct {
-	t      *testing.T
-	specs  []topology.ComponentSpec
-	bolts  map[string][]topology.Bolt
-	queues map[string][][]topology.Tuple
-	rr     map[string]int
-	hold   func(comp string, task int, queue []topology.Tuple, i int) bool
-}
-
-func newStepHost(t *testing.T, cfg Config, report *Report) *stepHost {
-	specs, err := buildTopology(cfg, report).Spec()
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := &stepHost{t: t, specs: specs, bolts: map[string][]topology.Bolt{}, queues: map[string][][]topology.Tuple{}, rr: map[string]int{}}
-	par := map[string]int{}
-	for _, s := range specs {
-		par[s.ID] = s.Parallelism
-	}
-	for _, s := range specs {
-		if s.IsSpout {
-			continue
-		}
-		h.queues[s.ID] = make([][]topology.Tuple, s.Parallelism)
-		for task := 0; task < s.Parallelism; task++ {
-			var b topology.Bolt
-			switch s.ID {
-			case "creator":
-				b = newCreatorBolt(cfg, task)
-			case "merger":
-				b = newMergerBolt(cfg)
-			case "assigner":
-				b = newAssignerBolt(cfg, task)
-			case "joiner":
-				b = newJoinerBolt(cfg, task)
-			case "collector":
-				b = newCollectorBolt(cfg, report)
-			default:
-				t.Fatalf("unknown component %q", s.ID)
-			}
-			b.Prepare(&topology.TaskContext{Component: s.ID, Task: task, NumTasks: s.Parallelism, Parallelism: par})
-			h.bolts[s.ID] = append(h.bolts[s.ID], b)
-		}
-	}
-	return h
-}
-
-// hostCollector routes one task's emissions.
-type hostCollector struct {
-	h    *stepHost
-	comp string
-	task int
-}
-
-func (c hostCollector) Emit(v topology.Values) { c.EmitTo(topology.DefaultStream, v) }
-func (c hostCollector) EmitTo(stream string, v topology.Values) {
-	c.h.emit(c.comp, c.task, stream, -1, v)
-}
-func (c hostCollector) EmitDirect(stream string, task int, v topology.Values) {
-	c.h.emit(c.comp, c.task, stream, task, v)
-}
-
-func (h *stepHost) emit(src string, srcTask int, stream string, direct int, v topology.Values) {
-	t := topology.Tuple{Stream: stream, Source: src, SourceTask: srcTask, Values: v}
-	for _, s := range h.specs {
-		for _, sub := range s.Subs {
-			if sub.Source != src || sub.Stream != stream || (sub.Grouping == topology.Direct) != (direct >= 0) {
-				continue
-			}
-			var targets []int
-			switch sub.Grouping {
-			case topology.Shuffle:
-				key := src + "/" + stream + "/" + s.ID
-				targets = []int{h.rr[key] % s.Parallelism}
-				h.rr[key]++
-			case topology.Direct:
-				targets = []int{direct}
-			case topology.Global:
-				targets = []int{0}
-			case topology.All:
-				for i := 0; i < s.Parallelism; i++ {
-					targets = append(targets, i)
-				}
-			default:
-				h.t.Fatalf("grouping %v not hosted", sub.Grouping)
-			}
-			for _, task := range targets {
-				h.queues[s.ID][task] = append(h.queues[s.ID][task], t)
-			}
-		}
-	}
-}
-
-// run emits the whole stream from the reader, then steps until every
-// queue is empty, and finally cleans every bolt up.
-func (h *stepHost) run(cfg Config) {
-	reader := newReaderSpout(cfg)
-	reader.Open(&topology.TaskContext{Component: "reader"})
-	for reader.NextTuple(hostCollector{h: h, comp: "reader"}) {
-	}
-	for steps := 0; ; steps++ {
-		if steps > 1<<22 {
-			h.t.Fatal("step host made no progress")
-		}
-		delivered := false
-		for _, s := range h.specs {
-			for task, q := range h.queues[s.ID] {
-				i := 0
-				for i < len(q) && h.hold != nil && h.hold(s.ID, task, q, i) {
-					i++
-				}
-				if i == len(q) {
-					continue
-				}
-				t := q[i]
-				h.queues[s.ID][task] = append(q[:i:i], q[i+1:]...)
-				h.bolts[s.ID][task].Execute(t, hostCollector{h: h, comp: s.ID, task: task})
-				delivered = true
-			}
-		}
-		if !delivered {
-			break
-		}
-	}
-	for _, s := range h.specs {
-		for task, q := range h.queues[s.ID] {
-			if len(q) > 0 {
-				h.t.Fatalf("the schedule holds %d tuples back from %s[%d] forever", len(q), s.ID, task)
-			}
-		}
-	}
-	for _, s := range h.specs {
-		for _, b := range h.bolts[s.ID] {
-			b.Cleanup()
-		}
-	}
-}
-
-// runStepped runs cfg over docs on a step host with the given hold
-// policy, and returns how often each pair was produced and the report.
-func runStepped(t *testing.T, cfg Config, docs []document.Document, hold func(comp string, task int, queue []topology.Tuple, i int) bool) (map[join.Pair]int, *Report) {
+// runStepped runs cfg over docs on the sequential host under sched,
+// and returns how often each pair was produced and the report.
+func runStepped(t *testing.T, cfg Config, docs []document.Document, sched topology.Schedule) (map[join.Pair]int, *Report) {
 	t.Helper()
 	got := map[join.Pair]int{}
 	cfg.Source = &replaySource{docs: docs}
@@ -239,10 +69,26 @@ func runStepped(t *testing.T, cfg Config, docs []document.Document, hold func(co
 		t.Fatal(err)
 	}
 	report := &Report{}
-	h := newStepHost(t, cfg, report)
-	h.hold = hold
-	h.run(cfg)
+	if report.Topology, err = topology.RunSequential(buildTopology(cfg, report), sched); err != nil {
+		t.Fatal(err)
+	}
 	return got, report
+}
+
+// holding is the seed-0 schedule over the ready units that held lets
+// through: held(u, ready) keeps u back, and must let one unit through.
+func holding(held func(u topology.Unit, ready []topology.Unit) bool) topology.Schedule {
+	base := topology.SeededSchedule(0)
+	return func(ready []topology.Unit) int {
+		var free []topology.Unit
+		var at []int
+		for i, u := range ready {
+			if !held(u, ready) {
+				free, at = append(free, u), append(at, i)
+			}
+		}
+		return at[base(free)]
+	}
 }
 
 // exactlyOnce reports how many of the oracle's pairs were not produced
@@ -257,12 +103,11 @@ func exactlyOnce(got map[join.Pair]int, want []join.Pair) (wrong int, extra bool
 }
 
 // TestAdversarialControlDelivery replays the interleaving that lost
-// pairs: every tuple from the merger to assigner 1 is held back while
-// assigner 1 has a reader tuple queued, so its peers' θ verdicts and
-// tables reach it only after it has seen the rest of the stream.
-// Lock-step control makes assigner 1 wait for each window's control
-// message anyway, so the run stays exact and no window mixes table
-// generations.
+// pairs: the merger → assigner 1 edge is not picked while the reader →
+// assigner 1 edge is ready, so its peers' θ verdicts and tables reach
+// it only after it has seen the rest of the stream. Lock-step control
+// makes assigner 1 wait for each window's control message anyway, so
+// the run stays exact and no window mixes table generations.
 func TestAdversarialControlDelivery(t *testing.T) {
 	for _, tc := range []struct {
 		dataset string
@@ -274,19 +119,15 @@ func TestAdversarialControlDelivery(t *testing.T) {
 		{"rwData", 2, 16, 0.05},
 	} {
 		t.Run(tc.dataset, func(t *testing.T) {
-			gen, _ := datagen.ByName(tc.dataset, tc.seed)
 			const windowSize, windows = 200, 8
-			var docs []document.Document
-			for w := 0; w < windows; w++ {
-				docs = append(docs, gen.Window(windowSize)...)
-			}
+			gen, _ := datagen.ByName(tc.dataset, tc.seed)
+			docs := drawWindows(gen, windows, windowSize)
 			cfg := Config{M: tc.m, Creators: 2, Assigners: 2, WindowSize: windowSize, Windows: windows, Theta: tc.theta}
-			got, report := runStepped(t, cfg, docs, func(comp string, task int, q []topology.Tuple, i int) bool {
-				if comp != "assigner" || task != 1 || q[i].Source != "merger" {
-					return false
-				}
-				return slices.ContainsFunc(q, func(t topology.Tuple) bool { return t.Source == "reader" })
-			})
+			assigner1 := topology.TaskID{Component: "assigner", Task: 1}
+			fromReader := func(u topology.Unit) bool { return u.Target == assigner1 && u.Source.Component == "reader" }
+			got, report := runStepped(t, cfg, docs, holding(func(u topology.Unit, ready []topology.Unit) bool {
+				return u.Target == assigner1 && u.Source.Component == "merger" && slices.ContainsFunc(ready, fromReader)
+			}))
 			want := join.Oracle(docs, windowSize)
 			if wrong, extra := exactlyOnce(got, want); wrong > 0 || extra {
 				t.Errorf("%d of %d oracle pairs missing or duplicated, %d pairs produced", wrong, len(want), len(got))
@@ -302,11 +143,18 @@ func TestAdversarialControlDelivery(t *testing.T) {
 	}
 }
 
+// sameRun reports whether two runs agree on everything the control
+// plane decides.
+func sameRun(a, b *Report) bool {
+	return a.Repartitions == b.Repartitions && a.TableVersions == b.TableVersions &&
+		a.DocsJoined == b.DocsJoined && a.JoinPairs == b.JoinPairs && reflect.DeepEqual(a.Run, b.Run)
+}
+
 // TestControlPlaneDeterministic: with one control message per window,
 // repartitions, table versions, routing statistics and the join result
 // are functions of the input and the configuration — five in-process
-// runs and one run on three TCP workers agree, and the pairs are the
-// oracle's.
+// runs and one run on three TCP workers agree with the sequential
+// host's seed-0 run, and the pairs are the oracle's.
 func TestControlPlaneDeterministic(t *testing.T) {
 	for _, tc := range []struct {
 		dataset string
@@ -318,13 +166,16 @@ func TestControlPlaneDeterministic(t *testing.T) {
 		t.Run(tc.dataset, func(t *testing.T) {
 			const windowSize, windows = 250, 6
 			gen, _ := datagen.ByName(tc.dataset, 7)
-			var docs []document.Document
-			for w := 0; w < windows; w++ {
-				docs = append(docs, gen.Window(windowSize)...)
+			docs := drawWindows(gen, windows, windowSize)
+			cfg := Config{M: tc.m, Creators: 2, Assigners: 3, WindowSize: windowSize, Windows: windows, Delta: 3, Theta: 0.05}
+			stepped, ref := runStepped(t, cfg, docs, topology.SeededSchedule(0))
+			if wrong, extra := exactlyOnce(stepped, join.Oracle(docs, windowSize)); wrong > 0 || extra {
+				t.Fatalf("sequential run: %d oracle pairs missing or duplicated, %d pairs produced", wrong, len(stepped))
+			}
+			if ref.Repartitions == 0 {
+				t.Fatalf("no repartition in %d tables: θ went unexercised", ref.TableVersions)
 			}
 			want := oraclePairs(docs, windowSize)
-			cfg := Config{M: tc.m, Creators: 2, Assigners: 3, WindowSize: windowSize, Windows: windows, Delta: 3, Theta: 0.05}
-			var first *Report
 			for run := 0; run < 6; run++ {
 				var opts []Option
 				if run == 5 {
@@ -334,17 +185,57 @@ func TestControlPlaneDeterministic(t *testing.T) {
 				if !maps.Equal(got, want) {
 					t.Fatalf("run %d: %d pairs, oracle %d", run, len(got), len(want))
 				}
-				if first == nil {
-					first = report
-					if report.Repartitions == 0 {
-						t.Fatalf("no repartition in %d tables: θ went unexercised", report.TableVersions)
-					}
-					continue
+				if !sameRun(report, ref) {
+					t.Errorf("run %d differs from the sequential seed-0 run:\n%s\n%s", run, report, ref)
 				}
-				if report.Repartitions != first.Repartitions || report.TableVersions != first.TableVersions ||
-					report.DocsJoined != first.DocsJoined || report.JoinPairs != first.JoinPairs ||
-					!reflect.DeepEqual(report.Run, first.Run) {
-					t.Errorf("run %d differs from run 0:\n%s\n%s", run, report, first)
+			}
+		})
+	}
+}
+
+// TestControlPlaneScheduleSweep runs the pipeline on the sequential
+// host under the seed-0 round-robin and 199 priority schedules, which
+// starve an edge for as long as another stays ready: the delay that
+// lets an assigner route a window under another table generation than
+// its peers, which a uniform random pick rarely produces. Every
+// schedule must join every oracle pair exactly once, route no window
+// under two generations, fail no task, and reach the same control-plane
+// decisions.
+func TestControlPlaneScheduleSweep(t *testing.T) {
+	const seeds = 200
+	for _, in := range []struct {
+		name, dataset string
+		cfg           Config
+	}{
+		{"nbData", "nbData", Config{M: 4, Creators: 2, Assigners: 3, WindowSize: 100, Windows: 4, Theta: 0.05, Delta: 3}},
+		{"rwData", "rwData", Config{M: 16, Creators: 2, Assigners: 3, WindowSize: 100, Windows: 4, Theta: 0.05, Delta: 3}},
+		// One assigner, θ low enough that some window recomputes, no δ.
+		{"singleAssigner", "nbData", Config{M: 4, Creators: 2, Assigners: 1, WindowSize: 100, Windows: 4, Theta: 0.02, Delta: 1 << 30}},
+	} {
+		t.Run(in.name, func(t *testing.T) {
+			t.Parallel()
+			gen, _ := datagen.ByName(in.dataset, 7)
+			docs := drawWindows(gen, in.cfg.Windows, in.cfg.WindowSize)
+			want := join.Oracle(docs, in.cfg.WindowSize)
+			var ref *Report
+			for seed := int64(0); seed < seeds; seed++ {
+				got, report := runStepped(t, in.cfg, docs, topology.SeededSchedule(seed))
+				if wrong, extra := exactlyOnce(got, want); wrong > 0 || extra {
+					t.Errorf("seed %d: %d of %d oracle pairs missing or duplicated, %d pairs produced", seed, wrong, len(want), len(got))
+				}
+				if len(report.MixedTableWindows) != 0 {
+					t.Errorf("seed %d: windows %v routed under more than one table generation", seed, report.MixedTableWindows)
+				}
+				if len(report.Topology.Failures) != 0 {
+					t.Errorf("seed %d: failures %v", seed, report.Topology.Failures)
+				}
+				if ref == nil {
+					ref = report
+					if ref.Repartitions == 0 {
+						t.Fatalf("no repartition in %d tables: θ went unexercised", ref.TableVersions)
+					}
+				} else if !sameRun(report, ref) {
+					t.Errorf("seed %d differs from seed 0:\n%s\n%s", seed, report, ref)
 				}
 			}
 		})

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/datagen"
-	"repro/internal/document"
 	"repro/internal/partition"
 )
 
@@ -36,10 +35,7 @@ func TestRandomConfigsExactJoin(t *testing.T) {
 		} else {
 			gen = datagen.NewNoBench(int64(round))
 		}
-		var docs []document.Document
-		for w := 0; w < windows; w++ {
-			docs = append(docs, gen.Window(windowSize)...)
-		}
+		docs := drawWindows(gen, windows, windowSize)
 		cfg := Config{
 			M:           2 + r.Intn(5),
 			Creators:    1 + r.Intn(3),

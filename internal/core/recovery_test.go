@@ -29,11 +29,7 @@ func TestClusterFailoverParity(t *testing.T) {
 	newSource := func() datagen.Generator { return datagen.NewServerLog(seed) }
 
 	// Single-process oracle over the identical stream.
-	gen := newSource()
-	var docs []document.Document
-	for w := 0; w < windows; w++ {
-		docs = append(docs, gen.Window(windowSize)...)
-	}
+	docs := drawWindows(newSource(), windows, windowSize)
 	want := oraclePairs(docs, windowSize)
 
 	cfg := Config{
@@ -126,11 +122,7 @@ func (s *killAtCutStore) Save(task string, window int, data []byte) error {
 // runtime checkpoints every window for every stateful task — the cut
 // reaches the last window — without changing the run's result.
 func TestLocalCheckpointOnly(t *testing.T) {
-	gen := datagen.NewServerLog(17)
-	var docs []document.Document
-	for w := 0; w < 3; w++ {
-		docs = append(docs, gen.Window(100)...)
-	}
+	docs := drawWindows(datagen.NewServerLog(17), 3, 100)
 	store := state.NewMemStore()
 	cfg := Config{M: 4, Creators: 2, Assigners: 2, WindowSize: 100, Windows: 3,
 		Source: &replaySource{docs: docs}}
@@ -162,11 +154,7 @@ func TestRecoveryValidation(t *testing.T) {
 // TestReaderReplaySkip: a restored reader regenerates the stream and
 // resumes emission at the first window past the cut.
 func TestReaderReplaySkip(t *testing.T) {
-	gen := datagen.NewServerLog(3)
-	var docs []document.Document
-	for w := 0; w < 3; w++ {
-		docs = append(docs, gen.Window(10)...)
-	}
+	docs := drawWindows(datagen.NewServerLog(3), 3, 10)
 	cfg, err := Config{
 		WindowSize: 10, Windows: 3,
 		Source: &replaySource{docs: docs},

@@ -47,11 +47,7 @@ func dedupOnResult(t *testing.T, mu *sync.Mutex, got map[join.Pair]bool) func(jo
 // seq/ack/resend layer, never surfaced to the join.
 func TestClusterScheduledChaosParity(t *testing.T) {
 	const workers, windows, windowSize, seed = 4, 4, 90, 7
-	gen := datagen.NewServerLog(61)
-	var docs []document.Document
-	for w := 0; w < windows; w++ {
-		docs = append(docs, gen.Window(windowSize)...)
-	}
+	docs := drawWindows(datagen.NewServerLog(61), windows, windowSize)
 
 	var mu sync.Mutex
 	got := make(map[join.Pair]bool)
@@ -111,11 +107,7 @@ func TestClusterHungWorkerRecovery(t *testing.T) {
 		windowSize = 120
 		windows    = 6
 	)
-	gen := datagen.NewServerLog(seed)
-	var docs []document.Document
-	for w := 0; w < windows; w++ {
-		docs = append(docs, gen.Window(windowSize)...)
-	}
+	docs := drawWindows(datagen.NewServerLog(seed), windows, windowSize)
 	want := oraclePairs(docs, windowSize)
 
 	// The stream waits for the fault: windows 0 and 1 flow, which is
@@ -248,11 +240,7 @@ func TestClusterSecondFailureMidRecovery(t *testing.T) {
 	newSource := func() datagen.Generator {
 		return pacedGen{Generator: datagen.NewServerLog(seed), every: 20 * time.Millisecond}
 	}
-	gen := datagen.NewServerLog(seed)
-	var docs []document.Document
-	for w := 0; w < windows; w++ {
-		docs = append(docs, gen.Window(windowSize)...)
-	}
+	docs := drawWindows(datagen.NewServerLog(seed), windows, windowSize)
 	want := oraclePairs(docs, windowSize)
 
 	var mu sync.Mutex

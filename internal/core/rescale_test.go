@@ -32,12 +32,8 @@ func (s *pacedSource) Window(n int) []document.Document {
 // and must still produce exactly the single-node oracle's pair set,
 // each pair exactly once, with zero source replay.
 func TestElasticRescaleChaosParity(t *testing.T) {
-	gen := datagen.NewServerLog(41)
-	var docs []document.Document
 	const windows, windowSize = 20, 60
-	for w := 0; w < windows; w++ {
-		docs = append(docs, gen.Window(windowSize)...)
-	}
+	docs := drawWindows(datagen.NewServerLog(41), windows, windowSize)
 
 	reg := telemetry.NewRegistry()
 	var mu sync.Mutex
@@ -184,12 +180,8 @@ func TestElasticRescaleChaosParity(t *testing.T) {
 // TestRescalePolicyAutoGrow: the θ-fold path — a policy verdict alone
 // (no explicit Rescale call) grows the cluster.
 func TestRescalePolicyAutoGrow(t *testing.T) {
-	gen := datagen.NewServerLog(7)
-	var docs []document.Document
 	const windows, windowSize = 16, 50
-	for w := 0; w < windows; w++ {
-		docs = append(docs, gen.Window(windowSize)...)
-	}
+	docs := drawWindows(datagen.NewServerLog(7), windows, windowSize)
 	reg := telemetry.NewRegistry()
 	var fired sync.Once
 	cfg := Config{

@@ -26,18 +26,17 @@ func resultKey(r join.Result) string {
 	return fmt.Sprintf("%d|%d|%v", l, h, r.Merged.Pairs())
 }
 
-// oracleResults joins docs in one process, one Windowed tumbling every
-// windowSize documents, and returns the result multiset.
+// oracleResults is join.Oracle's result multiset, each pair with its
+// merged document.
 func oracleResults(docs []document.Document, windowSize int) map[string]int {
+	byID := make(map[uint64]document.Document, len(docs))
+	for _, d := range docs {
+		byID[d.ID] = d
+	}
 	want := make(map[string]int)
-	w := join.NewWindowed(join.NewFPJ())
-	for i, d := range docs {
-		if i > 0 && i%windowSize == 0 {
-			w.Tumble()
-		}
-		for _, r := range w.Process(d) {
-			want[resultKey(r)]++
-		}
+	for _, p := range join.Oracle(docs, windowSize) {
+		merged := document.Merge(0, byID[p.LeftID], byID[p.RightID])
+		want[resultKey(join.Result{Left: p.LeftID, Right: p.RightID, Merged: merged})]++
 	}
 	return want
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"os"
 	"strings"
 	"testing"
 )
@@ -108,23 +109,26 @@ func TestFigure9Repartitions(t *testing.T) {
 	}
 }
 
-// TestFigure9Reproducible: Fig. 9b is a function of its scale — two
-// fresh renders, with no memoised run shared between them, are
-// byte-identical.
-func TestFigure9Reproducible(t *testing.T) {
-	var renders [2]string
-	for i := range renders {
-		runMu.Lock()
-		delete(runCache, scaleID(sc))
-		runMu.Unlock()
-		fig, err := Figure9("b", sc)
+// TestFiguresGolden: Fig. 6a–10c are routing statistics, functions of
+// the scale alone, so at quick scale they match the golden byte for
+// byte — across runs and GOMAXPROCS.
+func TestFiguresGolden(t *testing.T) {
+	var b strings.Builder
+	for _, id := range []string{"6a", "6b", "6c", "6d", "7a", "7b", "7c", "7d", "8a", "8b", "8c", "8d", "9a", "9b", "10a", "10b", "10c"} {
+		fig, err := ByID(id, sc)
 		if err != nil {
 			t.Fatal(err)
 		}
-		renders[i] = fig.Render()
+		b.WriteString(fig.Render() + "\n")
 	}
-	if renders[0] != renders[1] {
-		t.Errorf("two renders of Fig. 9b differ:\n%s\n%s", renders[0], renders[1])
+	const golden = "testdata/figures_quick.txt"
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := b.String(); got != string(want) {
+		t.Errorf("Fig. 6a–10c differ from %s. If the change is intended, regenerate it from the repository root with\n"+
+			"\tgo run ./cmd/sfj-experiments -figure all -scale quick | sed '/^Figure 11a/,$d' > internal/experiments/%s\ngot:\n%s", golden, golden, got)
 	}
 }
 

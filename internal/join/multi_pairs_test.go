@@ -34,38 +34,28 @@ func sortDelivered(ds []delivered) {
 }
 
 // predicateOracle is the demux decision as it was made before the
-// pair-first result path: every window partner is merged first, θ is
-// decided on the inputs and the filters on the merged document.
+// pair-first result path, over Oracle's pairs: every window pair is
+// merged first, θ is decided on the inputs and the filters on the
+// merged document.
 func predicateOracle(specs map[string]QuerySpec, docs []document.Document) []delivered {
-	var out []delivered
-	windows := map[int]*Windowed{}
-	for _, spec := range specs {
-		if windows[spec.WindowDocs] == nil {
-			windows[spec.WindowDocs] = NewWindowed(NewFPJ())
-		}
+	byID := make(map[uint64]document.Document, len(docs))
+	for _, d := range docs {
+		byID[d.ID] = d
 	}
-	for i, d := range docs {
-		for size, w := range windows {
-			for _, r := range w.Process(d) {
-				left, _ := w.Doc(r.Left)
-				_, shared := document.Classify(left, d)
-				for id, spec := range specs {
-					if spec.WindowDocs != size {
-						continue
-					}
-					if shared < int(math.Ceil(spec.Theta*float64(min(left.Len(), d.Len())))) {
-						continue
-					}
-					if !matchFilters(spec.Filters, r.Merged) {
-						continue
-					}
-					js, _ := r.Merged.MarshalJSON()
-					out = append(out, delivered{id, r.Left, r.Right, string(js)})
-				}
+	var out []delivered
+	for id, spec := range specs {
+		for _, p := range Oracle(docs, spec.WindowDocs) {
+			left, right := byID[p.LeftID], byID[p.RightID]
+			_, shared := document.Classify(left, right)
+			if shared < int(math.Ceil(spec.Theta*float64(min(left.Len(), right.Len())))) {
+				continue
 			}
-			if (i+1)%size == 0 {
-				w.Tumble()
+			merged := document.Merge(0, left, right)
+			if !matchFilters(spec.Filters, merged) {
+				continue
 			}
+			js, _ := merged.MarshalJSON()
+			out = append(out, delivered{id, p.LeftID, p.RightID, string(js)})
 		}
 	}
 	sortDelivered(out)

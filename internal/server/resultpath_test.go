@@ -27,24 +27,23 @@ type wireResult struct {
 	Merged json.RawMessage `json:"merged"`
 }
 
-// windowOracle joins the lines in a single tumbling window of the given
-// size and returns every pair with its merged document's JSON.
+// windowOracle is join.Oracle over the lines, parsed with ids 1..n,
+// under tumbling windows of the given size: every pair with its merged
+// document's JSON.
 func windowOracle(t *testing.T, lines []string, window int) map[[2]uint64]string {
 	t.Helper()
-	w := join.NewWindowed(join.NewFPJ())
-	pairs := map[[2]uint64]string{}
+	docs := make([]document.Document, len(lines))
 	for i, line := range lines {
 		d, err := document.Parse(uint64(i+1), []byte(line))
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, r := range w.Process(d) {
-			js, _ := r.Merged.MarshalJSON()
-			pairs[[2]uint64{r.Left, r.Right}] = string(js)
-		}
-		if (i+1)%window == 0 {
-			w.Tumble()
-		}
+		docs[i] = d
+	}
+	pairs := map[[2]uint64]string{}
+	for _, p := range join.Oracle(docs, window) {
+		js, _ := document.Merge(0, docs[p.LeftID-1], docs[p.RightID-1]).MarshalJSON()
+		pairs[[2]uint64{p.LeftID, p.RightID}] = string(js)
 	}
 	return pairs
 }

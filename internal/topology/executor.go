@@ -11,14 +11,14 @@ import (
 	"repro/internal/telemetry"
 )
 
-// The executor hosts tasks: it is the one place where a bolt runs its
-// loop, a spout pumps NextTuple, an emission is resolved against the
-// subscriptions, and a tuple copy is counted from send to execution.
-// Both runtimes run their tasks through it. The in-process Topology
-// hosts every task and puts copies straight into the target mailboxes;
-// a cluster worker hosts the tasks placed on it and hands every copy to
-// its transport through the deliver seam, which finds the copy's worker
-// and either puts it into a local mailbox or sends it to a peer.
+// The executor hosts tasks: it is the one place where a bolt is
+// started, stepped and stopped, a spout pumps NextTuple, an emission is
+// resolved against the subscriptions, and a copy is counted from send
+// to execution. The in-process Topology runs every task on a goroutine
+// and puts copies straight into the target mailboxes; a cluster worker
+// hands every copy to its transport through the deliver seam, which
+// puts it into a local mailbox or sends it to a peer; RunSequential
+// steps every task on the calling goroutine under a schedule.
 
 // Mailbox is a task's FIFO queue with blocking receive and, when
 // capacity is positive, blocking send: a producer delivering into a
@@ -156,7 +156,7 @@ type Stats struct {
 	SentCopies    int64
 	ExecCopies    int64
 	DroppedCopies int64
-	// Failures records panics recovered in task goroutines
+	// Failures records panics recovered in tasks
 	// ("component[task]: message"; a cluster worker appends "@wN" to
 	// the task). A failed tuple is dropped and the task keeps running;
 	// a failed spout stops emitting.
@@ -202,7 +202,8 @@ type Executor struct {
 	// worker is "" in-process and a cluster worker's id otherwise; it
 	// tags failures and selects the host's series names.
 	worker string
-	// deliver routes one copy on a cluster worker; nil in-process.
+	// deliver takes every copy on a cluster worker and on the
+	// sequential host; nil in-process.
 	deliver func(target string, task int, t Tuple) bool
 	// gate runs before every NextTuple; false stops the spout.
 	gate func(Spout) bool
@@ -308,12 +309,14 @@ func (x *Executor) series(base string, labels ...string) string {
 	return telemetry.Name(base, labels...)
 }
 
-// Task is one hosted bolt task: its bolt instance and its mailbox.
+// Task is one hosted task: a bolt and its mailbox, or a spout.
 type Task struct {
 	Bolt  Bolt
 	Box   *Mailbox
+	spout Spout
 	comp  *component
 	index int
+	col   *collector
 }
 
 // NewTask builds bolt task index of comp with a fresh, instrumented
@@ -343,16 +346,22 @@ func (x *Executor) context(c *component, task int) *TaskContext {
 	return &TaskContext{Component: c.spec.ID, Task: task, NumTasks: c.spec.Parallelism, Parallelism: x.parallelism}
 }
 
-// RunBolt runs t until its mailbox closes and drains: Prepare, then
-// either the restore from a migrated snapshot (restore non-nil, possibly
-// empty for a stateless bolt; nothing crashed, so Recover's re-emission
-// would duplicate downstream state) or Recover, then execute tuple by
-// tuple with panics recovered. Cleanup runs unless moved reports the
-// task is relocating rather than shutting down.
+// RunBolt runs t until its mailbox closes and drains.
 func (x *Executor) RunBolt(t *Task, restore []byte, moved func() bool) {
+	x.startBolt(t, restore)
+	for tuple, ok := t.Box.get(); ok; tuple, ok = t.Box.get() {
+		x.stepBolt(t, tuple)
+	}
+	x.stopBolt(t, moved)
+}
+
+// startBolt runs Prepare, then restores a migrated snapshot (restore
+// non-nil, empty for a stateless bolt: nothing crashed, so Recover's
+// re-emission would duplicate downstream state) or calls Recover.
+func (x *Executor) startBolt(t *Task, restore []byte) {
 	c := t.comp
 	t.Bolt.Prepare(x.context(c, t.index))
-	col := &collector{x: x, c: c, task: t.index}
+	t.col = &collector{x: x, c: c, task: t.index}
 	if restore != nil {
 		if s, ok := t.Bolt.(state.Snapshotter); ok && len(restore) > 0 {
 			if err := state.Decode(c.spec.ID, restore, s); err != nil {
@@ -360,19 +369,23 @@ func (x *Executor) RunBolt(t *Task, restore []byte, moved func() bool) {
 			}
 		}
 	} else if rec, ok := t.Bolt.(Recoverer); ok {
-		rec.Recover(col)
+		rec.Recover(t.col)
 	}
+}
+
+// stepBolt executes one tuple, recovering a panic so a poisoned tuple
+// cannot take the host down, and observes and counts it.
+func (x *Executor) stepBolt(t *Task, tuple Tuple) {
+	c := t.comp
 	lat := c.telLat // nil without a registry: no clock reads
-	for {
-		tuple, ok := t.Box.get()
-		if !ok {
-			break
+	var start time.Time
+	if lat != nil {
+		start = time.Now()
+	}
+	defer func() {
+		if r := recover(); r != nil {
+			x.Fail(c.spec.ID, t.index, r)
 		}
-		var start time.Time
-		if lat != nil {
-			start = time.Now()
-		}
-		x.execute(c, t.index, t.Bolt, tuple, col)
 		if lat != nil {
 			lat.Observe(time.Since(start))
 		}
@@ -380,45 +393,41 @@ func (x *Executor) RunBolt(t *Task, restore []byte, moved func() bool) {
 		c.telExec.Inc()
 		x.executed.Add(1)
 		x.telExecuted.Inc()
-	}
+	}()
+	t.Bolt.Execute(tuple, t.col)
+}
+
+// stopBolt runs Cleanup unless moved reports the task is relocating.
+func (x *Executor) stopBolt(t *Task, moved func() bool) {
 	if moved == nil || !moved() {
 		t.Bolt.Cleanup()
 	}
 }
 
-// RunSpout builds spout task index of comp and pumps it: Open, then
-// NextTuple while the host's gate admits it and the spout has more,
-// then Close. A panicking spout stops emitting; the rest of the
-// topology drains normally.
+// RunSpout pumps spout task index of comp while the host's gate admits
+// it and the spout has more; a panicking spout stops emitting.
 func (x *Executor) RunSpout(comp string, index int) {
-	c := x.comps[comp]
-	s := c.spout(index)
-	s.Open(x.context(c, index))
-	col := &collector{x: x, c: c, task: index}
-	for x.gate(s) && x.next(c, index, s, col) {
+	s := x.openSpout(x.comps[comp], index)
+	for x.gate(s.spout) && x.nextSpout(s) {
 	}
-	s.Close()
+	s.spout.Close()
 }
 
-// execute runs one bolt invocation, recovering panics so a poisoned
-// tuple cannot take the host down.
-func (x *Executor) execute(c *component, task int, b Bolt, t Tuple, col Collector) {
-	defer func() {
-		if r := recover(); r != nil {
-			x.Fail(c.spec.ID, task, r)
-		}
-	}()
-	b.Execute(t, col)
+// openSpout builds spout task index of c and opens it.
+func (x *Executor) openSpout(c *component, index int) *Task {
+	s := &Task{spout: c.spout(index), comp: c, index: index, col: &collector{x: x, c: c, task: index}}
+	s.spout.Open(x.context(c, index))
+	return s
 }
 
-func (x *Executor) next(c *component, task int, s Spout, col Collector) (more bool) {
+// nextSpout runs one NextTuple, recovering a panic as the spout's end.
+func (x *Executor) nextSpout(s *Task) (more bool) {
 	defer func() {
 		if r := recover(); r != nil {
-			x.Fail(c.spec.ID, task, r)
-			more = false
+			x.Fail(s.comp.spec.ID, s.index, r)
 		}
 	}()
-	return s.NextTuple(col)
+	return s.spout.NextTuple(s.col)
 }
 
 // Fail records a failure of one task: a recovered panic, or an error

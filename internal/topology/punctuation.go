@@ -35,7 +35,7 @@ func CheckpointID(t Tuple) (id int, ok bool) {
 
 // Recoverer is implemented by bolts that restore from a checkpoint. A
 // restored bolt cannot emit during Prepare (no collector exists yet),
-// so both runtimes call Recover exactly once after Prepare and before
+// so every host calls Recover exactly once after Prepare and before
 // the first Execute, handing the bolt its collector to re-emit
 // whatever downstream state the checkpoint cut dropped (e.g. a
 // routing-table broadcast or a window decision).

@@ -2,6 +2,7 @@ package topology
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -79,33 +80,11 @@ func TestShuffleGroupingEvenAndLossless(t *testing.T) {
 }
 
 func TestFieldsGroupingConsistent(t *testing.T) {
-	b := NewBuilder()
-	b.SetSpout("src", func(int) Spout { return &intSpout{n: 200} }, 1)
 	mu := &sync.Mutex{}
 	byKey := make(map[int]map[int]bool) // key -> set of receiving tasks
+	b := NewBuilder()
+	b.SetSpout("src", func(int) Spout { return &keyedSpout{n: 200} }, 1)
 	b.SetBolt("sink", func(task int) Bolt {
-		return boltFunc(func(tp Tuple, _ Collector) {
-			v := tp.Values["v"].(int)
-			key := v % 10
-			mu.Lock()
-			if byKey[key] == nil {
-				byKey[key] = make(map[int]bool)
-			}
-			byKey[key][task] = true
-			mu.Unlock()
-		})
-	}, 5).FieldsGroupingOn("src", DefaultStream, "key")
-	// The spout emits field "v"; wrap it to add a "key" field instead:
-	// simpler to re-declare the spout emitting both fields.
-	topo, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = topo
-	// Rebuild with a proper key field.
-	b2 := NewBuilder()
-	b2.SetSpout("src", func(int) Spout { return &keyedSpout{n: 200} }, 1)
-	b2.SetBolt("sink", func(task int) Bolt {
 		return boltFunc(func(tp Tuple, _ Collector) {
 			key := tp.Values["key"].(int)
 			mu.Lock()
@@ -115,12 +94,12 @@ func TestFieldsGroupingConsistent(t *testing.T) {
 			byKey[key][task] = true
 			mu.Unlock()
 		})
-	}, 5).FieldsGrouping("src", "key")
-	topo2, err := b2.Build()
+	}, 5).FieldsGroupingOn("src", DefaultStream, "key")
+	topo, err := b.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	topo2.Run()
+	topo.Run()
 	mu.Lock()
 	defer mu.Unlock()
 	for key, tasks := range byKey {
@@ -496,4 +475,39 @@ func ExampleBuilder() {
 	// 0
 	// 1
 	// 2
+}
+
+// TestSequentialHost: under the round-robin and priority schedules
+// every edge delivers in the order it was sent and every copy executes
+// once, and a seed replays the same interleaving.
+func TestSequentialHost(t *testing.T) {
+	run := func(seed int64) (trace []string) {
+		fifo := func(task int) Bolt {
+			next, last := 0, map[int]int{}
+			return boltFunc(func(tp Tuple, c Collector) {
+				v := tp.Values["v"].(int)
+				if l, ok := last[tp.SourceTask]; ok && v <= l {
+					t.Errorf("seed %d: task %d got %d after %d from %s[%d]", seed, task, v, l, tp.Source, tp.SourceTask)
+				}
+				last[tp.SourceTask] = v
+				trace = append(trace, fmt.Sprint(tp.Source, tp.SourceTask, task, v))
+				c.Emit(Values{"v": next})
+				next++
+			})
+		}
+		b := NewBuilder()
+		b.SetSpout("src", func(int) Spout { return &intSpout{n: 50} }, 2)
+		b.SetBolt("relay", fifo, 3).ShuffleGrouping("src")
+		b.SetBolt("sink", fifo, 2).AllGrouping("relay")
+		stats, err := RunSequential(b, SeededSchedule(seed))
+		if err != nil || stats.Executed["sink"] != 200 {
+			t.Fatalf("seed %d: executed %v, %v", seed, stats.Executed, err)
+		}
+		return trace
+	}
+	for seed := int64(0); seed < 20; seed++ {
+		if !slices.Equal(run(seed), run(seed)) {
+			t.Errorf("seed %d replays a different interleaving", seed)
+		}
+	}
 }

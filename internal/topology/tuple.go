@@ -2,9 +2,9 @@
 // modelled on Apache Storm's programming primitives, which the paper's
 // system is built on: topologies of spouts and bolts connected by
 // stream subscriptions with shuffle, fields, all and direct groupings
-// (paper Sec. III-B). Components are executed as one goroutine per
-// task; tuples flow through per-task mailboxes, preserving per-edge
-// FIFO order.
+// (paper Sec. III-B). Tasks run on a goroutine each, or all on one
+// under a seeded schedule (RunSequential, for tests); either way every
+// task runs sequentially and every edge delivers in FIFO order.
 //
 // Mailboxes are unbounded by default and can be capped like Storm's
 // transfer buffers (Builder.MaxPending, BoltDecl.MaxPending): a
