@@ -6,6 +6,25 @@ package cluster
 // worker. A severed link replays everything unacknowledged on its
 // successor, so a copy sequenced into a buffer is delivered exactly
 // once while the run lives.
+//
+// Lock hierarchy. Two kinds of lock guard the link state, and no
+// goroutine holds one of them while it waits on the other:
+//
+//   - inbound.mu serialises one sender's check-and-deliver. The read
+//     loop holds it across the mailbox put, which blocks while the
+//     target task's mailbox is full. So nothing that a task's Execute
+//     may wait on takes inbound.mu: the sender reads the piggyback
+//     cursor (inbound.delivered) atomically, without the lock.
+//   - peer.mu guards one outbound slot's queue and cursors. It is held
+//     only for bookkeeping, never across a socket write, a dial, a
+//     sleep or another lock: the sender takes its batch under the lock,
+//     writes it without the lock, and re-takes the lock to advance
+//     sentTo. A task's Execute blocks on peer.mu only for that
+//     bookkeeping, or on notFull while the resend buffer is full, which
+//     releases the lock.
+//
+// binConn.mu, innermost, serialises the frames written on one
+// connection.
 
 import (
 	"errors"
@@ -13,6 +32,7 @@ import (
 	"math/rand"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/telemetry"
@@ -141,9 +161,11 @@ type peer struct {
 // on a dying link and the replay on its successor cannot race or
 // reorder one sender's frames.
 type inbound struct {
-	mu        sync.Mutex
-	c         *binConn
-	delivered uint64
+	mu sync.Mutex
+	c  *binConn
+	// delivered is written under mu and read without it by the peer
+	// sender, which piggybacks it as an ack (see the lock hierarchy).
+	delivered atomic.Uint64
 	acked     uint64
 	// needAck forces a re-ack even when delivered == acked: set when a
 	// duplicate arrives or the sender shows up on a fresh connection —
@@ -235,7 +257,8 @@ func (w *Worker) readLoop(c *binConn) {
 			in.c = c
 			in.needAck = true
 		}
-		if e.DataSeq <= in.delivered {
+		delivered := in.delivered.Load()
+		if e.DataSeq <= delivered {
 			// Replay of a frame that already made it — the ack got lost,
 			// not the data. Drop the duplicate (exactly-once in effect)
 			// and make sure a fresh ack goes out so the sender's resend
@@ -245,15 +268,15 @@ func (w *Worker) readLoop(c *binConn) {
 			in.mu.Unlock()
 			continue
 		}
-		if e.DataSeq != in.delivered+1 {
+		if e.DataSeq != delivered+1 {
 			// Impossible under the protocol: per-connection sequences
 			// ascend and a replay starts at acked+1 <= delivered+1.
 			// Record it and deliver anyway — wedging the link on a
 			// corrupted counter would be worse than a gap.
 			w.x.Fail(e.TargetComp, e.TargetTask,
-				fmt.Sprintf("sequence gap from worker %d: got %d after %d", e.FromWorker, e.DataSeq, in.delivered))
+				fmt.Sprintf("sequence gap from worker %d: got %d after %d", e.FromWorker, e.DataSeq, delivered))
 		}
-		in.delivered = e.DataSeq
+		in.delivered.Store(e.DataSeq)
 		// Deliver while holding in.mu: the cursor update and the mailbox
 		// put must be atomic per sender, or a straggler read on a dying
 		// connection could reorder against the replay on its successor.
@@ -264,7 +287,7 @@ func (w *Worker) readLoop(c *binConn) {
 		} else {
 			w.deliverLocal(e.TargetComp, e.TargetTask, e.Tuple)
 		}
-		if in.delivered-in.acked >= uint64(w.AckEvery) {
+		if e.DataSeq-in.acked >= uint64(w.AckEvery) {
 			w.sendAckLocked(in)
 		}
 		in.mu.Unlock()
@@ -286,12 +309,10 @@ func (w *Worker) inboundFor(id int) *inbound {
 
 // deliveredTo reports the cumulative delivery cursor for frames from
 // the given peer — the value piggybacked as AckSeq on data frames
-// flowing the other way.
+// flowing the other way. It takes no inbound lock: the read loop may
+// hold that one while it waits on a full mailbox.
 func (w *Worker) deliveredTo(id int) uint64 {
-	in := w.inboundFor(id)
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.delivered
+	return w.inboundFor(id).delivered.Load()
 }
 
 // notePiggyback records that a cumulative ack up to seq was handed to
@@ -317,13 +338,14 @@ func (w *Worker) notePiggyback(id int, seq uint64) {
 // the sender will replay on its successor, and the duplicates will
 // force a new ack.
 func (w *Worker) sendAckLocked(in *inbound) {
-	if in.c == nil || (!in.needAck && in.delivered <= in.acked) {
+	delivered := in.delivered.Load()
+	if in.c == nil || (!in.needAck && delivered <= in.acked) {
 		return
 	}
-	if err := in.c.send(&envelope{Kind: frameAck, WorkerID: w.id, AckSeq: in.delivered}); err != nil {
+	if err := in.c.send(&envelope{Kind: frameAck, WorkerID: w.id, AckSeq: delivered}); err != nil {
 		return
 	}
-	in.acked = in.delivered
+	in.acked = delivered
 	in.needAck = false
 	w.tel.acksSent.Inc()
 }
@@ -521,14 +543,26 @@ func (w *Worker) runPeerSender(id int, p *peer) {
 				p.maxSent = e.DataSeq
 			}
 		}
+		// Write without the slot lock (see the lock hierarchy). The
+		// batch's envelopes stay put meanwhile: an ack only reslices the
+		// buffer and a dispatch appends past its end. If the ack loop
+		// evicted the connection during the write, it also reset sentTo
+		// for the replay, and that stands.
 		c := p.c
-		if err := c.sendBatch(batch); err != nil {
-			c.close()
-			p.c = nil
+		p.mu.Unlock()
+		err := c.sendBatch(batch)
+		p.mu.Lock()
+		if err != nil {
+			if p.c == c {
+				c.close()
+				p.c = nil
+			}
 			backoff = w.retryPause(p, backoff) // unlocks p.mu
 			continue
 		}
-		p.sentTo = batch[len(batch)-1].DataSeq
+		if last := batch[len(batch)-1].DataSeq; p.c == c && last > p.sentTo {
+			p.sentTo = last
+		}
 		p.backoff.Set(0)
 		p.mu.Unlock()
 		backoff = w.RetryBackoff

@@ -15,56 +15,38 @@ import (
 
 // assignerBolt is the Assigner of Fig. 2: a dispatcher that forwards
 // documents to the Joiner tasks according to the current partition
-// table (direct grouping), broadcasts documents with uncovered pairs to
-// every Joiner to guarantee join completeness, collects δ-gated
-// partition update requests and evaluates the θ repartitioning trigger
-// (Sec. VI-A). Both travel to the Merger in one verdict per window, and
-// the Merger's answer — control(w) — is adopted at punctuation w, before
-// any document of window w+1 is routed.
+// table (direct grouping) and broadcasts documents with uncovered pairs
+// to every Joiner to guarantee join completeness. It decides nothing
+// about the dynamics of Sec. VI-A: at every window punctuation it sends
+// the Merger one verdict of counts — its routing counts and its
+// occurrences of uncovered pairs — and the Merger, which sums every
+// assigner's verdict, tests θ and δ over the whole stream. Its answer,
+// control(w), is adopted at punctuation w, before any document of
+// window w+1 is routed.
 type assignerBolt struct {
 	cfg  Config
 	task int
 
-	table   *partition.Table
-	spec    *expansion.Expansion
-	version int
-
-	// generation is the version of the last adopted table that came out
-	// of a full computation (the initial one or a θ recomputation); the
-	// additive δ tables that follow extend it. Every assigner adopts the
-	// same control message at the same punctuation, so a window is
-	// routed under one generation by construction; genLow/genHigh below
-	// assert it.
+	// The last adopted control message, the only state that survives a
+	// window: the table and expansion documents are routed under, the
+	// table's version and its generation — the version of the last
+	// fully computed table, which the additive δ tables extend. Every
+	// assigner adopts the same control message at the same punctuation,
+	// so a window is routed under one generation by construction; the
+	// verdict's GenLow/GenHigh assert it.
+	table      *partition.Table
+	spec       *expansion.Expansion
+	version    int
 	generation int
-
-	// unseen counts occurrences of uncovered pairs at this task; the
-	// document that makes a pair reach δ becomes an update request.
-	// Keyed by symbol in memory, by strings in snapshots.
-	unseen map[symbol.Pair]int
 
 	scratch partition.RouteScratch
 	all     []int // every joiner: the broadcast target list, never written
 
-	// Per-window routing statistics (this task's share). updates holds
-	// the documents that made an uncovered pair reach δ, in routing
-	// order; they ride the window's verdict.
-	window        int
-	documents     int
-	deliveries    int
-	perJoiner     []int
-	broadcasts    int
-	updates       []document.Document
-	repartitioned bool
-	// genLow/genHigh span the table generations this window's documents
-	// were routed under (meaningful while documents > 0).
-	genLow, genHigh int
-
-	// Quality baseline, established on the first completed window
-	// after a recomputed table (Sec. VI-A).
-	baselineSet  bool
-	baselineRepl float64
-	baselineGini float64
-	awaitingBase bool
+	// window is the window being routed and v its verdict so far;
+	// uncovered indexes v.Uncovered by pair.
+	window    int
+	v         verdictMsg
+	uncovered map[symbol.Pair]int
 
 	// Lock-step barrier. The paper computes partitions upfront and
 	// deploys them before the next window is routed. At every window
@@ -76,57 +58,48 @@ type assignerBolt struct {
 	waitStart  time.Time
 	buffered   []topology.Tuple
 
-	cp         *checkpointer
 	numJoiners int
 
-	// Live instruments (nil-safe no-ops when cfg.Telemetry is off):
-	// routing counters plus the per-window replication and Gini gauges
-	// computed at every window close.
+	// Live instruments (nil-safe no-ops when cfg.Telemetry is off).
 	tel struct {
 		documents   *telemetry.Counter
 		deliveries  *telemetry.Counter
 		broadcasts  *telemetry.Counter
-		updates     *telemetry.Counter
-		reparts     *telemetry.Counter
-		replication *telemetry.Gauge
-		gini        *telemetry.Gauge
 		barrierWait *telemetry.Histogram
 	}
 }
 
 func newAssignerBolt(cfg Config, task int) *assignerBolt {
-	b := &assignerBolt{
-		cfg:    cfg,
-		task:   task,
-		unseen: make(map[symbol.Pair]int),
-		cp:     newCheckpointer(cfg, "assigner", task),
-	}
+	b := &assignerBolt{cfg: cfg, task: task, uncovered: make(map[symbol.Pair]int)}
 	if reg := cfg.Telemetry; reg != nil {
 		id := fmt.Sprint(task)
 		b.tel.documents = reg.Counter(telemetry.Name("partition_documents_total", "task", id))
 		b.tel.deliveries = reg.Counter(telemetry.Name("partition_deliveries_total", "task", id))
 		b.tel.broadcasts = reg.Counter(telemetry.Name("partition_broadcasts_total", "task", id))
-		b.tel.updates = reg.Counter(telemetry.Name("partition_update_requests_total", "task", id))
-		b.tel.reparts = reg.Counter(telemetry.Name("partition_repartition_triggers_total", "task", id))
-		b.tel.replication = reg.Gauge(telemetry.Name("partition_window_replication", "task", id))
-		b.tel.gini = reg.Gauge(telemetry.Name("partition_window_gini", "task", id))
 		b.tel.barrierWait = reg.Histogram("core_barrier_wait_seconds")
 	}
 	return b
 }
 
-// Prepare implements topology.Bolt.
+// Prepare implements topology.Bolt. On a recovery restart the
+// assigner starts at the barrier of the cut window: the restored merger
+// re-sends control(cut) with the full table, and the replayed stream
+// begins at the window after the cut.
 func (b *assignerBolt) Prepare(ctx *topology.TaskContext) {
 	b.numJoiners = ctx.NumTasksOf("joiner")
 	if b.numJoiners == 0 {
 		b.numJoiners = b.cfg.M
 	}
-	b.perJoiner = make([]int, b.numJoiners)
 	b.all = make([]int, b.numJoiners)
 	for i := range b.all {
 		b.all[i] = i
 	}
-	b.cp.restore(b)
+	b.v = verdictMsg{Stats: *metrics.NewWindowStats(b.numJoiners)}
+	if rp := b.cfg.recovery; rp != nil && rp.restoreWindow >= 0 {
+		b.waiting = true
+		b.waitWindow = rp.restoreWindow
+		b.waitStart = time.Now()
+	}
 }
 
 // Cleanup implements topology.Bolt.
@@ -153,15 +126,11 @@ func (b *assignerBolt) handleStreamTuple(t topology.Tuple, c topology.Collector)
 		b.route(t.Values["doc"].(document.Document), c)
 	case streamWindowEnd:
 		w := t.Values["window"].(int)
-		b.finishWindow(w, c)
+		_, ckpt := topology.CheckpointID(t)
+		b.finishWindow(w, ckpt, c)
 		b.waiting = true
 		b.waitWindow = w
 		b.waitStart = time.Now()
-		// The punctuation carries the checkpoint barrier: this task
-		// has now fully incorporated window w, snapshot it.
-		if _, ok := topology.CheckpointID(t); ok {
-			b.cp.save(w, b)
-		}
 	}
 }
 
@@ -173,22 +142,11 @@ func (b *assignerBolt) adopt(ctl controlMsg, c topology.Collector) {
 		return
 	}
 	if ctl.Table != nil {
-		if ctl.Recomputed || b.version == 0 {
-			b.generation = ctl.Version
-		}
-		if ctl.Recomputed || !b.baselineSet {
-			// A full (re)computation resets the quality baseline.
-			b.baselineSet = false
-			b.awaitingBase = true
-		}
-		b.version = ctl.Version
+		// Expansion, version and generation change only with the table.
 		b.table = ctl.Table
 		b.spec = ctl.Expansion
-		for sp := range b.unseen {
-			if b.table.CoversSym(sp) {
-				delete(b.unseen, sp)
-			}
-		}
+		b.version = ctl.Version
+		b.generation = ctl.Generation
 	}
 	b.tel.barrierWait.Observe(time.Since(b.waitStart))
 	b.waiting = false
@@ -206,17 +164,16 @@ func (b *assignerBolt) drain(c topology.Collector) {
 	}
 }
 
-// route forwards one document to its joiners and handles the dynamics
-// around uncovered pairs.
+// route forwards one document to its joiners and counts it into the
+// window's verdict.
 func (b *assignerBolt) route(d document.Document, c topology.Collector) {
-	if b.documents == 0 {
-		b.genLow = b.generation
+	if b.v.Stats.Documents == 0 {
+		b.v.GenLow = b.generation
 	}
-	b.genHigh = b.generation // generations only grow
-	b.documents++
+	b.v.GenHigh = b.generation // generations only grow
 	targets, broadcast := b.targets(d)
+	b.v.Stats.RecordDelivery(targets, broadcast)
 	for _, j := range targets {
-		b.perJoiner[j]++
 		// The full target list travels with the document so that, for
 		// any pair of documents replicated to several common joiners,
 		// only the lowest-indexed common joiner emits the join result —
@@ -224,20 +181,17 @@ func (b *assignerBolt) route(d document.Document, c topology.Collector) {
 		// de-duplication stage.
 		c.EmitDirect(streamToJoin, j, topology.Values{"doc": d, "window": b.window, "targets": targets})
 	}
-	b.deliveries += len(targets)
 	b.tel.documents.Inc()
 	b.tel.deliveries.Add(int64(len(targets)))
 	if broadcast {
-		b.broadcasts++
 		b.tel.broadcasts.Inc()
 	}
 }
 
 // targets computes the joiner task set for a document: the matching
 // partitions when every (transformed) pair is covered, all joiners
-// otherwise. Uncovered pairs are counted toward the δ update gate; the
-// document whose pair reaches δ becomes an update request in the
-// window's verdict. The expansion is applied on the fly: the table
+// otherwise. Uncovered pairs are counted into the window's verdict for
+// the merger's δ gate. The expansion is applied on the fly: the table
 // walks the document's own pairs minus the component pairs plus the
 // synthetic one, one lookup per pair. Joiners only read the returned
 // list.
@@ -258,18 +212,7 @@ func (b *assignerBolt) targets(d document.Document) ([]int, bool) {
 	}
 	targets := b.table.RouteSyms(&b.scratch, syms, drop, synthetic)
 	if len(b.scratch.Uncovered) > 0 {
-		hitDelta := false
-		for _, sp := range b.scratch.Uncovered {
-			n := b.unseen[sp] + 1
-			b.unseen[sp] = n
-			if n == b.cfg.Delta {
-				hitDelta = true
-			}
-		}
-		if hitDelta {
-			b.updates = append(b.updates, d)
-			b.tel.updates.Inc()
-		}
+		b.v.count(b.uncovered, b.scratch.Uncovered, d)
 		return b.all, true
 	}
 	if targets != nil {
@@ -278,68 +221,20 @@ func (b *assignerBolt) targets(d document.Document) ([]int, bool) {
 	return b.all, true
 }
 
-// finishWindow evaluates the θ trigger, sends the window's verdict to
-// the merger, emits this task's routing statistics, punctuates the
-// joiners and resets per-window state.
-func (b *assignerBolt) finishWindow(w int, c topology.Collector) {
-	repl := 0.0
-	gini := 0.0
-	if b.documents > 0 {
-		repl = float64(b.deliveries) / float64(b.documents)
-		gini, _ = metrics.SafeGini(b.perJoiner)
-	}
-	b.tel.replication.Set(repl)
-	b.tel.gini.Set(gini)
-	if b.baselineSet && b.documents > 0 {
-		// θ trigger: replication grew by more than θ relative to the
-		// baseline, or the load balance worsened by more than θ.
-		if metrics.RelChange(b.baselineRepl, repl) > b.cfg.Theta ||
-			gini-b.baselineGini > b.cfg.Theta {
-			b.repartitioned = true
-			b.tel.reparts.Inc()
-		}
-	} else if b.awaitingBase && b.documents > 0 {
-		b.baselineRepl = repl
-		b.baselineGini = gini
-		b.baselineSet = true
-		b.awaitingBase = false
-	}
-	c.EmitTo(streamVerdict, topology.Values{"msg": verdictMsg{
-		Window:      w,
-		Task:        b.task,
-		Repartition: b.repartitioned,
-		Updates:     b.updates,
-	}})
-
-	c.EmitTo(streamAssignerStats, topology.Values{"msg": assignerStatsMsg{
-		Window:        w,
-		Task:          b.task,
-		Documents:     b.documents,
-		Deliveries:    b.deliveries,
-		PerJoiner:     append([]int(nil), b.perJoiner...),
-		Broadcasts:    b.broadcasts,
-		Updates:       len(b.updates),
-		Repartitioned: b.repartitioned,
-		GenLow:        b.genLow,
-		GenHigh:       b.genHigh,
-		Checkpoint:    b.cp != nil,
-	}})
-	// The joiner punctuation relays the window's checkpoint barrier
-	// downstream, keeping the joiners' snapshots on the same cut.
+// finishWindow sends the window's verdict to the merger, punctuates the
+// joiners — relaying the window's checkpoint barrier, if the reader's
+// punctuation carried one — and starts the next window's verdict.
+func (b *assignerBolt) finishWindow(w int, ckpt bool, c topology.Collector) {
+	b.v.Window = w
+	b.v.Task = b.task
+	c.EmitTo(streamVerdict, topology.Values{"msg": b.v})
+	b.v = verdictMsg{Stats: *metrics.NewWindowStats(b.numJoiners)}
+	clear(b.uncovered)
 	jwend := topology.Values{"window": w, "task": b.task}
-	if b.cp != nil {
+	if ckpt {
 		topology.WithCheckpoint(jwend, w)
 	}
 	c.EmitTo(streamJoinerWindow, jwend)
-
-	b.documents = 0
-	b.deliveries = 0
-	for i := range b.perJoiner {
-		b.perJoiner[i] = 0
-	}
-	b.broadcasts = 0
-	b.updates = nil
-	b.repartitioned = false
 }
 
 // hashTargets implements HashPairsRouting: the joiner set is the set of

@@ -2,12 +2,16 @@ package core
 
 import (
 	"bytes"
+	"encoding/gob"
+	"reflect"
 	"slices"
 	"testing"
 
 	"repro/internal/document"
 	"repro/internal/expansion"
+	"repro/internal/metrics"
 	"repro/internal/partition"
+	"repro/internal/symbol"
 	"repro/internal/topology"
 )
 
@@ -84,6 +88,27 @@ func controlTuple(ctl controlMsg) topology.Tuple {
 
 func verdictTuple(v verdictMsg) topology.Tuple {
 	return topology.Tuple{Stream: streamVerdict, Values: topology.Values{"msg": v}}
+}
+
+// routedVerdict is task's verdict for window w, one document per
+// target list, each routed to those joiners.
+func routedVerdict(m, w, task int, targets ...[]int) verdictMsg {
+	v := verdictMsg{Window: w, Task: task, Stats: *metrics.NewWindowStats(m)}
+	for _, ts := range targets {
+		v.Stats.RecordDelivery(ts, len(ts) == m)
+	}
+	return v
+}
+
+// uncoveredVerdict is task's verdict for window w in which every pair
+// of every document went uncovered.
+func uncoveredVerdict(m, w, task int, docs ...document.Document) verdictMsg {
+	v := verdictMsg{Window: w, Task: task, Stats: *metrics.NewWindowStats(m)}
+	index := make(map[symbol.Pair]int)
+	for _, d := range docs {
+		v.count(index, d.InternedPairs(), d)
+	}
+	return v
 }
 
 func reportTuple(w, task int, computing bool) topology.Tuple {
@@ -288,16 +313,24 @@ func decideInitial(t *testing.T, b *mergerBolt, c *fakeCollector) {
 	}
 }
 
-// TestMergerCoalescesUpdates: the δ updates of a window's verdicts fold
-// into one new table version, sent in that window's control message.
+// TestMergerCoalescesUpdates: the merger counts uncovered pairs over
+// every assigner's verdict, and a pair reaching δ in a window makes the
+// window's lowest-ID document carrying it an update request. The
+// requests fold into one new table version, sent in that window's
+// control message; a window without one keeps the table.
 func TestMergerCoalescesUpdates(t *testing.T) {
 	cfg := testConfig()
-	cfg.Assigners = 2
+	cfg.Assigners, cfg.Delta = 2, 2
 	b := newMergerBolt(cfg)
 	c := &fakeCollector{}
 	decideInitial(t, b, c)
-	b.Execute(verdictTuple(verdictMsg{Window: 1, Task: 1, Updates: []document.Document{document.MustParse(10, `{"y":8}`)}}), c)
-	b.Execute(verdictTuple(verdictMsg{Window: 1, Task: 0, Updates: []document.Document{document.MustParse(9, `{"z":9}`)}}), c)
+	y8a, y8b := document.MustParse(10, `{"y":8}`), document.MustParse(11, `{"y":8}`)
+	z9a, z9b := document.MustParse(9, `{"z":9}`), document.MustParse(13, `{"z":9}`)
+	w7 := document.MustParse(12, `{"w":7}`)
+	// y=8 reaches δ at task 1 alone, z=9 only across both tasks, w=7
+	// not at all.
+	b.Execute(verdictTuple(uncoveredVerdict(cfg.M, 1, 1, y8a, y8b, z9b)), c)
+	b.Execute(verdictTuple(uncoveredVerdict(cfg.M, 1, 0, z9a, w7)), c)
 	if n := len(c.byStream(streamControl)); n != 1 {
 		t.Fatalf("updates broadcast before the window was decided: controls = %d", n)
 	}
@@ -307,11 +340,17 @@ func TestMergerCoalescesUpdates(t *testing.T) {
 		t.Fatalf("controls = %d, want 2", len(controls))
 	}
 	msg := controls[1].values["msg"].(controlMsg)
-	if msg.Version != 2 || msg.Window != 1 || msg.Recomputed || msg.Table == nil {
+	if msg.Version != 2 || msg.Generation != 1 || msg.Window != 1 || msg.Recomputed || msg.Table == nil {
 		t.Fatalf("update control msg = %+v", msg)
 	}
 	if !msg.Table.Covers(intPair2("z", 9)) || !msg.Table.Covers(intPair2("y", 8)) || !msg.Table.Covers(intPair2("a", 1)) {
 		t.Error("coalesced updates missing from the table")
+	}
+	if msg.Table.Covers(intPair2("w", 7)) {
+		t.Error("a pair below δ was added to the table")
+	}
+	if ev := c.byStream(streamMergerEvents)[1].values["msg"].(mergerEventMsg); ev.Stats.Updates != 2 || !ev.NewTable {
+		t.Errorf("event(1) = %+v, want 2 update requests and a new table", ev)
 	}
 	// A window without updates keeps the table.
 	b.Execute(reportTuple(2, 0, false), c)
@@ -320,53 +359,79 @@ func TestMergerCoalescesUpdates(t *testing.T) {
 	if msg := c.byStream(streamControl)[2].values["msg"].(controlMsg); msg.Table != nil || msg.Version != 2 {
 		t.Errorf("control without updates = %+v, want no table at version 2", msg)
 	}
+	// w=7's second occurrence, a window later, reaches δ.
+	b.Execute(reportTuple(3, 0, false), c)
+	b.Execute(verdictTuple(uncoveredVerdict(cfg.M, 3, 0, document.MustParse(30, `{"w":7}`))), c)
+	b.Execute(verdictTuple(verdictMsg{Window: 3, Task: 1}), c)
+	if msg := c.byStream(streamControl)[3].values["msg"].(controlMsg); msg.Table == nil || !msg.Table.Covers(intPair2("w", 7)) || msg.Version != 3 {
+		t.Errorf("control(3) = %+v, want w=7 added at version 3", msg)
+	}
+	if len(b.unseen) != 0 {
+		t.Errorf("covered pairs still counted: %v", b.unseen)
+	}
 }
 
 // TestMergerOneControlPerWindow: one control message per window, sent
 // only once every assigner's verdict is in — a verdict delivered twice
-// counts once — and asking the next window to compute when any verdict
-// did; a window of negative verdicts does not.
+// counts once — and asking the next window to compute when the
+// window's summed routing degraded beyond θ; a window that did not
+// degrade does not.
 func TestMergerOneControlPerWindow(t *testing.T) {
 	cfg := testConfig()
 	cfg.Assigners = 3
 	b := newMergerBolt(cfg)
 	c := &fakeCollector{}
 	decideInitial(t, b, c)
+	// Window 1, the first routed under the table, is the θ baseline:
+	// replication 1.
 	b.Execute(reportTuple(1, 0, false), c)
-	b.Execute(verdictTuple(verdictMsg{Window: 1, Task: 0, Repartition: true}), c)
-	b.Execute(verdictTuple(verdictMsg{Window: 1, Task: 0, Repartition: true}), c)
-	b.Execute(verdictTuple(verdictMsg{Window: 1, Task: 1, Repartition: true}), c)
-	if n := len(c.byStream(streamControl)); n != 1 {
+	for task := 0; task < 3; task++ {
+		b.Execute(verdictTuple(routedVerdict(cfg.M, 1, task, []int{task})), c)
+	}
+	// Window 2 replicates every document three times.
+	b.Execute(reportTuple(2, 0, false), c)
+	b.Execute(verdictTuple(routedVerdict(cfg.M, 2, 0, []int{0, 1, 2})), c)
+	b.Execute(verdictTuple(routedVerdict(cfg.M, 2, 0, []int{0, 1, 2})), c)
+	b.Execute(verdictTuple(routedVerdict(cfg.M, 2, 1, []int{0, 1, 2})), c)
+	if n := len(c.byStream(streamControl)); n != 2 {
 		t.Fatalf("duplicate verdict counted: controls = %d before the third task's verdict", n)
 	}
-	b.Execute(verdictTuple(verdictMsg{Window: 1, Task: 2}), c)
+	b.Execute(verdictTuple(routedVerdict(cfg.M, 2, 2, []int{0, 1, 2})), c)
 	controls := c.byStream(streamControl)
-	if len(controls) != 2 {
+	if len(controls) != 3 {
 		t.Fatalf("controls = %d, want one per window", len(controls))
 	}
-	if msg := controls[1].values["msg"].(controlMsg); !msg.ComputeNext || msg.Window != 1 {
-		t.Errorf("control(1) = %+v, want ComputeNext", msg)
+	if msg := controls[1].values["msg"].(controlMsg); msg.ComputeNext {
+		t.Errorf("control(1) = %+v, the baseline window must not recompute", msg)
 	}
-	if n := len(c.byStream(streamMergerEvents)); n != 2 {
-		t.Errorf("merger events = %d, want one per control message", n)
+	if msg := controls[2].values["msg"].(controlMsg); !msg.ComputeNext || msg.Window != 2 {
+		t.Errorf("control(2) = %+v, want ComputeNext", msg)
 	}
-	b.Execute(reportTuple(2, 0, true), c)
+	events := c.byStream(streamMergerEvents)
+	if len(events) != 3 {
+		t.Fatalf("merger events = %d, want one per control message", len(events))
+	}
+	if ev := events[2].values["msg"].(mergerEventMsg); ev.Stats.Documents != 3 || ev.Stats.Deliveries != 9 || !ev.Stats.Repartitioned {
+		t.Errorf("event(2) stats = %+v, want 3 documents, 9 deliveries, repartitioned", ev.Stats)
+	}
+	b.Execute(reportTuple(3, 0, true), c)
 	for task := 0; task < 3; task++ {
-		b.Execute(verdictTuple(verdictMsg{Window: 2, Task: task}), c)
+		b.Execute(verdictTuple(verdictMsg{Window: 3, Task: task}), c)
 	}
-	b.Execute(groupsTuple(2, 0), c)
+	b.Execute(groupsTuple(3, 0), c)
 	controls = c.byStream(streamControl)
-	if len(controls) != 3 {
-		t.Fatalf("controls = %d, want 3", len(controls))
+	if len(controls) != 4 {
+		t.Fatalf("controls = %d, want 4", len(controls))
 	}
-	if msg := controls[2].values["msg"].(controlMsg); msg.ComputeNext || !msg.Recomputed || msg.Table == nil || msg.Version != 2 {
-		t.Errorf("control(2) = %+v, want a recomputed table and no further computation", msg)
+	if msg := controls[3].values["msg"].(controlMsg); msg.ComputeNext || !msg.Recomputed || msg.Table == nil || msg.Version != 2 || msg.Generation != 2 {
+		t.Errorf("control(3) = %+v, want a recomputed table of generation 2 and no further computation", msg)
 	}
 }
 
-// TestConsecutiveRepartitionsComputeTwice: positive verdicts for two
-// consecutive windows make both following windows computation windows.
-// Merger and creator are wired back to back.
+// TestConsecutiveRepartitionsComputeTwice: windows 2 and 3 both degrade
+// beyond θ against window 1's baseline, so the following windows 3 and
+// 4 are both computation windows. Merger and creator are wired back to
+// back.
 func TestConsecutiveRepartitionsComputeTwice(t *testing.T) {
 	cfg := testConfig()
 	merger := newMergerBolt(cfg)
@@ -389,10 +454,14 @@ func TestConsecutiveRepartitionsComputeTwice(t *testing.T) {
 			}
 		}
 	}
-	for w := 0; w < 5; w++ {
+	for w := 0; w < 7; w++ {
+		targets := []int{0}
+		if w == 2 || w == 3 {
+			targets = []int{0, 1, 2}
+		}
 		creator.Execute(docTuple(w, document.MustParse(uint64(w+1), `{"a":1}`)), cc)
 		creator.Execute(wendTuple(w), cc)
-		merger.Execute(verdictTuple(verdictMsg{Window: w, Repartition: w == 1 || w == 2}), mc)
+		merger.Execute(verdictTuple(routedVerdict(cfg.M, w, 0, targets)), mc)
 		pump()
 	}
 	var computing []int
@@ -401,8 +470,8 @@ func TestConsecutiveRepartitionsComputeTwice(t *testing.T) {
 			computing = append(computing, msg.Window)
 		}
 	}
-	if !slices.Equal(computing, []int{0, 2, 3}) {
-		t.Errorf("computation windows = %v, want [0 2 3]", computing)
+	if !slices.Equal(computing, []int{0, 3, 4}) {
+		t.Errorf("computation windows = %v, want [0 3 4]", computing)
 	}
 	var recomputed []int
 	for _, e := range mc.byStream(streamControl) {
@@ -410,8 +479,8 @@ func TestConsecutiveRepartitionsComputeTwice(t *testing.T) {
 			recomputed = append(recomputed, msg.Window)
 		}
 	}
-	if !slices.Equal(recomputed, []int{2, 3}) {
-		t.Errorf("recomputed tables in control messages of windows %v, want [2 3]", recomputed)
+	if !slices.Equal(recomputed, []int{3, 4}) {
+		t.Errorf("recomputed tables in control messages of windows %v, want [3 4]", recomputed)
 	}
 }
 
@@ -512,8 +581,9 @@ func TestAssignerBarrierEveryWindow(t *testing.T) {
 	}
 }
 
-// TestAssignerDeltaGate: the document that makes an uncovered pair
-// reach δ rides the window's verdict.
+// TestAssignerDeltaGate: an assigner decides no δ gate. It counts every
+// occurrence of an uncovered pair into the window's verdict, with the
+// lowest-ID document carrying the pair, stored once.
 func TestAssignerDeltaGate(t *testing.T) {
 	cfg := testConfig()
 	cfg.Delta = 2
@@ -522,20 +592,48 @@ func TestAssignerDeltaGate(t *testing.T) {
 	c := &fakeCollector{}
 	deploy(b, 0, 1, newTable(intPair2("a", 1)), nil, c)
 	pre := len(c.byStream(streamToJoin))
-	b.Execute(docTuple(1, document.New(5, []document.Pair{intPair2("z", 7)})), c)
-	if len(b.updates) != 0 {
-		t.Fatalf("update before δ: %d", len(b.updates))
-	}
+	b.Execute(docTuple(1, document.New(5, []document.Pair{intPair2("z", 7), intPair2("y", 1)})), c)
 	b.Execute(docTuple(1, document.New(6, []document.Pair{intPair2("z", 7)})), c)
+	b.Execute(docTuple(1, document.New(7, []document.Pair{intPair2("a", 1)})), c)
 	b.Execute(wendTuple(1), c)
 	verdicts := c.byStream(streamVerdict)
 	v := verdicts[len(verdicts)-1].values["msg"].(verdictMsg)
-	if v.Window != 1 || len(v.Updates) != 1 || v.Updates[0].ID != 6 {
-		t.Fatalf("verdict(1) = %+v, want the δ-reaching document 6", v)
+	z7 := symbol.InternPair("z", intPair2("z", 7).Val)
+	y1 := symbol.InternPair("y", intPair2("y", 1).Val)
+	// Document 5's pairs in their sorted order, y before z.
+	if want := []pairCount{{Pair: y1, N: 1, Doc: 0}, {Pair: z7, N: 2, Doc: 0}}; v.Window != 1 || !slices.Equal(v.Uncovered, want) {
+		t.Fatalf("verdict(1) = %+v, want y=1 once and z=7 twice, both first in document 5", v)
 	}
-	// Both documents were broadcast meanwhile (uncovered pair).
-	if n := len(c.byStream(streamToJoin)) - pre; n != 6 {
-		t.Errorf("deliveries = %d, want 2 broadcasts x 3 joiners", n)
+	if len(v.Docs) != 1 || v.Docs[0].ID != 5 {
+		t.Errorf("verdict(1) documents = %v, want document 5 alone", v.Docs)
+	}
+	if v.Stats.Documents != 3 || v.Stats.Broadcasts != 2 || v.Stats.Deliveries != 7 || !slices.Equal(v.Stats.PerJoiner, []int{3, 2, 2}) {
+		t.Errorf("verdict(1) stats = %+v", v.Stats)
+	}
+	// Both uncovered documents were broadcast meanwhile.
+	if n := len(c.byStream(streamToJoin)) - pre; n != 7 {
+		t.Errorf("deliveries = %d, want 2 broadcasts x 3 joiners + 1", n)
+	}
+}
+
+// TestVerdictGobRoundTrip: a verdict crosses the wire with its pairs as
+// strings and arrives with the same counts and documents.
+func TestVerdictGobRoundTrip(t *testing.T) {
+	v := uncoveredVerdict(3, 4, 1, document.MustParse(8, `{"x":"hello","n":2}`), document.MustParse(9, `{"x":"hello"}`))
+	v.Stats.RecordDelivery([]int{0, 2}, false)
+	v.GenLow, v.GenHigh = 2, 3
+	var buf bytes.Buffer
+	RegisterGobTypes()
+	var in any = v
+	if err := gob.NewEncoder(&buf).Encode(&in); err != nil {
+		t.Fatal(err)
+	}
+	var out any
+	if err := gob.NewDecoder(&buf).Decode(&out); err != nil {
+		t.Fatal(err)
+	}
+	if got := out.(verdictMsg); !reflect.DeepEqual(got, v) {
+		t.Errorf("round trip = %+v, want %+v", got, v)
 	}
 }
 

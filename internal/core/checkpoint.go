@@ -27,13 +27,11 @@ type recoveryPlumb struct {
 // reader is deliberately absent — it is not restored but re-created
 // from a fresh deterministic generator that skips the windows already
 // incorporated in the cut — and so are the creators, whose sample
-// buffers the replay rebuilds and whose next decision the restored
-// merger re-sends.
+// buffers the replay rebuilds, and the assigners, which hold nothing
+// but the last control message: the restored merger re-sends it and
+// its next decision.
 func requiredTasks(cfg Config) []string {
 	out := []string{"merger/0"}
-	for i := 0; i < cfg.Assigners; i++ {
-		out = append(out, fmt.Sprintf("assigner/%d", i))
-	}
 	for i := 0; i < cfg.M; i++ {
 		out = append(out, fmt.Sprintf("joiner/%d", i))
 	}

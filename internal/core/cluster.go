@@ -22,7 +22,6 @@ func RegisterGobTypes() {
 	gob.Register(localGroupsMsg{})
 	gob.Register(verdictMsg{})
 	gob.Register(controlMsg{})
-	gob.Register(assignerStatsMsg{})
 	gob.Register(joinerStatsMsg{})
 	gob.Register(mergerEventMsg{})
 }
@@ -81,7 +80,6 @@ func buildTopology(cfg Config, report *Report) *topology.Builder {
 	b.SetBolt("collector", func(int) topology.Bolt {
 		return newCollectorBolt(cfg, report)
 	}, 1).
-		GlobalGrouping("assigner", streamAssignerStats).
 		GlobalGrouping("joiner", streamJoinerStats).
 		GlobalGrouping("merger", streamMergerEvents)
 

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"fmt"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/datagen"
 	"repro/internal/document"
@@ -87,5 +90,52 @@ func TestClusterAndLocalAgree(t *testing.T) {
 	}
 	if local.JoinPairs == 0 {
 		t.Error("empty result")
+	}
+}
+
+// TestBoundedMailboxesDoNotHang runs the pipeline on three TCP workers
+// with mailboxes small enough that the joiners' fill up. A full mailbox
+// must only slow the run down: every run completes before its deadline
+// with exactly the oracle's pairs. A hung run fails with a dump of every
+// goroutine, which shows the blocked locks and mailboxes.
+func TestBoundedMailboxesDoNotHang(t *testing.T) {
+	const windows, size, deadline = 8, 1200, 2 * time.Minute
+	for _, dataset := range []string{"rwData", "nbData"} {
+		gen, _ := datagen.ByName(dataset, 7)
+		docs := drawWindows(gen, windows, size)
+		want := oraclePairs(docs, size)
+		for _, pending := range []int{2, 8} {
+			t.Run(fmt.Sprintf("%s/max-pending=%d", dataset, pending), func(t *testing.T) {
+				cfg := Config{M: 8, WindowSize: size, Windows: windows, MaxPending: pending}
+				type result struct {
+					got    map[join.Pair]bool
+					dups   int
+					report *Report
+					err    error
+				}
+				done := make(chan result, 1)
+				go func() {
+					got, dups, report, err := collectPairs(cfg, docs, WithWorkers(3))
+					done <- result{got, dups, report, err}
+				}()
+				select {
+				case r := <-done:
+					if r.err != nil {
+						t.Fatal(r.err)
+					}
+					if len(r.report.Topology.Failures) > 0 {
+						t.Fatalf("topology failures: %v", r.report.Topology.Failures)
+					}
+					if r.dups > 0 {
+						t.Errorf("%d pairs produced more than once", r.dups)
+					}
+					checkPairSets(t, r.got, want)
+				case <-time.After(deadline):
+					buf := make([]byte, 1<<24)
+					buf = buf[:runtime.Stack(buf, true)]
+					t.Fatalf("run did not finish within %s; goroutines:\n%s", deadline, buf)
+				}
+			})
+		}
 	}
 }

@@ -10,34 +10,27 @@ import (
 
 // collectorBolt is a single-instance statistics sink (not part of the
 // paper's Fig. 2; the paper gathers the same measurements through
-// Storm's metrics): it merges the assigners' per-window routing
-// partials into global window statistics, accumulates join counters and
-// merger events, and assembles the final Report during Cleanup.
+// Storm's metrics): it takes each window's routing statistics from the
+// merger's event for the window, accumulates the joiners' join
+// counters, and assembles the final Report during Cleanup.
 //
 // All counters accumulate per window inside windowAgg rather than
-// directly on the Report: a window is complete once every assigner
-// partial, every joiner partial and the merger's event for its control
-// message arrived, completed windows form a prefix of the stream (the
-// per-link tuple order guarantees window w's partials all precede
-// window w+1's from the same task), and that prefix is exactly what a
-// checkpoint snapshot captures.
+// directly on the Report: a window is complete once the merger's event
+// and every joiner partial arrived, completed windows form a prefix of
+// the stream (the per-link tuple order guarantees window w's partials
+// all precede window w+1's from the same task), and that prefix is
+// exactly what a checkpoint snapshot captures.
 type collectorBolt struct {
 	cfg    Config
 	report *Report
 
 	windows map[int]*windowAgg
 
-	// Run-wide accumulators of the completed windows' merger events;
-	// copied into the Report during Cleanup.
-	tableVersions int
-	repartitions  int
-
 	cp *checkpointer
 
 	// Live instruments (nil-safe no-ops when cfg.Telemetry is off):
 	// global totals plus the cluster-wide replication/Gini of the last
-	// completed window, computed as soon as every partial for that
-	// window has arrived.
+	// completed window.
 	tel struct {
 		joinPairs     *telemetry.Counter
 		docsJoined    *telemetry.Counter
@@ -51,25 +44,17 @@ type collectorBolt struct {
 }
 
 type windowAgg struct {
-	stats         *metrics.WindowStats
-	repartitioned bool
-	partials      int  // assigner partials received
-	jdone         int  // joiner partials received
-	decided       bool // the merger's event for control(w) arrived
-	newTable      bool // control(w) carried a table ...
-	recomputed    bool // ... from a θ recomputation
-	pairs         int  // join pairs reported for this window
-	docs          int  // documents the joiners incorporated
-	ckpt          bool
-	done          bool
-	// genLow/genHigh span the table generations the assigners routed
-	// the window under (valid once routed is set); mixed when they
-	// differ.
-	routed          bool
-	genLow, genHigh int
+	ev      mergerEventMsg // the merger's event for control(w) ...
+	decided bool           // ... once it arrived
+	jdone   int            // joiner partials received
+	pairs   int            // join pairs reported for this window
+	docs    int            // documents the joiners incorporated
+	done    bool
 }
 
-func (a *windowAgg) mixed() bool { return a.routed && a.genLow != a.genHigh }
+// mixed reports whether the window's documents were routed under more
+// than one table generation.
+func (a *windowAgg) mixed() bool { return a.ev.Stats.Documents > 0 && a.ev.GenLow != a.ev.GenHigh }
 
 func newCollectorBolt(cfg Config, report *Report) *collectorBolt {
 	b := &collectorBolt{
@@ -99,43 +84,11 @@ func (b *collectorBolt) Prepare(*topology.TaskContext) {
 // Execute implements topology.Bolt.
 func (b *collectorBolt) Execute(t topology.Tuple, _ topology.Collector) {
 	switch t.Stream {
-	case streamAssignerStats:
-		msg := t.Values["msg"].(assignerStatsMsg)
-		agg := b.window(msg.Window)
-		agg.stats.Documents += msg.Documents
-		agg.stats.Deliveries += msg.Deliveries
-		for j, n := range msg.PerJoiner {
-			if j < len(agg.stats.PerJoiner) {
-				agg.stats.PerJoiner[j] += n
-			}
-		}
-		agg.stats.Broadcasts += msg.Broadcasts
-		agg.stats.Updates += msg.Updates
-		if msg.Repartitioned {
-			agg.repartitioned = true
-		}
-		if msg.Checkpoint {
-			agg.ckpt = true
-		}
-		if msg.Documents > 0 {
-			if !agg.routed || msg.GenLow < agg.genLow {
-				agg.genLow = msg.GenLow
-			}
-			if !agg.routed || msg.GenHigh > agg.genHigh {
-				agg.genHigh = msg.GenHigh
-			}
-			agg.routed = true
-		}
-		agg.partials++
-		b.maybeComplete(msg.Window, agg)
 	case streamJoinerStats:
 		msg := t.Values["msg"].(joinerStatsMsg)
 		agg := b.window(msg.Window)
 		agg.pairs += msg.Pairs
 		agg.docs += msg.Docs
-		if msg.Checkpoint {
-			agg.ckpt = true
-		}
 		agg.jdone++
 		b.tel.joinPairs.Add(int64(msg.Pairs))
 		b.tel.docsJoined.Add(int64(msg.Docs))
@@ -143,56 +96,53 @@ func (b *collectorBolt) Execute(t topology.Tuple, _ topology.Collector) {
 	case streamMergerEvents:
 		msg := t.Values["msg"].(mergerEventMsg)
 		agg := b.window(msg.Window)
+		agg.ev = msg
 		agg.decided = true
-		agg.newTable = msg.NewTable
-		agg.recomputed = msg.Recomputed
 		b.maybeComplete(msg.Window, agg)
 	}
 }
 
-// maybeComplete fires once per window, when the last of its partials
-// arrives: it publishes the live routing-quality gauges and — when the
+// maybeComplete fires once per window, when the last of its merger
+// event and joiner partials arrives: it publishes the live routing-quality gauges and — when the
 // window carried a checkpoint barrier — snapshots the collector. The
 // completed windows form a prefix of the stream, so the snapshot at
 // window w holds the full, final statistics of windows 0..w.
 func (b *collectorBolt) maybeComplete(w int, agg *windowAgg) {
-	if agg.done || !agg.decided || agg.partials < b.cfg.Assigners || agg.jdone < b.cfg.M {
+	if agg.done || !agg.decided || agg.jdone < b.cfg.M {
 		return
 	}
 	agg.done = true
 	b.tel.windowsDone.Inc()
-	if agg.newTable {
-		b.tableVersions++
+	if agg.ev.NewTable {
 		b.tel.tableVersions.Inc()
 	}
-	if agg.recomputed {
-		b.repartitions++
+	if agg.ev.Recomputed {
 		b.tel.repartitions.Inc()
 	}
 	if agg.mixed() {
 		b.tel.mixedWindows.Inc()
 	}
-	b.tel.replication.Set(agg.stats.Replication())
-	b.tel.gini.Set(agg.stats.LoadBalance())
-	if agg.ckpt {
+	b.tel.replication.Set(agg.ev.Stats.Replication())
+	b.tel.gini.Set(agg.ev.Stats.LoadBalance())
+	if agg.ev.Checkpoint {
 		b.cp.save(w, b)
 	}
 	if f := b.cfg.onWindowComplete; f != nil {
-		f(w, agg.repartitioned)
+		f(w, agg.ev.Stats.Repartitioned)
 	}
 }
 
 func (b *collectorBolt) window(w int) *windowAgg {
 	agg, ok := b.windows[w]
 	if !ok {
-		agg = &windowAgg{stats: metrics.NewWindowStats(b.cfg.M)}
+		agg = &windowAgg{ev: mergerEventMsg{Stats: *metrics.NewWindowStats(b.cfg.M)}}
 		b.windows[w] = agg
 	}
 	return agg
 }
 
-// Cleanup assembles the per-window statistics in stream order and
-// copies the run-wide accumulators into the Report.
+// Cleanup assembles the per-window statistics in stream order into the
+// Report.
 func (b *collectorBolt) Cleanup() {
 	ids := make([]int, 0, len(b.windows))
 	for w := range b.windows {
@@ -201,16 +151,20 @@ func (b *collectorBolt) Cleanup() {
 	sort.Ints(ids)
 	for _, w := range ids {
 		agg := b.windows[w]
-		agg.stats.Repartitioned = agg.repartitioned
-		b.report.Run.Add(agg.stats)
+		stats := agg.ev.Stats
+		b.report.Run.Add(&stats)
 		b.report.JoinPairs += agg.pairs
 		b.report.DocsJoined += agg.docs
 		if agg.mixed() {
 			b.report.MixedTableWindows = append(b.report.MixedTableWindows, w)
 		}
+		if agg.ev.NewTable {
+			b.report.TableVersions++
+		}
+		if agg.ev.Recomputed {
+			b.report.Repartitions++
+		}
 	}
-	b.report.TableVersions = b.tableVersions
-	b.report.Repartitions = b.repartitions
 	// Publish the run's headline aggregates as gauges so the final
 	// snapshot (and any post-run scrape) carries them.
 	b.report.Run.PublishTo(b.cfg.Telemetry)

@@ -50,31 +50,41 @@ func oraclePairs(docs []document.Document, windowSize int) map[join.Pair]bool {
 // produced pair set plus the report.
 func runAndCollect(t *testing.T, cfg Config, docs []document.Document, opts ...Option) (map[join.Pair]bool, *Report) {
 	t.Helper()
-	var mu sync.Mutex
-	got := make(map[join.Pair]bool)
-	cfg.Source = &replaySource{docs: docs}
-	cfg.OnResult = func(r join.Result) {
-		p := join.Pair{LeftID: r.Left, RightID: r.Right}
-		if p.LeftID > p.RightID {
-			p.LeftID, p.RightID = p.RightID, p.LeftID
-		}
-		mu.Lock()
-		if got[p] {
-			mu.Unlock()
-			t.Errorf("pair (%d,%d) produced more than once", p.LeftID, p.RightID)
-			return
-		}
-		got[p] = true
-		mu.Unlock()
-	}
-	report, err := NewRunner(cfg, opts...).Run()
+	got, dups, report, err := collectPairs(cfg, docs, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(report.Topology.Failures) > 0 {
 		t.Fatalf("topology failures: %v", report.Topology.Failures)
 	}
+	if dups > 0 {
+		t.Errorf("%d pairs produced more than once", dups)
+	}
 	return got, report
+}
+
+// collectPairs executes the system over the docs and returns the
+// produced pair set, how many results repeated a pair already
+// produced, and the report. It calls no testing.T method, so it may
+// run on any goroutine.
+func collectPairs(cfg Config, docs []document.Document, opts ...Option) (map[join.Pair]bool, int, *Report, error) {
+	var mu sync.Mutex
+	got := make(map[join.Pair]bool)
+	dups := 0
+	cfg.Source = &replaySource{docs: docs}
+	cfg.OnResult = func(r join.Result) {
+		p := join.Pair{LeftID: min(r.Left, r.Right), RightID: max(r.Left, r.Right)}
+		mu.Lock()
+		if got[p] {
+			dups++
+		}
+		got[p] = true
+		mu.Unlock()
+	}
+	report, err := NewRunner(cfg, opts...).Run()
+	mu.Lock()
+	defer mu.Unlock()
+	return got, dups, report, err
 }
 
 // TestSystemExactJoinServerLog is the central end-to-end test: the

@@ -267,11 +267,10 @@ func (b *joinerBolt) maybeTumble(c topology.Collector) {
 		delete(b.ckptW, w)
 		docs, _ := b.windowed.Tumble()
 		c.EmitTo(streamJoinerStats, topology.Values{"msg": joinerStatsMsg{
-			Window:     w,
-			Task:       b.task,
-			Docs:       docs,
-			Pairs:      b.pairs,
-			Checkpoint: ckpt,
+			Window: w,
+			Task:   b.task,
+			Docs:   docs,
+			Pairs:  b.pairs,
 		}})
 		b.pairs = 0
 		clear(b.targets)

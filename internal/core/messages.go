@@ -1,9 +1,15 @@
 package core
 
 import (
+	"bytes"
+	"encoding/gob"
+	"fmt"
+
 	"repro/internal/document"
 	"repro/internal/expansion"
+	"repro/internal/metrics"
 	"repro/internal/partition"
+	"repro/internal/symbol"
 )
 
 // Stream names of the topology. Documents and window markers originate
@@ -28,8 +34,8 @@ const (
 	// merger, global).
 	streamLocalGroups = "localAGs"
 	// streamVerdict carries every assigner's end-of-window verdict: the
-	// θ trigger and the window's δ update requests (assigner -> merger,
-	// global).
+	// window's routing counts and uncovered-pair occurrences (assigner
+	// -> merger, global).
 	streamVerdict = "verdict"
 	// streamControl carries the merger's one decision per window
 	// (merger -> assigners and creators, all).
@@ -40,14 +46,12 @@ const (
 	// streamJoinerWindow carries window punctuation to the joiners
 	// (assigner -> joiners, all).
 	streamJoinerWindow = "jwend"
-	// streamAssignerStats carries per-window routing statistics
-	// (assigner -> collector, global).
-	streamAssignerStats = "astats"
 	// streamJoinerStats carries per-window join counters (joiner ->
 	// collector, global).
 	streamJoinerStats = "jstats"
 	// streamMergerEvents carries one accounting event per control
-	// message (merger -> collector, global).
+	// message, with the window's summed routing statistics (merger ->
+	// collector, global).
 	streamMergerEvents = "mevents"
 	// Join results travel on no stream: the joiner hands them to
 	// Config.OnResult (joiner.go, deliver).
@@ -82,14 +86,109 @@ type localGroupsMsg struct {
 	Groups []partition.AssocGroup
 }
 
-// verdictMsg is one assigner's end-of-window verdict for window
-// Window: whether its routing quality degraded beyond θ, and the
-// documents that made an uncovered pair reach δ, in routing order.
+// verdictMsg is one assigner's account of window Window. It carries
+// counts, not decisions: the merger sums every assigner's verdict and
+// tests θ and δ over the whole stream.
 type verdictMsg struct {
-	Window      int
-	Task        int
-	Repartition bool
-	Updates     []document.Document
+	Window int
+	Task   int
+	// Stats holds this task's routing counts: documents, deliveries,
+	// per-joiner loads and broadcasts.
+	Stats metrics.WindowStats
+	// GenLow and GenHigh are the lowest and highest table generation —
+	// the version of the last fully computed table, 0 before the first —
+	// the task routed the window's documents under; meaningful when
+	// Stats.Documents > 0.
+	GenLow, GenHigh int
+	// Uncovered lists every pair no partition held, once, with its
+	// occurrences in this task's share of the window and the lowest-ID
+	// document carrying it.
+	Uncovered []pairCount
+	Docs      []document.Document
+}
+
+// pairCount is one uncovered pair's entry in a verdict: N occurrences,
+// the first in document Docs[Doc].
+type pairCount struct {
+	Pair   symbol.Pair
+	N, Doc int
+}
+
+// count records document d, whose uncovered pairs are pairs; index
+// maps a pair to its entry in Uncovered. d is stored once, and only
+// while it is some pair's lowest-ID document.
+func (v *verdictMsg) count(index map[symbol.Pair]int, pairs []symbol.Pair, d document.Document) {
+	at := -1
+	for _, sp := range pairs {
+		i, seen := index[sp]
+		if !seen {
+			i = len(v.Uncovered)
+			index[sp] = i
+			v.Uncovered = append(v.Uncovered, pairCount{Pair: sp})
+		}
+		pc := &v.Uncovered[i]
+		if !seen || d.ID < v.Docs[pc.Doc].ID {
+			if at < 0 {
+				at = len(v.Docs)
+				v.Docs = append(v.Docs, d)
+			}
+			pc.Doc = at
+		}
+		pc.N++
+	}
+}
+
+// verdictGob is a verdict's wire form. Symbols are process-local, so
+// pairs travel as strings: Pairs[i] is Uncovered[i].Pair, and document
+// i is IDs[i] with the pairs Docs[i].
+type verdictGob struct {
+	Window, Task    int
+	Stats           metrics.WindowStats
+	GenLow, GenHigh int
+	Pairs           []document.Pair
+	Counts          []pairCount // Pair left zero
+	IDs             []uint64
+	Docs            [][]document.Pair
+}
+
+// GobEncode implements gob.GobEncoder for cluster transport.
+func (v verdictMsg) GobEncode() ([]byte, error) {
+	g := verdictGob{Window: v.Window, Task: v.Task, Stats: v.Stats, GenLow: v.GenLow, GenHigh: v.GenHigh}
+	for _, pc := range v.Uncovered {
+		attr, val := symbol.PairStrings(pc.Pair)
+		g.Pairs = append(g.Pairs, document.Pair{Attr: attr, Val: val})
+		g.Counts = append(g.Counts, pairCount{N: pc.N, Doc: pc.Doc})
+	}
+	for _, d := range v.Docs {
+		g.IDs = append(g.IDs, d.ID)
+		g.Docs = append(g.Docs, d.Pairs())
+	}
+	var buf bytes.Buffer
+	err := gob.NewEncoder(&buf).Encode(&g)
+	return buf.Bytes(), err
+}
+
+// GobDecode implements gob.GobDecoder.
+func (v *verdictMsg) GobDecode(data []byte) error {
+	var g verdictGob
+	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&g); err != nil {
+		return err
+	}
+	if len(g.Pairs) != len(g.Counts) || len(g.IDs) != len(g.Docs) {
+		return fmt.Errorf("core: verdict: %d pairs, %d counts, %d documents, %d pair lists", len(g.Pairs), len(g.Counts), len(g.IDs), len(g.Docs))
+	}
+	*v = verdictMsg{Window: g.Window, Task: g.Task, Stats: g.Stats, GenLow: g.GenLow, GenHigh: g.GenHigh}
+	for i, pairs := range g.Docs {
+		v.Docs = append(v.Docs, document.FromSorted(g.IDs[i], pairs))
+	}
+	for i, pc := range g.Counts {
+		if pc.Doc < 0 || pc.Doc >= len(v.Docs) {
+			return fmt.Errorf("core: verdict: pair %v refers to document %d of %d", g.Pairs[i], pc.Doc, len(v.Docs))
+		}
+		pc.Pair = symbol.InternPair(g.Pairs[i].Attr, g.Pairs[i].Val)
+		v.Uncovered = append(v.Uncovered, pc)
+	}
+	return nil
 }
 
 // controlMsg is the merger's decision for window Window, sent once
@@ -101,6 +200,9 @@ type controlMsg struct {
 	Window int
 	// Version numbers the table; it advances only when Table is set.
 	Version int
+	// Generation is the version of the last fully computed table; the
+	// additive δ tables extend it.
+	Generation int
 	// Table is the partition table the assigners route Window+1 under;
 	// nil when it did not change.
 	Table     *partition.Table
@@ -113,42 +215,29 @@ type controlMsg struct {
 	ComputeNext bool
 }
 
-// assignerStatsMsg is one assigner's contribution to a window's
-// routing statistics.
-type assignerStatsMsg struct {
-	Window        int
-	Task          int
-	Documents     int
-	Deliveries    int
-	PerJoiner     []int
-	Broadcasts    int
-	Updates       int
-	Repartitioned bool
-	// GenLow and GenHigh are the lowest and highest table generation —
-	// the version of the last fully computed table, 0 before the first —
-	// the task routed the window's documents under; meaningful when
-	// Documents > 0. The collector derives Report.MixedTableWindows.
-	GenLow, GenHigh int
-	// Checkpoint propagates the window's checkpoint barrier to the
-	// collector, which snapshots a window once every assigner and
-	// joiner partial for it has arrived.
-	Checkpoint bool
-}
-
 // joinerStatsMsg is one joiner's contribution to a window's join
 // counters.
 type joinerStatsMsg struct {
-	Window     int
-	Task       int
-	Docs       int
-	Pairs      int
-	Checkpoint bool
+	Window int
+	Task   int
+	Docs   int
+	Pairs  int
 }
 
-// mergerEventMsg reports one control message for accounting: the
-// collector counts a window complete only once its event arrived.
+// mergerEventMsg reports one control message for accounting, with the
+// window's routing statistics: the collector counts a window complete
+// once its event and every joiner's partial arrived.
 type mergerEventMsg struct {
-	Window     int
-	NewTable   bool
-	Recomputed bool
+	Window int
+	// Stats is the sum of the window's verdicts, with the θ outcome
+	// (Repartitioned) and the number of δ update requests.
+	Stats metrics.WindowStats
+	// GenLow and GenHigh span the table generations the window was
+	// routed under; meaningful when Stats.Documents > 0.
+	GenLow, GenHigh int
+	NewTable        bool
+	Recomputed      bool
+	// Checkpoint propagates the window's checkpoint barrier to the
+	// collector, which snapshots once the window is complete.
+	Checkpoint bool
 }

@@ -13,14 +13,16 @@ import (
 	"repro/internal/topology"
 )
 
-// TestMixedGenerationWindowReported: the collector names every window
-// whose assigner partials span more than one table generation — routed
-// by two assigners under different generations (window 2) or by one
-// under two (window 4) — counts them, and Run fails on them.
+// TestMixedGenerationWindowReported: the merger spans the generations
+// of every assigner's verdict, and the collector names every window
+// routed under more than one table generation — by two assigners under
+// different generations (window 2) or by one under two (window 4) —
+// counts them, and Run fails on them.
 func TestMixedGenerationWindowReported(t *testing.T) {
 	cfg := testConfig()
 	cfg.Assigners = 2
 	cfg.Telemetry = telemetry.NewRegistry()
+	merger := newMergerBolt(cfg)
 	var report Report
 	collector := newCollectorBolt(cfg, &report)
 	collector.Prepare(&topology.TaskContext{})
@@ -32,16 +34,20 @@ func TestMixedGenerationWindowReported(t *testing.T) {
 		4: {{2, 3}, {2, 3}},
 		5: {{3, 3}, {3, 3}},
 	}
+	mc := &fakeCollector{}
 	for w := 0; w <= 5; w++ {
+		merger.Execute(reportTuple(w, 0, false), mc)
 		for task, g := range gens[w] {
-			collector.Execute(topology.Tuple{Stream: streamAssignerStats, Values: topology.Values{"msg": assignerStatsMsg{
-				Window: w, Task: task, Documents: 1, PerJoiner: make([]int, cfg.M), GenLow: g[0], GenHigh: g[1],
-			}}}, nil)
+			v := routedVerdict(cfg.M, w, task, []int{0})
+			v.GenLow, v.GenHigh = g[0], g[1]
+			merger.Execute(verdictTuple(v), mc)
 		}
 		for j := 0; j < cfg.M; j++ {
 			collector.Execute(topology.Tuple{Stream: streamJoinerStats, Values: topology.Values{"msg": joinerStatsMsg{Window: w, Task: j}}}, nil)
 		}
-		collector.Execute(topology.Tuple{Stream: streamMergerEvents, Values: topology.Values{"msg": mergerEventMsg{Window: w}}}, nil)
+	}
+	for _, e := range mc.byStream(streamMergerEvents) {
+		collector.Execute(topology.Tuple{Stream: e.stream, Values: e.values}, nil)
 	}
 	collector.Cleanup()
 	if want := []int{2, 4}; !slices.Equal(report.MixedTableWindows, want) {
@@ -114,15 +120,18 @@ func TestAdversarialControlDelivery(t *testing.T) {
 		seed    int64
 		m       int
 		theta   float64
+		delta   int
 	}{
-		{"nbData", 1, 8, 0.2},
-		{"rwData", 2, 16, 0.05},
+		// δ = 8: with θ and δ counted over the whole stream, nbData's
+		// tables absorb its new pairs at δ = 3 and never degrade past θ.
+		{"nbData", 1, 8, 0.2, 8},
+		{"rwData", 2, 16, 0.05, 3},
 	} {
 		t.Run(tc.dataset, func(t *testing.T) {
 			const windowSize, windows = 200, 8
 			gen, _ := datagen.ByName(tc.dataset, tc.seed)
 			docs := drawWindows(gen, windows, windowSize)
-			cfg := Config{M: tc.m, Creators: 2, Assigners: 2, WindowSize: windowSize, Windows: windows, Theta: tc.theta}
+			cfg := Config{M: tc.m, Creators: 2, Assigners: 2, WindowSize: windowSize, Windows: windows, Theta: tc.theta, Delta: tc.delta}
 			assigner1 := topology.TaskID{Component: "assigner", Task: 1}
 			fromReader := func(u topology.Unit) bool { return u.Target == assigner1 && u.Source.Component == "reader" }
 			got, report := runStepped(t, cfg, docs, holding(func(u topology.Unit, ready []topology.Unit) bool {
@@ -159,15 +168,17 @@ func TestControlPlaneDeterministic(t *testing.T) {
 	for _, tc := range []struct {
 		dataset string
 		m       int
+		delta   int
 	}{
-		{"nbData", 4},
-		{"rwData", 16},
+		// δ = 5 keeps a θ recomputation in nbData's six windows.
+		{"nbData", 4, 5},
+		{"rwData", 16, 3},
 	} {
 		t.Run(tc.dataset, func(t *testing.T) {
 			const windowSize, windows = 250, 6
 			gen, _ := datagen.ByName(tc.dataset, 7)
 			docs := drawWindows(gen, windows, windowSize)
-			cfg := Config{M: tc.m, Creators: 2, Assigners: 3, WindowSize: windowSize, Windows: windows, Delta: 3, Theta: 0.05}
+			cfg := Config{M: tc.m, Creators: 2, Assigners: 3, WindowSize: windowSize, Windows: windows, Delta: tc.delta, Theta: 0.05}
 			stepped, ref := runStepped(t, cfg, docs, topology.SeededSchedule(0))
 			if wrong, extra := exactlyOnce(stepped, join.Oracle(docs, windowSize)); wrong > 0 || extra {
 				t.Fatalf("sequential run: %d oracle pairs missing or duplicated, %d pairs produced", wrong, len(stepped))
@@ -207,7 +218,8 @@ func TestControlPlaneScheduleSweep(t *testing.T) {
 		name, dataset string
 		cfg           Config
 	}{
-		{"nbData", "nbData", Config{M: 4, Creators: 2, Assigners: 3, WindowSize: 100, Windows: 4, Theta: 0.05, Delta: 3}},
+		// δ = 5 keeps a θ recomputation in nbData's four windows.
+		{"nbData", "nbData", Config{M: 4, Creators: 2, Assigners: 3, WindowSize: 100, Windows: 4, Theta: 0.05, Delta: 5}},
 		{"rwData", "rwData", Config{M: 16, Creators: 2, Assigners: 3, WindowSize: 100, Windows: 4, Theta: 0.05, Delta: 3}},
 		// One assigner, θ low enough that some window recomputes, no δ.
 		{"singleAssigner", "nbData", Config{M: 4, Creators: 2, Assigners: 1, WindowSize: 100, Windows: 4, Theta: 0.02, Delta: 1 << 30}},

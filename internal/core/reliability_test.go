@@ -387,7 +387,7 @@ func TestVerifiedCutSkipsCorruptSnapshots(t *testing.T) {
 	}
 
 	// An empty file — the degenerate short write.
-	victim = fsSnapshotPath(dir, "assigner/0", 0)
+	victim = fsSnapshotPath(dir, "collector/0", 0)
 	if err := os.WriteFile(victim, nil, 0o644); err != nil {
 		t.Fatal(err)
 	}

@@ -2,9 +2,9 @@ package core
 
 import (
 	"bytes"
-	"encoding/gob"
 	"fmt"
-	"os"
+	"maps"
+	"reflect"
 	"slices"
 	"sort"
 	"testing"
@@ -12,6 +12,7 @@ import (
 	"repro/internal/datagen"
 	"repro/internal/document"
 	"repro/internal/expansion"
+	"repro/internal/metrics"
 	"repro/internal/partition"
 	"repro/internal/symbol"
 	"repro/internal/topology"
@@ -202,8 +203,9 @@ func TestRoutingParityOverlappingPartitions(t *testing.T) {
 	}
 }
 
-// refDeltaGate is the reference δ gate: string-keyed counts, pruned
-// with one string lookup pair per entry when a table is adopted.
+// refDeltaGate is the reference δ gate: string-keyed counts over the
+// whole stream, pruned with one string lookup per entry when a table is
+// adopted.
 type refDeltaGate struct {
 	delta  int
 	table  *partition.Table
@@ -211,24 +213,42 @@ type refDeltaGate struct {
 	unseen map[document.Pair]int
 }
 
-// route reports whether d becomes an update request.
-func (g *refDeltaGate) route(d document.Document) bool {
-	td, ok := g.spec.Apply(d)
-	if !ok {
-		return false
-	}
-	hit := false
-	for _, p := range refUncovered(g.table, td) {
-		g.unseen[p]++
-		if g.unseen[p] == g.delta {
-			hit = true
+// window counts the uncovered pairs of one window's documents and
+// returns its update requests: for every pair that reached δ in the
+// window, the window's lowest-ID document carrying it, each document
+// once, in ascending ID.
+func (g *refDeltaGate) window(docs []document.Document) []document.Document {
+	count := make(map[document.Pair]int)
+	first := make(map[document.Pair]document.Document)
+	for _, d := range docs {
+		td, ok := g.spec.Apply(d)
+		if !ok {
+			continue
+		}
+		for _, p := range refUncovered(g.table, td) {
+			if f, seen := first[p]; !seen || d.ID < f.ID {
+				first[p] = d
+			}
+			count[p]++
 		}
 	}
-	return hit
+	byID := make(map[uint64]document.Document)
+	for p, n := range count {
+		if g.unseen[p] < g.delta && g.unseen[p]+n >= g.delta {
+			byID[first[p].ID] = first[p]
+		}
+		g.unseen[p] += n
+	}
+	var out []document.Document
+	for _, d := range byID {
+		out = append(out, d)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	return out
 }
 
-func (g *refDeltaGate) adopt(table *partition.Table, spec *expansion.Expansion) {
-	g.table, g.spec = table, spec
+func (g *refDeltaGate) adopt(table *partition.Table) {
+	g.table = table
 	for p := range g.unseen {
 		if table.Covers(p) {
 			delete(g.unseen, p)
@@ -236,12 +256,23 @@ func (g *refDeltaGate) adopt(table *partition.Table, spec *expansion.Expansion) 
 	}
 }
 
+// unseenStrings is the merger's δ counts keyed by strings.
+func unseenStrings(b *mergerBolt) map[document.Pair]int {
+	out := make(map[document.Pair]int, len(b.unseen))
+	for sp, n := range b.unseen {
+		a, v := symbol.PairStrings(sp)
+		out[document.Pair{Attr: a, Val: v}] = n
+	}
+	return out
+}
+
 // TestDeltaUpdateParity runs two assigners with δ = 3 over three
-// windows routed under the first window's table, folding the update
-// requests their verdicts carry into an additive table both adopt at
-// each window boundary — as the Merger does — and holds each task's
-// update-request sequence, and its δ counts after every adoption, to
-// the reference.
+// windows routed under the first window's table; their verdicts go
+// through the merger, whose control message carries the additive table
+// both adopt at each window boundary. The table each control message
+// carries, and the merger's δ counts after it, must be the reference's:
+// the window's update requests folded into the previous table in
+// ascending document ID.
 func TestDeltaUpdateParity(t *testing.T) {
 	const size, m, tasks = 800, 4, 2
 	for _, dataset := range []string{"nbData", "rwData"} {
@@ -250,61 +281,59 @@ func TestDeltaUpdateParity(t *testing.T) {
 		cfg := testConfig()
 		cfg.M, cfg.Delta, cfg.Assigners = m, 3, tasks
 		var bolts [tasks]*assignerBolt
-		var cols [tasks]*fakeCollector
-		var refs [tasks]*refDeltaGate
-		var want [tasks][]uint64
 		for i := range bolts {
 			bolts[i] = routedAssigner(cfg, i, table, spec)
-			cols[i] = &fakeCollector{}
-			refs[i] = &refDeltaGate{delta: 3, table: table, spec: spec, unseen: make(map[document.Pair]int)}
 		}
-		var requested [tasks][]uint64
+		merger := newMergerBolt(cfg)
+		merger.table, merger.spec, merger.version, merger.generation = table, spec, 1, 1
+		mc := &fakeCollector{}
+		ref := &refDeltaGate{delta: 3, table: table, spec: spec, unseen: make(map[document.Pair]int)}
+		total := 0
 		for w := 1; w <= 3; w++ {
-			for i, d := range gen.Window(size) {
-				task := i % tasks
-				bolts[task].Execute(docTuple(w, d), cols[task])
-				if refs[task].route(d) {
-					want[task] = append(want[task], d.ID)
-				}
+			docs := gen.Window(size)
+			var cols [tasks]*fakeCollector
+			for task := range cols {
+				cols[task] = &fakeCollector{}
 			}
-			// The Merger's additive update: every requested document folded
-			// into a clone, in task order, sent in control(w).
-			next := table.Clone()
+			for i, d := range docs {
+				bolts[i%tasks].Execute(docTuple(w, d), cols[i%tasks])
+			}
+			merger.Execute(reportTuple(w, 0, false), mc)
 			for task := range bolts {
 				bolts[task].Execute(wendTuple(w), cols[task])
-				verdicts := cols[task].byStream(streamVerdict)
-				for _, d := range verdicts[len(verdicts)-1].values["msg"].(verdictMsg).Updates {
-					requested[task] = append(requested[task], d.ID)
+				merger.Execute(verdictTuple(cols[task].byStream(streamVerdict)[0].values["msg"].(verdictMsg)), mc)
+			}
+			updates := ref.window(docs)
+			total += len(updates)
+			controls := mc.byStream(streamControl)
+			ctl := controls[len(controls)-1].values["msg"].(controlMsg)
+			if len(updates) > 0 {
+				want := ref.table.Clone()
+				for _, d := range updates {
 					if td, ok := spec.Apply(d); ok {
-						next.AddDocument(td)
+						want.AddDocument(td)
 					}
 				}
+				if ctl.Table == nil {
+					t.Fatalf("%s window %d: %d update requests, no table", dataset, w, len(updates))
+				}
+				for i := range want.Partitions {
+					if got, want := ctl.Table.Partitions[i].Sorted(), want.Partitions[i].Sorted(); !slices.Equal(got, want) {
+						t.Fatalf("%s window %d: partition %d = %v, reference %v", dataset, w, i, got, want)
+					}
+				}
+				ref.adopt(want)
 			}
-			table = next
+			events := mc.byStream(streamMergerEvents)
+			if got := events[len(events)-1].values["msg"].(mergerEventMsg).Stats.Updates; got != len(updates) {
+				t.Errorf("%s window %d: %d update requests, reference %d", dataset, w, got, len(updates))
+			}
+			if got := unseenStrings(merger); !maps.Equal(got, ref.unseen) {
+				t.Fatalf("%s window %d: %d unseen pairs after the fold, reference %d", dataset, w, len(got), len(ref.unseen))
+			}
 			for task := range bolts {
-				bolts[task].Execute(controlTuple(controlMsg{Window: w, Version: w + 1, Table: table, Expansion: spec}), cols[task])
-				refs[task].adopt(table, spec)
-				got := make(map[document.Pair]int)
-				for sp, n := range bolts[task].unseen {
-					a, v := symbol.PairStrings(sp)
-					got[document.Pair{Attr: a, Val: v}] = n
-				}
-				if len(got) != len(refs[task].unseen) {
-					t.Fatalf("%s task %d window %d: %d unseen pairs after adoption, reference %d", dataset, task, w, len(got), len(refs[task].unseen))
-				}
-				for p, n := range refs[task].unseen {
-					if got[p] != n {
-						t.Fatalf("%s task %d window %d: unseen[%v] = %d, reference %d", dataset, task, w, p, got[p], n)
-					}
-				}
+				bolts[task].Execute(controlTuple(ctl), cols[task])
 			}
-		}
-		total := 0
-		for task := range bolts {
-			if !slices.Equal(requested[task], want[task]) {
-				t.Errorf("%s task %d: update requests for documents %v, reference %v", dataset, task, requested[task], want[task])
-			}
-			total += len(requested[task])
 		}
 		if total == 0 {
 			t.Errorf("%s: no update request in three windows — the δ gate went unexercised", dataset)
@@ -312,111 +341,39 @@ func TestDeltaUpdateParity(t *testing.T) {
 	}
 }
 
-// TestAssignerSnapshotKeepsUnseen round-trips the symbol-keyed δ counts
-// through the string-keyed snapshot.
-func TestAssignerSnapshotKeepsUnseen(t *testing.T) {
+// TestMergerSnapshotKeepsDynamics round-trips the symbol-keyed δ counts
+// and the θ baseline through the string-keyed snapshot, and a restored
+// merger re-sends control(cut) with the full table.
+func TestMergerSnapshotKeepsDynamics(t *testing.T) {
 	cfg := testConfig()
-	b := newAssignerBolt(cfg, 0)
-	deploy(b, 0, 3, newTable(intPair2("a", 1)), nil, &fakeCollector{})
+	b := newMergerBolt(cfg)
+	decideInitial(t, b, &fakeCollector{})
 	b.unseen[symbol.InternPair("x", "9")] = 2
 	b.unseen[symbol.InternPair("y", "s:hello")] = 1
+	b.baseline = &metrics.WindowStats{Documents: 2, Deliveries: 3, PerJoiner: []int{2, 1, 0}}
 	var buf bytes.Buffer
 	if err := b.Snapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
-	restored := newAssignerBolt(cfg, 0)
+	restored := newMergerBolt(cfg)
 	if err := restored.Restore(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if len(restored.unseen) != 2 || restored.unseen[symbol.InternPair("x", "9")] != 2 || restored.unseen[symbol.InternPair("y", "s:hello")] != 1 {
-		t.Errorf("restored unseen = %v", restored.unseen)
+	if !maps.Equal(unseenStrings(restored), unseenStrings(b)) {
+		t.Errorf("restored unseen = %v, want %v", unseenStrings(restored), unseenStrings(b))
 	}
-	if restored.version != 3 || restored.generation != 3 {
-		t.Errorf("restored version/generation = %d/%d, want 3/3", restored.version, restored.generation)
+	if !reflect.DeepEqual(restored.baseline, b.baseline) ||
+		restored.version != 1 || restored.generation != 1 || !restored.table.Covers(intPair2("a", 1)) {
+		t.Errorf("restored merger = %+v", restored)
 	}
-}
-
-// parentDecision is the verdict type the parent commit (835fdea)
-// recorded in its assigner snapshots.
-type parentDecision struct {
-	Window      int
-	Task        int
-	Repartition bool
-}
-
-// parentAssignerState is assignerState as the parent commit (835fdea)
-// declared it.
-type parentAssignerState struct {
-	Version int
-	Table   *partition.Table
-	Spec    *expansion.Expansion
-	Unseen  map[document.Pair]int
-
-	BaselineSet  bool
-	BaselineRepl float64
-	BaselineGini float64
-	AwaitingBase bool
-
-	Waiting       bool
-	WaitWindow    int
-	PendingRepart []int
-
-	LastDecision parentDecision
-}
-
-// TestAssignerSnapshotCrossVersion restores a snapshot the parent
-// commit wrote (testdata/assigner_state_parent.gob: version 7, three
-// partitions, a two-component expansion, three unseen pairs) and
-// decodes this commit's snapshot of the same state the way the parent
-// would.
-func TestAssignerSnapshotCrossVersion(t *testing.T) {
-	blob, err := os.ReadFile("testdata/assigner_state_parent.gob")
-	if err != nil {
-		t.Fatal(err)
+	c := &fakeCollector{}
+	restored.Recover(c)
+	controls := c.byStream(streamControl)
+	if len(controls) != 1 {
+		t.Fatalf("Recover sent %d control messages, want 1", len(controls))
 	}
-	b := newAssignerBolt(testConfig(), 1)
-	if err := b.Restore(bytes.NewReader(blob)); err != nil {
-		t.Fatalf("restore the parent's snapshot: %v", err)
-	}
-	synthetic := symbol.InternPair(document.ConcatAttrs("flag", "kind"), document.ConcatValues("true", "s:k"))
-	wantUnseen := map[symbol.Pair]int{symbol.InternPair("x", "9"): 2, symbol.InternPair("y", "s:hello"): 1, synthetic: 4}
-	if len(b.unseen) != len(wantUnseen) {
-		t.Errorf("unseen = %v, want %v", b.unseen, wantUnseen)
-	}
-	for sp, n := range wantUnseen {
-		if b.unseen[sp] != n {
-			t.Errorf("unseen[%v] = %d, want %d", symPairs([]symbol.Pair{sp}), b.unseen[sp], n)
-		}
-	}
-	if b.version != 7 || b.generation != 7 || b.table == nil || b.table.M != 3 ||
-		!b.table.Covers(document.Pair{Attr: "c", Val: "3"}) || b.table.Covers(document.Pair{Attr: "x", Val: "9"}) {
-		t.Errorf("restored version %d generation %d table %v", b.version, b.generation, b.table)
-	}
-	if b.spec == nil || !slices.Equal(b.spec.Components, []string{"flag", "kind"}) || !b.baselineSet || b.baselineRepl != 1.5 {
-		t.Errorf("restored state differs from what the parent saved: %+v", b)
-	}
-
-	var buf bytes.Buffer
-	if err := b.Snapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var back, orig parentAssignerState
-	if err := gob.NewDecoder(&buf).Decode(&back); err != nil {
-		t.Fatalf("decode this commit's snapshot as the parent would: %v", err)
-	}
-	if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&orig); err != nil {
-		t.Fatal(err)
-	}
-	if len(back.Unseen) != len(orig.Unseen) {
-		t.Errorf("unseen written = %v, parent wrote %v", back.Unseen, orig.Unseen)
-	}
-	for p, n := range orig.Unseen {
-		if back.Unseen[p] != n {
-			t.Errorf("unseen[%v] written = %d, parent wrote %d", p, back.Unseen[p], n)
-		}
-	}
-	if back.Version != orig.Version || back.BaselineRepl != orig.BaselineRepl || back.Table.M != orig.Table.M {
-		t.Errorf("snapshot written = %+v, parent wrote %+v", back, orig)
+	if ctl := controls[0].values["msg"].(controlMsg); ctl.Window != 0 || ctl.Table == nil || ctl.Version != 1 || ctl.Generation != 1 {
+		t.Errorf("re-sent control = %+v, want control(0) with the table", ctl)
 	}
 }
 

@@ -5,17 +5,15 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
-	"time"
 
 	"repro/internal/document"
 	"repro/internal/expansion"
-	"repro/internal/metrics"
 	"repro/internal/partition"
-	"repro/internal/symbol"
 )
 
 // This file holds the state.Snapshotter implementations of the Fig. 2
-// bolts. A snapshot is always taken at a window boundary (the
+// bolts; the merger's sits beside its δ and θ state in merger.go. A
+// snapshot is always taken at a window boundary (the
 // checkpoint barrier rides the window punctuation), so everything tied
 // to in-flight windows — sample buffers, routed-but-unpunctuated
 // documents, deployment-barrier buffers, unresolved merger rounds — is
@@ -28,48 +26,20 @@ import (
 // symbols: symbol values are process-local and a restored attempt may
 // intern in a different order.
 
-// assignerState is the snapshot of one assignerBolt at the close of a
-// window. Per-window routing counters are zero at that point (just
-// reset by finishWindow) and are not carried.
+// assignerState is an assigner's migration snapshot — an assigner
+// takes no checkpoints. Between windows it holds only the last control
+// message it adopted; at a rescale frontier that message was adopted,
+// so the migrated task does not wait at a barrier.
 type assignerState struct {
 	Version    int
 	Generation int
 	Table      *partition.Table
 	Spec       *expansion.Expansion
-	Unseen     map[document.Pair]int
-
-	BaselineSet  bool
-	BaselineRepl float64
-	BaselineGini float64
-	AwaitingBase bool
-
-	// Waiting and WaitWindow: a checkpoint snapshot is taken at the
-	// punctuation, so it always waits for that window's control
-	// message; a migration snapshot at a rescale frontier never does.
-	Waiting    bool
-	WaitWindow int
 }
 
 // Snapshot implements state.Snapshotter.
 func (b *assignerBolt) Snapshot(w io.Writer) error {
-	st := assignerState{
-		Version:      b.version,
-		Generation:   b.generation,
-		Table:        b.table,
-		Spec:         b.spec,
-		Unseen:       make(map[document.Pair]int, len(b.unseen)),
-		BaselineSet:  b.baselineSet,
-		BaselineRepl: b.baselineRepl,
-		BaselineGini: b.baselineGini,
-		AwaitingBase: b.awaitingBase,
-		Waiting:      b.waiting,
-		WaitWindow:   b.waitWindow,
-	}
-	for sp, n := range b.unseen {
-		attr, val := symbol.PairStrings(sp)
-		st.Unseen[document.Pair{Attr: attr, Val: val}] = n
-	}
-	return gob.NewEncoder(w).Encode(&st)
+	return gob.NewEncoder(w).Encode(&assignerState{Version: b.version, Generation: b.generation, Table: b.table, Spec: b.spec})
 }
 
 // Restore implements state.Snapshotter.
@@ -78,24 +48,8 @@ func (b *assignerBolt) Restore(r io.Reader) error {
 	if err := gob.NewDecoder(r).Decode(&st); err != nil {
 		return err
 	}
-	b.version = st.Version
-	b.generation = st.Generation
-	if b.generation == 0 {
-		b.generation = st.Version // written before generations were tracked
-	}
-	b.table = st.Table
-	b.spec = st.Spec
-	b.unseen = make(map[symbol.Pair]int, len(st.Unseen))
-	for p, n := range st.Unseen {
-		b.unseen[symbol.InternPair(p.Attr, p.Val)] = n
-	}
-	b.baselineSet = st.BaselineSet
-	b.baselineRepl = st.BaselineRepl
-	b.baselineGini = st.BaselineGini
-	b.awaitingBase = st.AwaitingBase
-	b.waiting = st.Waiting
-	b.waitWindow = st.WaitWindow
-	b.waitStart = time.Now()
+	b.version, b.generation, b.table, b.spec = st.Version, st.Generation, st.Table, st.Spec
+	b.waiting = false
 	b.buffered = nil
 	return nil
 }
@@ -112,36 +66,6 @@ func (b *creatorBolt) Snapshot(w io.Writer) error {
 func (b *creatorBolt) Restore(r io.Reader) error {
 	b.next = make(map[int]bool)
 	return gob.NewDecoder(r).Decode(&b.next)
-}
-
-// mergerState is the snapshot of the mergerBolt when it decided a
-// window. Undecided rounds are dropped — the replay regenerates every
-// verdict and report past the cut.
-type mergerState struct {
-	Version int
-	Table   *partition.Table
-	Spec    *expansion.Expansion
-	Last    controlMsg
-}
-
-// Snapshot implements state.Snapshotter.
-func (b *mergerBolt) Snapshot(w io.Writer) error {
-	st := mergerState{Version: b.version, Table: b.table, Spec: b.spec, Last: b.last}
-	return gob.NewEncoder(w).Encode(&st)
-}
-
-// Restore implements state.Snapshotter.
-func (b *mergerBolt) Restore(r io.Reader) error {
-	var st mergerState
-	if err := gob.NewDecoder(r).Decode(&st); err != nil {
-		return err
-	}
-	b.version = st.Version
-	b.table = st.Table
-	b.spec = st.Spec
-	b.last = st.Last
-	b.rounds = make(map[int]*windowRound)
-	return nil
 }
 
 // joinerState is the snapshot of one joinerBolt right after a tumble:
@@ -233,46 +157,25 @@ func (p *pendingSnapshot) Restore(r io.Reader) error {
 }
 
 // collectorState is the snapshot of the collectorBolt at the completion
-// of a window: the statistics of the completed-window prefix plus the
-// merger-event accumulators.
+// of a window: the completed-window prefix.
 type collectorState struct {
-	TableVersions int
-	Repartitions  int
-	Windows       map[int]collectorWindowState
+	Windows map[int]collectorWindowState
 }
 
 type collectorWindowState struct {
-	Stats         metrics.WindowStats
-	Repartitioned bool
-	Pairs         int
-	Docs          int
-	// Routed, GenLow, GenHigh: the table generations the window was
-	// routed under (windowAgg's fields of the same names).
-	Routed          bool
-	GenLow, GenHigh int
+	Event mergerEventMsg
+	Pairs int
+	Docs  int
 }
 
 // Snapshot implements state.Snapshotter. Only completed windows are
 // carried — they form a prefix of the stream, and the replay will
 // regenerate every partial past the cut.
 func (b *collectorBolt) Snapshot(w io.Writer) error {
-	st := collectorState{
-		TableVersions: b.tableVersions,
-		Repartitions:  b.repartitions,
-		Windows:       make(map[int]collectorWindowState),
-	}
+	st := collectorState{Windows: make(map[int]collectorWindowState)}
 	for win, agg := range b.windows {
-		if !agg.done {
-			continue
-		}
-		st.Windows[win] = collectorWindowState{
-			Stats:         *agg.stats,
-			Repartitioned: agg.repartitioned,
-			Pairs:         agg.pairs,
-			Docs:          agg.docs,
-			Routed:        agg.routed,
-			GenLow:        agg.genLow,
-			GenHigh:       agg.genHigh,
+		if agg.done {
+			st.Windows[win] = collectorWindowState{Event: agg.ev, Pairs: agg.pairs, Docs: agg.docs}
 		}
 	}
 	return gob.NewEncoder(w).Encode(&st)
@@ -284,24 +187,9 @@ func (b *collectorBolt) Restore(r io.Reader) error {
 	if err := gob.NewDecoder(r).Decode(&st); err != nil {
 		return err
 	}
-	b.tableVersions = st.TableVersions
-	b.repartitions = st.Repartitions
 	b.windows = make(map[int]*windowAgg, len(st.Windows))
 	for win, ws := range st.Windows {
-		stats := ws.Stats
-		b.windows[win] = &windowAgg{
-			stats:         &stats,
-			repartitioned: ws.Repartitioned,
-			partials:      b.cfg.Assigners,
-			jdone:         b.cfg.M,
-			decided:       true,
-			pairs:         ws.Pairs,
-			docs:          ws.Docs,
-			done:          true,
-			routed:        ws.Routed,
-			genLow:        ws.GenLow,
-			genHigh:       ws.GenHigh,
-		}
+		b.windows[win] = &windowAgg{ev: ws.Event, decided: true, jdone: b.cfg.M, pairs: ws.Pairs, docs: ws.Docs, done: true}
 	}
 	return nil
 }
