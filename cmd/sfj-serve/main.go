@@ -40,10 +40,10 @@ func main() {
 		maxQueries    = flag.Int("max-queries", 1024, "admission cap on concurrently registered standing queries")
 		resultBuffer  = flag.Int("result-buffer", 4096, "per-query result buffer capacity; the oldest results are dropped when a client falls behind")
 		maxWindowDocs = flag.Int("max-window-docs", 1_000_000, "force-tumble any window reaching N documents — the guard against a manual window nobody tumbles (0 = unbounded, rejected when -window is 0)")
-		spillDir      = flag.String("spill-dir", "", "with -memory-budget: directory receiving spilled window groups; empty starts the over-budget ladder at forced tumbling")
+		spillDir      = flag.String("spill-dir", "", "with -memory-budget: directory receiving spilled window states; empty starts the over-budget ladder at forced tumbling")
 	)
 	var memoryBudget cliflags.ByteSize
-	flag.Var(&memoryBudget, "memory-budget", "bound on resident window-state bytes, K/M/G suffixes accepted (e.g. 256M); over it the service spills window groups to -spill-dir, compresses spill files, force-tumbles the largest group, and finally answers 429 on /documents (0 = ungoverned)")
+	flag.Var(&memoryBudget, "memory-budget", "bound on resident window-state bytes, K/M/G suffixes accepted (e.g. 256M); over it the service spills window states to -spill-dir, compresses spill files, force-tumbles the oldest window of the largest state, and finally answers 429 on /documents (0 = ungoverned)")
 	flag.Parse()
 
 	if *window == 0 && *maxWindowDocs == 0 {

@@ -29,6 +29,7 @@ func TestAssignerCountInvariance(t *testing.T) {
 		{"nbData", 0.2, 1 << 30},
 	} {
 		t.Run(fmt.Sprintf("%s/theta=%g/delta=%d", in.dataset, in.theta, in.delta), func(t *testing.T) {
+			deadline(t, clusterDeadline)
 			gen, _ := datagen.ByName(in.dataset, 7)
 			docs := drawWindows(gen, windows, size)
 			want := len(join.Oracle(docs, size))

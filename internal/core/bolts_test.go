@@ -86,6 +86,10 @@ func controlTuple(ctl controlMsg) topology.Tuple {
 	return topology.Tuple{Stream: streamControl, Values: topology.Values{"msg": ctl}}
 }
 
+func nextTuple(w int, computeNext bool) topology.Tuple {
+	return topology.Tuple{Stream: streamNext, Values: topology.Values{"msg": nextMsg{Window: w, ComputeNext: computeNext}}}
+}
+
 func verdictTuple(v verdictMsg) topology.Tuple {
 	return topology.Tuple{Stream: streamVerdict, Values: topology.Values{"msg": v}}
 }
@@ -140,7 +144,7 @@ func TestCreatorWaitsForDecisions(t *testing.T) {
 	if len(c.byStream(streamCreatorWindow)) != 1 {
 		t.Fatal("window 1 closed before control(0)")
 	}
-	b.Execute(controlTuple(controlMsg{Window: 0}), c)
+	b.Execute(nextTuple(0, false), c)
 	got := c.byStream(streamCreatorWindow)
 	if len(got) != 2 {
 		t.Fatalf("window 1 did not close on control(0), or window 2 closed without control(1): %d reports", len(got))
@@ -148,7 +152,7 @@ func TestCreatorWaitsForDecisions(t *testing.T) {
 	if msg := got[1].values["msg"].(creatorWindowMsg); msg.Window != 1 || msg.Computing {
 		t.Errorf("report after control(0) = %+v, want window 1 not computing", msg)
 	}
-	b.Execute(controlTuple(controlMsg{Window: 1, ComputeNext: true}), c)
+	b.Execute(nextTuple(1, true), c)
 	got = c.byStream(streamCreatorWindow)
 	if len(got) != 3 {
 		t.Fatalf("window 2 did not close on control(1): %d reports", len(got))
@@ -166,7 +170,7 @@ func TestCreatorMigrationKeepsNextDecision(t *testing.T) {
 	b := newCreatorBolt(cfg, 0)
 	c := &fakeCollector{}
 	b.Execute(wendTuple(0), c)
-	b.Execute(controlTuple(controlMsg{Window: 0, ComputeNext: true}), c)
+	b.Execute(nextTuple(0, true), c)
 	var buf bytes.Buffer
 	if err := b.Snapshot(&buf); err != nil {
 		t.Fatal(err)
@@ -426,6 +430,18 @@ func TestMergerOneControlPerWindow(t *testing.T) {
 	if msg := controls[3].values["msg"].(controlMsg); msg.ComputeNext || !msg.Recomputed || msg.Table == nil || msg.Version != 2 || msg.Generation != 2 {
 		t.Errorf("control(3) = %+v, want a recomputed table of generation 2 and no further computation", msg)
 	}
+	// The creators get each control message's verdict on the next
+	// window, and no table.
+	nexts := c.byStream(streamNext)
+	if len(nexts) != len(controls) {
+		t.Fatalf("next messages = %d, want one per control message (%d)", len(nexts), len(controls))
+	}
+	for i, e := range nexts {
+		ctl := controls[i].values["msg"].(controlMsg)
+		if msg := e.values["msg"].(nextMsg); msg != (nextMsg{Window: ctl.Window, ComputeNext: ctl.ComputeNext}) {
+			t.Errorf("next message %d = %+v, control message %+v", i, msg, ctl)
+		}
+	}
 }
 
 // TestConsecutiveRepartitionsComputeTwice: windows 2 and 3 both degrade
@@ -448,7 +464,7 @@ func TestConsecutiveRepartitionsComputeTwice(t *testing.T) {
 			}
 			for ; sentM < len(mc.emitted); sentM++ {
 				e := mc.emitted[sentM]
-				if e.stream == streamControl || e.stream == streamExpansion {
+				if e.stream == streamNext || e.stream == streamExpansion {
 					creator.Execute(topology.Tuple{Stream: e.stream, Values: e.values}, cc)
 				}
 			}

@@ -22,6 +22,7 @@ func RegisterGobTypes() {
 	gob.Register(localGroupsMsg{})
 	gob.Register(verdictMsg{})
 	gob.Register(controlMsg{})
+	gob.Register(nextMsg{})
 	gob.Register(joinerStatsMsg{})
 	gob.Register(mergerEventMsg{})
 }
@@ -54,7 +55,7 @@ func buildTopology(cfg Config, report *Report) *topology.Builder {
 	}, cfg.Creators).
 		ShuffleGrouping("reader", streamDocs).
 		AllGrouping("reader", streamWindowEnd).
-		AllGrouping("merger", streamControl).
+		AllGrouping("merger", streamNext).
 		AllGrouping("merger", streamExpansion)
 
 	b.SetBolt("merger", func(int) topology.Bolt {

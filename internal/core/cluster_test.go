@@ -93,48 +93,49 @@ func TestClusterAndLocalAgree(t *testing.T) {
 	}
 }
 
+// clusterDeadline bounds one cluster test or subtest: far beyond what
+// any of them takes under the race detector on two cores, far below go
+// test's own timeout.
+const clusterDeadline = 5 * time.Minute
+
+// deadline fails the running test, and the test binary with it, if the
+// test has not finished within d, with a dump of every goroutine that
+// shows the blocked locks and mailboxes: a hung run then names itself
+// instead of stalling the package until go test's timeout.
+func deadline(t *testing.T, d time.Duration) {
+	timer := time.AfterFunc(d, func() {
+		buf := make([]byte, 1<<24)
+		buf = buf[:runtime.Stack(buf, true)]
+		panic(fmt.Sprintf("%s did not finish within %s; goroutines:\n%s", t.Name(), d, buf))
+	})
+	t.Cleanup(func() { timer.Stop() })
+}
+
 // TestBoundedMailboxesDoNotHang runs the pipeline on three TCP workers
 // with mailboxes small enough that the joiners' fill up. A full mailbox
 // must only slow the run down: every run completes before its deadline
-// with exactly the oracle's pairs. A hung run fails with a dump of every
-// goroutine, which shows the blocked locks and mailboxes.
+// with exactly the oracle's pairs.
 func TestBoundedMailboxesDoNotHang(t *testing.T) {
-	const windows, size, deadline = 8, 1200, 2 * time.Minute
+	const windows, size = 8, 1200
 	for _, dataset := range []string{"rwData", "nbData"} {
 		gen, _ := datagen.ByName(dataset, 7)
 		docs := drawWindows(gen, windows, size)
 		want := oraclePairs(docs, size)
 		for _, pending := range []int{2, 8} {
 			t.Run(fmt.Sprintf("%s/max-pending=%d", dataset, pending), func(t *testing.T) {
+				deadline(t, 2*time.Minute)
 				cfg := Config{M: 8, WindowSize: size, Windows: windows, MaxPending: pending}
-				type result struct {
-					got    map[join.Pair]bool
-					dups   int
-					report *Report
-					err    error
+				got, dups, report, err := collectPairs(cfg, docs, WithWorkers(3))
+				if err != nil {
+					t.Fatal(err)
 				}
-				done := make(chan result, 1)
-				go func() {
-					got, dups, report, err := collectPairs(cfg, docs, WithWorkers(3))
-					done <- result{got, dups, report, err}
-				}()
-				select {
-				case r := <-done:
-					if r.err != nil {
-						t.Fatal(r.err)
-					}
-					if len(r.report.Topology.Failures) > 0 {
-						t.Fatalf("topology failures: %v", r.report.Topology.Failures)
-					}
-					if r.dups > 0 {
-						t.Errorf("%d pairs produced more than once", r.dups)
-					}
-					checkPairSets(t, r.got, want)
-				case <-time.After(deadline):
-					buf := make([]byte, 1<<24)
-					buf = buf[:runtime.Stack(buf, true)]
-					t.Fatalf("run did not finish within %s; goroutines:\n%s", deadline, buf)
+				if len(report.Topology.Failures) > 0 {
+					t.Fatalf("topology failures: %v", report.Topology.Failures)
 				}
+				if dups > 0 {
+					t.Errorf("%d pairs produced more than once", dups)
+				}
+				checkPairSets(t, got, want)
 			})
 		}
 	}

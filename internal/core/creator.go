@@ -33,8 +33,8 @@ type creatorBolt struct {
 
 	buffers map[int][]document.Document
 
-	// next[w] is control(w)'s ComputeNext, held until window w+1
-	// closes.
+	// next[w] is control(w)'s ComputeNext, as the merger's nextMsg for
+	// w carried it, held until window w+1 closes.
 	next map[int]bool
 
 	// pendingWend holds window-end punctuation waiting for the
@@ -70,9 +70,9 @@ func (b *creatorBolt) Execute(t topology.Tuple, c topology.Collector) {
 		w := t.Values["window"].(int)
 		d := t.Values["doc"].(document.Document)
 		b.buffers[w] = append(b.buffers[w], d)
-	case streamControl:
-		ctl := t.Values["msg"].(controlMsg)
-		b.next[ctl.Window] = ctl.ComputeNext
+	case streamNext:
+		msg := t.Values["msg"].(nextMsg)
+		b.next[msg.Window] = msg.ComputeNext
 		b.drainWend(c)
 	case streamWindowEnd:
 		w := t.Values["window"].(int)

@@ -92,16 +92,24 @@ func (b *mergerBolt) Prepare(*topology.TaskContext) {
 }
 
 // Recover implements topology.Recoverer: a restored merger re-emits
-// the control message of the cut window, with the full current table
-// (a fresh one has decided nothing and stays silent). The fresh
-// assigners start at that window's barrier and hold no table; the
-// fresh creators need the message to close the first replayed window.
+// the control message of the cut window, with the full current table,
+// and its nextMsg (a fresh merger has decided nothing and stays
+// silent). The fresh assigners start at that window's barrier and hold
+// no table; the fresh creators need the nextMsg to close the first
+// replayed window.
 func (b *mergerBolt) Recover(c topology.Collector) {
 	if b.last.Window >= 0 {
 		ctl := b.last
 		ctl.Table = b.table
-		c.EmitTo(streamControl, topology.Values{"msg": ctl})
+		b.emitControl(ctl, c)
 	}
+}
+
+// emitControl sends control(w) to the assigners and its ComputeNext,
+// without the table, to the creators.
+func (b *mergerBolt) emitControl(ctl controlMsg, c topology.Collector) {
+	c.EmitTo(streamControl, topology.Values{"msg": ctl})
+	c.EmitTo(streamNext, topology.Values{"msg": nextMsg{Window: ctl.Window, ComputeNext: ctl.ComputeNext}})
 }
 
 // Cleanup implements topology.Bolt.
@@ -220,7 +228,7 @@ func (b *mergerBolt) maybeDecide(w int, r *windowRound, c topology.Collector) {
 	ctl.Generation = b.generation
 	ctl.Expansion = b.spec
 	b.last = ctl
-	c.EmitTo(streamControl, topology.Values{"msg": ctl})
+	b.emitControl(ctl, c)
 	ev.NewTable = ctl.Table != nil
 	ev.Recomputed = ctl.Recomputed
 	c.EmitTo(streamMergerEvents, topology.Values{"msg": ev})

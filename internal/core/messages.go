@@ -38,8 +38,11 @@ const (
 	// -> merger, global).
 	streamVerdict = "verdict"
 	// streamControl carries the merger's one decision per window
-	// (merger -> assigners and creators, all).
+	// (merger -> assigners, all).
 	streamControl = "control"
+	// streamNext carries the part of that decision the creators read:
+	// whether the next window computes (merger -> creators, all).
+	streamNext = "next"
 	// streamToJoin carries routed documents (assigner -> joiners,
 	// direct).
 	streamToJoin = "tojoin"
@@ -195,7 +198,8 @@ func (v *verdictMsg) GobDecode(data []byte) error {
 // every assigner's verdict and every creator's report for the window
 // (and, on a computation window, every creator's local groups) are in.
 // Every assigner adopts it at punctuation Window, before it routes any
-// document of Window+1; every creator needs it to close Window+1.
+// document of Window+1; every creator needs its ComputeNext, sent as a
+// nextMsg, to close Window+1.
 type controlMsg struct {
 	Window int
 	// Version numbers the table; it advances only when Table is set.
@@ -212,6 +216,13 @@ type controlMsg struct {
 	Recomputed bool
 	// ComputeNext makes Window+1 a computation window: some verdict
 	// for Window asked for θ.
+	ComputeNext bool
+}
+
+// nextMsg is control(Window) as the creators need it, without the
+// table: whether Window+1 is a computation window.
+type nextMsg struct {
+	Window      int
 	ComputeNext bool
 }
 

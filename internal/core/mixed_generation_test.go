@@ -175,6 +175,7 @@ func TestControlPlaneDeterministic(t *testing.T) {
 		{"rwData", 16, 3},
 	} {
 		t.Run(tc.dataset, func(t *testing.T) {
+			deadline(t, clusterDeadline)
 			const windowSize, windows = 250, 6
 			gen, _ := datagen.ByName(tc.dataset, 7)
 			docs := drawWindows(gen, windows, windowSize)

@@ -12,8 +12,8 @@ import (
 
 // QuerySet is the concurrency-safe multi-tenant layer over
 // join.Multi: a registry of standing queries evaluated against one
-// ingested document stream, with window state shared across queries
-// whose configurations align. It is the serving-side counterpart of
+// ingested document stream, with one window state per engine shared by
+// the queries whose window sizes lie within join.Multi's share factor. It is the serving-side counterpart of
 // Pipeline — where Pipeline hosts exactly one join, a QuerySet hosts
 // many, with admission control and per-query telemetry — and it is
 // built so a Runner can host one (WithQueryFanout) to front a
@@ -40,7 +40,7 @@ type QuerySet struct {
 	}
 	// perQuery holds each query's labelled instruments plus the series
 	// names to Drop when the query goes; groupSeries the same for
-	// per-group join instruments.
+	// per-state join instruments.
 	perQuery    map[string]*queryTel
 	groupSeries map[string][]string
 }
@@ -63,20 +63,23 @@ type QuerySetConfig struct {
 	// 0 leaves windows unbounded.
 	MaxWindowDocs int
 	// Telemetry, when set, receives the registry gauges
-	// (queryset_window_groups, queryset_shared_window_groups,
-	// queryset_queries_active), admission counters, per-query labelled
-	// counters (query_docs_matched_total{query=...},
-	// query_results_total{query=...}) and per-group join instruments
-	// labelled by window group (join_results_total{window=...},
+	// (queryset_window_groups and queryset_shared_window_groups count
+	// window states, queryset_queries_active queries), admission
+	// counters, per-query labelled counters
+	// (query_docs_matched_total{query=...},
+	// query_results_total{query=...}) and per-state join instruments
+	// labelled by the window class that opened the state
+	// (join_results_total{window=...},
 	// join_partner_missing_total{window=...}, ...).
 	Telemetry *telemetry.Registry
 	// MemoryBudget > 0 bounds the accounted bytes of all window state:
 	// past it the degradation ladder fires — spill (with SpillStore),
-	// compressed spill, forced tumble of the largest group, and
+	// compressed spill, forced tumble of the largest state's oldest
+	// window, and
 	// finally admission shedding (Ingest returns ErrOverloaded).
 	// 0 leaves memory ungoverned.
 	MemoryBudget int64
-	// SpillStore receives spilled window groups (rungs 1-2 of the
+	// SpillStore receives spilled window states (rungs 1-2 of the
 	// ladder). Nil with a budget set starts the ladder at forced
 	// tumbling.
 	SpillStore state.Store
@@ -165,8 +168,9 @@ func NewQuerySet(cfg QuerySetConfig) *QuerySet {
 }
 
 // Register adds a standing query under the given id, subject to the
-// admission cap. The query shares window state with every other query
-// whose (engine, window) configuration matches.
+// admission cap. The query shares its window with every query of the
+// same (engine, window) configuration, and its window state with those
+// whose window sizes join.Multi can serve from one state.
 func (qs *QuerySet) Register(id string, spec join.QuerySpec) error {
 	qs.mu.Lock()
 	defer qs.mu.Unlock()
@@ -195,7 +199,7 @@ func (qs *QuerySet) Register(id string, spec join.QuerySpec) error {
 }
 
 // Unregister removes a query; once it returns, no deliver callback
-// will be invoked for the id again. Freed groups take their labelled
+// will be invoked for the id again. Freed states take their labelled
 // join series with them; the query's own labelled counters are dropped
 // too.
 func (qs *QuerySet) Unregister(id string) bool {
@@ -214,8 +218,8 @@ func (qs *QuerySet) Unregister(id string) bool {
 	return true
 }
 
-// dropDeadGroupSeriesLocked retires the labelled join series of groups
-// that no longer exist.
+// dropDeadGroupSeriesLocked retires the labelled join series of window
+// states that no longer exist.
 func (qs *QuerySet) dropDeadGroupSeriesLocked() {
 	if qs.cfg.Telemetry == nil {
 		return
@@ -241,7 +245,7 @@ func (qs *QuerySet) refreshGaugesLocked() {
 }
 
 // Ingest feeds one document to every query's window state: parsed
-// documents are probed once per distinct window configuration and the
+// documents are inserted and probed once per window state and the
 // accepted pairs fan out to the matching queries as materialised
 // results through deliver, which runs under the set's lock (keep it
 // quick, never re-enter the QuerySet). It returns ErrOverloaded while
@@ -318,7 +322,7 @@ func (qs *QuerySet) ingestLocked(d document.Document, pairs join.PairFunc, resul
 }
 
 // Demux fans one externally joined result (a cluster run's output) out
-// to the queries of the shared group matching the external engine and
+// to the queries of the window class matching the external engine and
 // window size. Filter predicates apply; θ does not (the inputs are
 // gone — the external join enforced the paper's natural-join
 // semantics already).
@@ -335,8 +339,8 @@ func (qs *QuerySet) Demux(engine string, windowDocs int, r join.Result, deliver 
 	})
 }
 
-// Tumble closes the window of the group hosting the query — every
-// query sharing that group observes the eviction. If the group was
+// Tumble closes the window of the class hosting the query — every
+// query of that class observes the eviction. If its state was
 // spilled, it reloads and replays its backlog first; those delayed
 // results emit through deliver (nil discards them).
 func (qs *QuerySet) Tumble(id string, deliver func(query string, r join.Result)) (docs, pairs int, err error) {
@@ -361,7 +365,7 @@ func tumbled(id string, docs, pairs int, ok bool) (int, int, error) {
 	return docs, pairs, nil
 }
 
-// DrainSpilled reloads every spilled window group and replays its
+// DrainSpilled reloads every spilled window state and replays its
 // backlog, delivering the delayed results — the final flush at
 // shutdown so backlogged documents' results are not lost.
 func (qs *QuerySet) DrainSpilled(deliver func(query string, r join.Result)) {
@@ -423,7 +427,7 @@ func (qs *QuerySet) Groups() (total, shared int) {
 
 // WithQueryFanout hosts the query set on a Runner: every join result
 // the topology produces additionally fans out to the queries of the
-// set's group matching the run's engine and window size, demuxed
+// set's window class matching the run's engine and window size, demuxed
 // through their filter predicates and delivered via deliver. This is
 // the bridge that lets the standing-query service front a scale-out
 // cluster run instead of its in-process window state; Config.OnResult

@@ -23,9 +23,10 @@ func qdoc(t testing.TB, id uint64, js string) document.Document {
 	return d
 }
 
-// TestQuerySetSharingAndTelemetry: identical window configs share one
-// group, visible through the shared-tree gauges; per-query counters
-// carry query labels and are dropped with the query.
+// TestQuerySetSharingAndTelemetry: window sizes within the share factor
+// share one window state, visible through the shared-tree gauges, and a
+// size beyond it gets its own; per-query counters carry query labels
+// and are dropped with the query.
 func TestQuerySetSharingAndTelemetry(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	qs := NewQuerySet(QuerySetConfig{Telemetry: reg})
@@ -37,6 +38,9 @@ func TestQuerySetSharingAndTelemetry(t *testing.T) {
 	if err := qs.Register("c", join.QuerySpec{WindowDocs: 50}); err != nil {
 		t.Fatal(err)
 	}
+	if err := qs.Register("far", join.QuerySpec{WindowDocs: 1000}); err != nil {
+		t.Fatal(err)
+	}
 	snap := reg.Snapshot()
 	if g := snap.Gauge("queryset_window_groups"); g != 2 {
 		t.Errorf("window groups gauge = %g, want 2", g)
@@ -44,7 +48,7 @@ func TestQuerySetSharingAndTelemetry(t *testing.T) {
 	if g := snap.Gauge("queryset_shared_window_groups"); g != 1 {
 		t.Errorf("shared groups gauge = %g, want 1", g)
 	}
-	if g := snap.Gauge("queryset_queries_active"); g != 3 {
+	if g := snap.Gauge("queryset_queries_active"); g != 4 {
 		t.Errorf("active gauge = %g, want 3", g)
 	}
 
@@ -55,11 +59,11 @@ func TestQuerySetSharingAndTelemetry(t *testing.T) {
 	qs.Ingest(qdoc(t, 2, `{"x":1,"r":"b"}`), func(id string, r join.Result) {
 		delivered = append(delivered, id)
 	})
-	if len(delivered) != 3 {
-		t.Errorf("delivered to %v, want one result each for a, b, c", delivered)
+	if len(delivered) != 4 {
+		t.Errorf("delivered to %v, want one result each for a, b, c, far", delivered)
 	}
 	snap = reg.Snapshot()
-	for _, q := range []string{"a", "b", "c"} {
+	for _, q := range []string{"a", "b", "c", "far"} {
 		name := telemetry.Name("query_results_total", "query", q)
 		if snap.Counter(name) != 1 {
 			t.Errorf("%s = %d, want 1", name, snap.Counter(name))
@@ -69,14 +73,18 @@ func TestQuerySetSharingAndTelemetry(t *testing.T) {
 			t.Errorf("%s = %d, want 1", name, snap.Counter(name))
 		}
 	}
-	// The shared group's join series carries the group label.
-	if n := snap.SumCounter("join_results_total"); n != 2 {
-		t.Errorf("join_results_total sum = %d, want 2 (one per group probe)", n)
+	// Each state's join series carries the label of the class that
+	// opened it: one result per state, however many classes read it.
+	for _, label := range []string{"FPJ/w100", "FPJ/w1000"} {
+		if n := snap.Counter(telemetry.Name("join_results_total", "window", label)); n != 1 {
+			t.Errorf("join_results_total{window=%s} = %d, want 1", label, n)
+		}
 	}
 
 	// Deleting a query retires its labelled series; deleting the last
-	// query of a group retires the group's join series too.
+	// query of a state retires the state's join series too.
 	qs.Unregister("c")
+	qs.Unregister("far")
 	snap = reg.Snapshot()
 	if _, ok := snap.Counters[telemetry.Name("query_results_total", "query", "c")]; ok {
 		t.Error("c's counter series survived unregister")
@@ -88,7 +96,10 @@ func TestQuerySetSharingAndTelemetry(t *testing.T) {
 		}
 	}
 	if !found {
-		t.Error("shared group's join series vanished with c (wrong group dropped)")
+		t.Error("shared state's join series vanished with c (wrong state dropped)")
+	}
+	if _, ok := snap.Counters[telemetry.Name("join_results_total", "window", "FPJ/w1000")]; ok {
+		t.Error("far's state join series survived its last query")
 	}
 	if g := reg.Snapshot().Gauge("queryset_window_groups"); g != 1 {
 		t.Errorf("window groups after unregister = %g, want 1", g)

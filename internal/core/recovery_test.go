@@ -21,6 +21,7 @@ import (
 // checkpoint cut and replays the stream — and the user-visible join
 // result is exactly the single-process oracle's, each pair once.
 func TestClusterFailoverParity(t *testing.T) {
+	deadline(t, clusterDeadline)
 	const (
 		seed       = 31
 		windowSize = 120

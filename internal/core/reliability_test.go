@@ -102,6 +102,7 @@ func TestClusterScheduledChaosParity(t *testing.T) {
 // restore from the last checkpoint cut and still deliver the exact
 // oracle result exactly once.
 func TestClusterHungWorkerRecovery(t *testing.T) {
+	deadline(t, clusterDeadline)
 	const (
 		seed       = 31
 		windowSize = 120

@@ -32,6 +32,7 @@ func (s *pacedSource) Window(n int) []document.Document {
 // and must still produce exactly the single-node oracle's pair set,
 // each pair exactly once, with zero source replay.
 func TestElasticRescaleChaosParity(t *testing.T) {
+	deadline(t, clusterDeadline)
 	const windows, windowSize = 20, 60
 	docs := drawWindows(datagen.NewServerLog(41), windows, windowSize)
 
@@ -180,6 +181,7 @@ func TestElasticRescaleChaosParity(t *testing.T) {
 // TestRescalePolicyAutoGrow: the θ-fold path — a policy verdict alone
 // (no explicit Rescale call) grows the cluster.
 func TestRescalePolicyAutoGrow(t *testing.T) {
+	deadline(t, clusterDeadline)
 	const windows, windowSize = 16, 50
 	docs := drawWindows(datagen.NewServerLog(7), windows, windowSize)
 	reg := telemetry.NewRegistry()

@@ -343,7 +343,8 @@ func TestDeltaUpdateParity(t *testing.T) {
 
 // TestMergerSnapshotKeepsDynamics round-trips the symbol-keyed δ counts
 // and the θ baseline through the string-keyed snapshot, and a restored
-// merger re-sends control(cut) with the full table.
+// merger re-sends control(cut) with the full table, and its next
+// message to the creators.
 func TestMergerSnapshotKeepsDynamics(t *testing.T) {
 	cfg := testConfig()
 	b := newMergerBolt(cfg)
@@ -374,6 +375,9 @@ func TestMergerSnapshotKeepsDynamics(t *testing.T) {
 	}
 	if ctl := controls[0].values["msg"].(controlMsg); ctl.Window != 0 || ctl.Table == nil || ctl.Version != 1 || ctl.Generation != 1 {
 		t.Errorf("re-sent control = %+v, want control(0) with the table", ctl)
+	}
+	if nexts := c.byStream(streamNext); len(nexts) != 1 || nexts[0].values["msg"].(nextMsg).Window != 0 {
+		t.Errorf("Recover sent the creators %v, want control(0)'s next message", nexts)
 	}
 }
 

@@ -228,7 +228,7 @@ func TestMultiMaterialisesAcceptedPairsOnce(t *testing.T) {
 // window store does not hold cannot happen while engine and store are
 // updated together. If it does, the pair is not delivered (there is no
 // left document to deliver), and instead of being skipped silently it
-// is counted on the group, surfaced in the query's status and exported
+// is counted on the state, surfaced in the query's status and exported
 // as join_partner_missing_total; the rest of the document's pairs are
 // delivered as usual.
 func TestMultiPartnerMissingIsLoud(t *testing.T) {
@@ -247,8 +247,8 @@ func TestMultiPartnerMissingIsLoud(t *testing.T) {
 	m.IngestPairs(mdoc(t, 2, `{"a":1,"b":2}`), 0, deliver)
 	// Break the invariant: the engine still indexes document 1, the
 	// store no longer holds it.
-	g := m.queries["q"].group
-	delete(g.win.store, 1)
+	s := m.queries["q"].class.state
+	delete(s.win.store, s.arrival[1])
 	got = nil
 	m.IngestPairs(mdoc(t, 3, `{"a":1}`), 0, deliver)
 
@@ -277,8 +277,8 @@ func TestMultiPartnerMissingIsLoud(t *testing.T) {
 		t.Errorf("result-level deliveries after the break = %+v, want partners 2 and 3 only", results)
 	}
 	for _, r := range results {
-		left, _ := g.win.Doc(r.Left)
-		right, _ := g.win.Doc(r.Right)
+		left, _ := s.win.Doc(s.arrival[r.Left])
+		right, _ := s.win.Doc(s.arrival[r.Right])
 		want := document.AppendMergedJSON(nil, left, right)
 		if js, _ := r.Merged.MarshalJSON(); !bytes.Equal(js, want) {
 			t.Errorf("result (%d,%d) carries %s, want %s", r.Left, r.Right, js, want)

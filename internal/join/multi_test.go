@@ -30,49 +30,48 @@ func mdoc(t testing.TB, id uint64, js string) document.Document {
 	return d
 }
 
-// TestMultiSharesGroupState: two queries with identical window configs
-// share one group (one FP-tree); a third with a different window gets
-// its own.
+// TestMultiSharesGroupState: queries with identical window configs
+// share one class; a third with a window within the share factor opens
+// its own class on the same state (one FP-tree), and a fourth beyond the
+// factor gets a state of its own.
 func TestMultiSharesGroupState(t *testing.T) {
 	m := NewMulti()
-	if err := m.Register("a", QuerySpec{WindowDocs: 100}); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Register("b", QuerySpec{WindowDocs: 100}); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Register("c", QuerySpec{WindowDocs: 50}); err != nil {
-		t.Fatal(err)
+	for _, q := range []struct {
+		id     string
+		window int
+	}{{"a", 100}, {"b", 100}, {"c", 50}, {"far", 1000}} {
+		if err := m.Register(q.id, QuerySpec{WindowDocs: q.window}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	total, shared := m.Groups()
 	if total != 2 || shared != 1 {
-		t.Fatalf("groups = %d shared = %d, want 2/1", total, shared)
+		t.Fatalf("states = %d shared = %d, want 2/1", total, shared)
 	}
 	sa, _ := m.Status("a")
 	sb, _ := m.Status("b")
 	sc, _ := m.Status("c")
-	if sa.Group != sb.Group {
-		t.Errorf("a and b on different groups: %q vs %q", sa.Group, sb.Group)
+	sf, _ := m.Status("far")
+	if sa.Group != "FPJ/w100" || sb.Group != sa.Group || sc.Group != "FPJ/w50" {
+		t.Errorf("classes: a=%q b=%q c=%q", sa.Group, sb.Group, sc.Group)
 	}
-	if sc.Group == sa.Group {
-		t.Errorf("c shares a's group %q", sc.Group)
-	}
-	if sa.SharedWith != 1 || sc.SharedWith != 0 {
-		t.Errorf("shared-with: a=%d c=%d", sa.SharedWith, sc.SharedWith)
+	if sa.SharedWith != 2 || sc.SharedWith != 2 || sf.SharedWith != 0 {
+		t.Errorf("shared-with: a=%d c=%d far=%d, want 2/2/0", sa.SharedWith, sc.SharedWith, sf.SharedWith)
 	}
 
-	// Removing b collapses the shared group back to private.
+	// Removing b leaves a and c sharing the state.
 	if !m.Unregister("b") {
 		t.Fatal("unregister b failed")
 	}
 	total, shared = m.Groups()
-	if total != 2 || shared != 0 {
-		t.Errorf("after unregister: groups = %d shared = %d, want 2/0", total, shared)
+	if total != 2 || shared != 1 {
+		t.Errorf("after unregister b: states = %d shared = %d, want 2/1", total, shared)
 	}
-	// Removing the last query of a group frees the group.
+	// Removing a leaves c alone on the state; removing far frees its own.
 	m.Unregister("a")
-	if total, _ := m.Groups(); total != 1 {
-		t.Errorf("after unregister a: groups = %d, want 1", total)
+	m.Unregister("far")
+	if total, shared := m.Groups(); total != 1 || shared != 0 {
+		t.Errorf("after unregister a, far: states = %d shared = %d, want 1/0", total, shared)
 	}
 }
 

@@ -129,3 +129,39 @@ func (w *Windowed) Restore(r io.Reader) error {
 	w.updateSizes()
 	return nil
 }
+
+// multiStateGob is the spill form of a Multi window state: the
+// Windowed snapshot, whose documents are held under their arrival
+// numbers, and the document id of every held arrival from Base on.
+type multiStateGob struct {
+	Base   uint64
+	IDs    []uint64
+	Window []byte
+}
+
+// Snapshot implements state.Snapshotter for a Multi window state, the
+// governor's spill unit. Its classes stay resident.
+func (s *winState) Snapshot(out io.Writer) error {
+	var win bytes.Buffer
+	if err := s.win.Snapshot(&win); err != nil {
+		return err
+	}
+	return gob.NewEncoder(out).Encode(multiStateGob{Base: s.base, IDs: s.ids, Window: win.Bytes()})
+}
+
+// Restore implements state.Snapshotter.
+func (s *winState) Restore(r io.Reader) error {
+	var g multiStateGob
+	if err := gob.NewDecoder(r).Decode(&g); err != nil {
+		return fmt.Errorf("join: decode multi window state: %w", err)
+	}
+	if err := s.win.Restore(bytes.NewReader(g.Window)); err != nil {
+		return err
+	}
+	s.base, s.ids = g.Base, append(s.ids[:0], g.IDs...)
+	clear(s.arrival)
+	for i, id := range s.ids {
+		s.arrival[id] = s.base + uint64(i)
+	}
+	return nil
+}

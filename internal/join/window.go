@@ -200,6 +200,20 @@ func (w *Windowed) Tumble() (docs, pairs int) {
 	return docs, pairs
 }
 
+// refill evicts the window and stores docs again without probing them:
+// the compaction of a Multi window state, some of whose documents no
+// window reads any more. The counters are kept.
+func (w *Windowed) refill(docs []document.Document) {
+	w.engine.Reset()
+	clear(w.store)
+	w.storeBytes = 0
+	for _, d := range docs {
+		w.engine.Insert(d)
+		w.storeDoc(d)
+	}
+	w.updateSizes()
+}
+
 // MemBytes implements MemoryAccounter: the window document store and
 // the wrapped engine's own account. O(1) — the store bytes are tracked
 // incrementally and engines account incrementally too.

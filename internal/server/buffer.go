@@ -13,7 +13,7 @@ import (
 // and detect gaps introduced by overflow drops.
 //
 // Merged is the encoded merged document. The same bytes are shared by
-// every query, window group and response that delivers the pair, so
+// every query, window class and response that delivers the pair, so
 // they are immutable from the first push on: nothing may write to them
 // or hand them back to a pool.
 type bufferedResult struct {

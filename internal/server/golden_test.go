@@ -3,12 +3,16 @@ package server
 import (
 	"bytes"
 	"compress/gzip"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"regexp"
+	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -119,7 +123,14 @@ func TestServeGoldenBodies(t *testing.T) {
 			got.Write(goldenTranscript(t, in.dataset, in.docs, in.window, batch))
 		}
 	}
+	want := readGolden(t)
 	if *updateGolden {
+		// A regeneration may reorder a document's deliveries, never change
+		// them: the new bodies must equal the old ones once each document's
+		// results are sorted by partner.
+		if !bytes.Equal(sortedDeliveries(t, got.Bytes()), sortedDeliveries(t, want)) {
+			t.Fatalf("refusing to rewrite %s: the deliveries differ from its, not only their order within a document", goldenPath)
+		}
 		var zipped bytes.Buffer
 		zw, _ := gzip.NewWriterLevel(&zipped, gzip.BestCompression)
 		zw.Write(got.Bytes())
@@ -131,19 +142,6 @@ func TestServeGoldenBodies(t *testing.T) {
 		}
 		t.Logf("wrote %s: %d bytes (%d unzipped)", goldenPath, zipped.Len(), got.Len())
 		return
-	}
-	f, err := os.Open(goldenPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	zr, err := gzip.NewReader(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := io.ReadAll(zr)
-	if err != nil {
-		t.Fatal(err)
 	}
 	if bytes.Equal(got.Bytes(), want) {
 		return
@@ -159,4 +157,84 @@ func TestServeGoldenBodies(t *testing.T) {
 		}
 	}
 	t.Fatalf("bodies differ from the parent's in length: %d lines, want %d", len(gotLines), len(wantLines))
+}
+
+func readGolden(t *testing.T) []byte {
+	t.Helper()
+	f, err := os.Open(goldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	zr, err := gzip.NewReader(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := io.ReadAll(zr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return want
+}
+
+var (
+	seqField = regexp.MustCompile(`"seq":[0-9]+,`)
+	sseID    = regexp.MustCompile(`(?m)^id: [0-9]+\n`)
+	result   = regexp.MustCompile(`\{"left":([0-9]+),"right":([0-9]+),"merged":`)
+)
+
+// sortedDeliveries is a transcript with the order of each document's
+// deliveries taken out: seq numbers and SSE event ids are dropped, and
+// every run of consecutive results for one arriving document is sorted
+// by partner id. Two transcripts equal in this form deliver the same
+// results to every query, document by document.
+func sortedDeliveries(t *testing.T, transcript []byte) []byte {
+	t.Helper()
+	in := sseID.ReplaceAll(seqField.ReplaceAll(transcript, nil), nil)
+	type record struct {
+		left, right uint64
+		body        []byte
+	}
+	var out, runSep []byte
+	var run []record
+	flush := func() {
+		sort.SliceStable(run, func(i, j int) bool { return run[i].left < run[j].left })
+		for i, r := range run {
+			if i > 0 {
+				out = append(out, runSep...)
+			}
+			out = append(out, r.body...)
+		}
+		run, runSep = run[:0], nil
+	}
+	pos := 0
+	for _, m := range result.FindAllSubmatchIndex(in, -1) {
+		if m[0] < pos {
+			continue // inside a record already taken
+		}
+		dec := json.NewDecoder(bytes.NewReader(in[m[0]:]))
+		var raw json.RawMessage
+		if err := dec.Decode(&raw); err != nil {
+			t.Fatalf("result at byte %d: %v", m[0], err)
+		}
+		left, _ := strconv.ParseUint(string(in[m[2]:m[3]]), 10, 64)
+		right, _ := strconv.ParseUint(string(in[m[4]:m[5]]), 10, 64)
+		// Results of one body follow each other after "," (a JSON array)
+		// or a blank line and "data: " (an SSE stream).
+		between := in[pos:m[0]]
+		joined := len(run) > 0 && run[0].right == right &&
+			(string(between) == "," || string(between) == "\n\ndata: ") &&
+			(runSep == nil || bytes.Equal(runSep, between))
+		if !joined {
+			flush()
+			out = append(out, between...)
+		} else {
+			runSep = between
+		}
+		end := m[0] + int(dec.InputOffset())
+		run = append(run, record{left, right, in[m[0]:end]})
+		pos = end
+	}
+	flush()
+	return append(out, in[pos:]...)
 }

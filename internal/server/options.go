@@ -97,8 +97,8 @@ func WithMaxWindowDocs(n int) Option {
 // WithMemoryBudget bounds the accounted bytes of all window state
 // (default 0, ungoverned). Over the budget the degradation ladder
 // fires: spill to the spill store, compressed spill, forced tumble of
-// the largest window group, and finally POST /documents answering 429
-// until pressure subsides.
+// the largest window state's oldest window, and finally POST /documents
+// answering 429 until pressure subsides.
 func WithMemoryBudget(n int64) Option {
 	return func(s *settings) {
 		if n > 0 {
@@ -108,7 +108,7 @@ func WithMemoryBudget(n int64) Option {
 }
 
 // WithSpillStore supplies the state store that receives spilled window
-// groups. Without one (and without WithSpillDir), a memory budget
+// states. Without one (and without WithSpillDir), a memory budget
 // starts the ladder at forced tumbling.
 func WithSpillStore(st state.Store) Option {
 	return func(s *settings) { s.spillStore = st }

@@ -48,7 +48,7 @@ type queryJSON struct {
 	BufferDepth   int             `json:"buffer_depth"`
 	BufferDropped int64           `json:"buffer_dropped"`
 	LastSeq       uint64          `json:"last_seq"`
-	// PartnerMissing counts probe partners the query's window group
+	// PartnerMissing counts probe partners the query's window state
 	// could not find in its store and therefore did not deliver; not 0
 	// means results are missing because window state is inconsistent.
 	PartnerMissing int64 `json:"partner_missing"`
@@ -139,10 +139,10 @@ func (s *Server) handleDeleteQuery(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusNoContent)
 }
 
-// handleQueryTumble closes the window of the group hosting the query.
-// For a shared group every co-resident query observes the eviction —
-// which is why only manual (window 0) queries, which are never shared,
-// normally use this.
+// handleQueryTumble closes the window of the class hosting the query.
+// Every query with the same engine and window size observes the
+// eviction — which is why only manual (window 0) queries, which are
+// never shared, normally use this.
 func (s *Server) handleQueryTumble(w http.ResponseWriter, r *http.Request) {
 	docs, pairs, err := s.tumble(r.PathValue("id"))
 	if err != nil {

@@ -148,11 +148,12 @@ func TestQueryAdmissionCap(t *testing.T) {
 	}
 }
 
-// TestSharedTreeAcceptance is the PR's acceptance criterion: two
-// concurrent queries with identical window configs share one FP-tree
-// (asserted via the shared-tree gauge) and their result multisets equal
-// an isolated single-query run's; a third query with a different window
-// keeps private state and stays correct.
+// TestSharedTreeAcceptance: two concurrent queries with identical window
+// configs share one FP-tree (asserted via the shared-tree gauge) and
+// their result multisets equal an isolated single-query run's; a third
+// query with a window within the share factor reads the same tree
+// through its own window class, and a fourth beyond the factor keeps
+// private state; both stay correct.
 func TestSharedTreeAcceptance(t *testing.T) {
 	docs := make([]string, 0, 60)
 	for i := 0; i < 60; i++ {
@@ -172,20 +173,21 @@ func TestSharedTreeAcceptance(t *testing.T) {
 	createQuery(t, ts.URL, `{"id":"one","window":20}`)
 	createQuery(t, ts.URL, `{"id":"two","window":20}`)
 	createQuery(t, ts.URL, `{"id":"other","window":30}`)
+	createQuery(t, ts.URL, `{"id":"far","window":200}`)
 
-	// The gauge proves one/two share a tree and other does not.
+	// The gauges prove one, two and other share a tree and far does not.
 	snap := reg.Snapshot()
 	if g := snap.Gauge("queryset_shared_window_groups"); g != 1 {
 		t.Fatalf("shared groups gauge = %g, want 1", g)
 	}
-	// default (manual) + w20 (shared) + w30 = 3 groups.
+	// default (manual) + w20/w30 (shared) + w200 = 3 states.
 	if g := snap.Gauge("queryset_window_groups"); g != 3 {
 		t.Fatalf("window groups gauge = %g, want 3", g)
 	}
 
 	post(t, ts.URL+"/documents", batch)
 	shared := map[string][][2]uint64{}
-	for _, id := range []string{"one", "two", "other"} {
+	for _, id := range []string{"one", "two", "other", "far"} {
 		rr := getResults(t, ts.URL, id, "?max=10000")
 		for _, r := range rr.Results {
 			shared[id] = append(shared[id], pairKey(r.Left, r.Right))
@@ -199,6 +201,7 @@ func TestSharedTreeAcceptance(t *testing.T) {
 	for _, q := range []struct{ id, spec string }{
 		{"one", `{"id":"solo","window":20}`},
 		{"other", `{"id":"solo","window":30}`},
+		{"far", `{"id":"solo","window":200}`},
 	} {
 		iso := newTestServer(t)
 		createQuery(t, iso.URL, q.spec)

@@ -1,13 +1,14 @@
 // Package server exposes the schema-free stream join as a multi-tenant
 // HTTP service. Clients register standing queries — each an (engine,
 // window, θ, filters) specification — and stream JSON documents in;
-// every ingested document is classified once and probed against window
-// state that is shared across all queries whose (engine, window)
-// configurations align, with per-query state only where they diverge.
+// every ingested document is classified once and probed against one
+// window state per engine, shared by all queries whose window sizes lie
+// within a factor of each other, with per-query state only where they
+// diverge.
 // Results demux to each query through its own predicates and are
 // buffered for retrieval by long-poll or server-sent events. A joinable
 // pair is encoded once per ingested document, whatever number of
-// queries and window groups deliver it: they all hold the same bytes.
+// queries and window classes deliver it: they all hold the same bytes.
 //
 // Endpoints:
 //
@@ -92,8 +93,8 @@ type Stats struct {
 	// window.
 	CurrentWindowDocs int `json:"current_window_docs"`
 	// Queries is the number of registered standing queries (including
-	// the default one); WindowGroups / SharedWindowGroups expose how
-	// much state they share.
+	// the default one); WindowGroups / SharedWindowGroups count the
+	// window states and those read by more than one query.
 	Queries            int `json:"queries"`
 	WindowGroups       int `json:"window_groups"`
 	SharedWindowGroups int `json:"shared_window_groups"`
@@ -142,7 +143,7 @@ func New(opts ...Option) (*Server, error) {
 }
 
 // Close shuts the service down for graceful drain: spilled window
-// groups flush their backlogged results into the query buffers,
+// states flush their backlogged results into the query buffers,
 // in-flight long-polls and SSE streams return with whatever is
 // buffered, new ingests are rejected with 503. Safe to call more than
 // once.
@@ -470,7 +471,7 @@ func (s *Server) handleTumble(w http.ResponseWriter, _ *http.Request) {
 }
 
 // tumble closes the query's window, dispatching any results a spilled
-// group replays on its way back into memory.
+// state replays on its way back into memory.
 func (s *Server) tumble(id string) (docs, pairs int, err error) {
 	sc := scratchPool.Get().(*ingestScratch)
 	defer sc.release()
